@@ -3,77 +3,100 @@ module Instr = Asipfb_ir.Instr
 
 module Int_set = Set.Make (Int)
 
+(* The fact: each register mapped to the opids of its definitions that
+   may reach the point.  A register with no reaching definition is
+   absent, so the empty map is the bottom. *)
+type fact = Int_set.t Reg.Map.t
+
 type t = {
-  cfg : Cfg.t;
-  reach_in : Int_set.t array;
-  reach_out : Int_set.t array;
-  (* opid -> register defined *)
-  def_reg : (int, Reg.t) Hashtbl.t;
+  instrs : Instr.t array array;  (* block -> its instructions *)
+  reach_in : fact array;
+  reach_out : fact array;
+  (* block -> the fact before each position 0..n (entry n is reach_out),
+     filled by one forward sweep on the block's first query.  Two domains
+     racing to fill a slot compute the same table, so the race is
+     benign. *)
+  before : fact array option array;
 }
 
-(* Transfer through one instruction: kill other defs of the same register,
-   generate this one. *)
-let transfer def_reg i reaching =
+(* Transfer through one instruction: a definition replaces every other
+   reaching definition of its register. *)
+let transfer fact i =
   match Instr.def i with
-  | None -> reaching
-  | Some d ->
-      Int_set.add (Instr.opid i)
-        (Int_set.filter
-           (fun opid ->
-             match Hashtbl.find_opt def_reg opid with
-             | Some r -> not (Reg.equal r d)
-             | None -> true)
-           reaching)
+  | None -> fact
+  | Some d -> Reg.Map.add d (Int_set.singleton (Instr.opid i)) fact
 
-let block_transfer def_reg instrs reaching =
-  List.fold_left (fun acc i -> transfer def_reg i acc) reaching instrs
+let union =
+  Reg.Map.union (fun _ a b -> Some (if a == b then a else Int_set.union a b))
 
 let compute (cfg : Cfg.t) : t =
-  let def_reg = Hashtbl.create 64 in
-  Array.iter
-    (fun (b : Cfg.block) ->
-      List.iter
-        (fun i ->
-          match Instr.def i with
-          | Some d -> Hashtbl.replace def_reg (Instr.opid i) d
-          | None -> ())
-        b.instrs)
-    cfg.blocks;
-  (* Forward/may instance of the generic solver: facts are sets of
-     reaching def opids, merged by union (empty above the entry). *)
+  let instrs =
+    Array.map (fun (b : Cfg.block) -> Array.of_list b.instrs) cfg.blocks
+  in
+  (* A block's effect is its last definition of each register it defines,
+     overriding whatever reaches its entry. *)
+  let gen = Array.map (Array.fold_left transfer Reg.Map.empty) instrs in
+  (* Forward/may instance of the generic solver: facts are per-register
+     sets of reaching def opids, merged by union (empty above the
+     entry). *)
   let module Solver = Dataflow.Make (struct
-    type fact = Int_set.t
+    type nonrec fact = fact
 
     let direction = `Forward
-    let init = Int_set.empty
-    let merge _ = List.fold_left Int_set.union Int_set.empty
-    let transfer (b : Cfg.block) inn = block_transfer def_reg b.instrs inn
-    let equal = Int_set.equal
+    let init = Reg.Map.empty
+    let merge _ = List.fold_left union Reg.Map.empty
+
+    let transfer (b : Cfg.block) inn =
+      Reg.Map.union (fun _ _ g -> Some g) inn gen.(b.index)
+
+    let equal a b =
+      a == b || Reg.Map.equal (fun x y -> x == y || Int_set.equal x y) a b
   end) in
   let { Solver.input; output } = Solver.solve cfg in
-  { cfg; reach_in = input; reach_out = output; def_reg }
+  {
+    instrs;
+    reach_in = input;
+    reach_out = output;
+    before = Array.make (Array.length instrs) None;
+  }
 
-let reach_in t b = Int_set.elements t.reach_in.(b)
-let reach_out t b = Int_set.elements t.reach_out.(b)
+let flatten fact =
+  Reg.Map.fold (fun _ s acc -> Int_set.union s acc) fact Int_set.empty
+  |> Int_set.elements
 
+let reach_in t b = flatten t.reach_in.(b)
+let reach_out t b = flatten t.reach_out.(b)
+
+let table t block =
+  match t.before.(block) with
+  | Some tbl -> tbl
+  | None ->
+      let instrs = t.instrs.(block) in
+      let tbl = Array.make (Array.length instrs + 1) t.reach_in.(block) in
+      Array.iteri (fun pos i -> tbl.(pos + 1) <- transfer tbl.(pos) i) instrs;
+      t.before.(block) <- Some tbl;
+      tbl
+
+(* The fact before the [pos]-th instruction; positions past either end
+   clamp, as a prefix of the block would. *)
 let reaching_at t ~block ~pos =
-  let b = t.cfg.blocks.(block) in
-  let before = Asipfb_util.Listx.take pos b.instrs in
-  block_transfer t.def_reg before t.reach_in.(block)
+  let tbl = table t block in
+  tbl.(max 0 (min pos (Array.length tbl - 1)))
+
+let defs_of fact reg =
+  match Reg.Map.find_opt reg fact with
+  | Some s -> Int_set.elements s
+  | None -> []
 
 let defs_reaching_use t ~block ~pos ~reg =
-  reaching_at t ~block ~pos
-  |> Int_set.filter (fun opid ->
-         match Hashtbl.find_opt t.def_reg opid with
-         | Some r -> Reg.equal r reg
-         | None -> false)
-  |> Int_set.elements
+  defs_of (reaching_at t ~block ~pos) reg
 
 let du_chains t =
   let uses_of_def : (int, (int * int) list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun (b : Cfg.block) ->
-      List.iteri
+  Array.iteri
+    (fun block instrs ->
+      let tbl = table t block in
+      Array.iteri
         (fun pos i ->
           List.iter
             (fun reg ->
@@ -84,11 +107,11 @@ let du_chains t =
                       (Hashtbl.find_opt uses_of_def def_opid)
                   in
                   Hashtbl.replace uses_of_def def_opid
-                    ((b.index, pos) :: existing))
-                (defs_reaching_use t ~block:b.index ~pos ~reg))
+                    ((block, pos) :: existing))
+                (defs_of tbl.(pos) reg))
             (Asipfb_util.Listx.dedup Reg.equal (Instr.uses i)))
-        b.instrs)
-    t.cfg.blocks;
+        instrs)
+    t.instrs;
   (* Hashtbl.fold order is unspecified; sort the assoc list by def opid
      (and each use list positionally) so every rendering of the chains —
      notably --json reports — is byte-stable across -j settings. *)
@@ -101,10 +124,7 @@ let du_chains_opids t =
   List.map
     (fun (def, uses) ->
       let use_opids =
-        List.map
-          (fun (block, pos) ->
-            Instr.opid (List.nth t.cfg.blocks.(block).instrs pos))
-          uses
+        List.map (fun (block, pos) -> Instr.opid t.instrs.(block).(pos)) uses
         |> List.sort_uniq Int.compare
       in
       (def, use_opids))
@@ -113,10 +133,14 @@ let du_chains_opids t =
 let single_def_uses t =
   (* A def qualifies when, at each of its uses, it is the only reaching
      definition of the used register. *)
-  let chains = du_chains t in
+  let def_reg = Hashtbl.create 64 in
+  Array.iter
+    (Array.iter (fun i ->
+         Option.iter (Hashtbl.replace def_reg (Instr.opid i)) (Instr.def i)))
+    t.instrs;
   List.filter_map
     (fun (def_opid, uses) ->
-      match Hashtbl.find_opt t.def_reg def_opid with
+      match Hashtbl.find_opt def_reg def_opid with
       | None -> None
       | Some reg ->
           let unique_everywhere =
@@ -126,4 +150,4 @@ let single_def_uses t =
               uses
           in
           if unique_everywhere && uses <> [] then Some def_opid else None)
-    chains
+    (du_chains t)

@@ -5,7 +5,13 @@
     a point if some path from it to the point contains no other definition
     of the same register.  Def-use chains link each definition to every
     use it can reach — the whole-function counterpart of the per-block
-    dependence edges in the scheduler. *)
+    dependence edges in the scheduler.
+
+    The fact maps each register to its reaching definitions, so a
+    definition's transfer is one map update.  Queries inside a block read
+    a per-block table of the fact before each position, built by one
+    forward sweep the first time the block is queried; every later query
+    at that block is a single map lookup. *)
 
 type t
 
@@ -31,8 +37,9 @@ val du_chains : t -> (int * (int * int) list) list
 
 val du_chains_opids : t -> (int * int list) list
 (** {!du_chains} with uses as instruction opids: [(def opid, use opids)],
-    sorted by def opid with each use list deduplicated and ascending.
-    The stable form consumed by the verifier and JSON renderers. *)
+    sorted by def opid with each use list deduplicated and ascending —
+    an opid-keyed form that, unlike block positions, survives
+    rescheduling.  Only the tests call it today. *)
 
 val single_def_uses : t -> int list
 (** Opids of definitions that are the unique reaching definition at every

@@ -6,8 +6,7 @@
     Since the engine PR, analysis runs through
     {!Asipfb_engine.Engine} — a domain pool with a content-keyed memo
     cache — and step-4 entry points consume a {!Query.t} record instead
-    of duplicated optional-argument signatures.  The pre-engine
-    entry points remain as deprecated aliases for one PR cycle. *)
+    of duplicated optional-argument signatures. *)
 
 type analysis = Asipfb_engine.Engine.analysis = {
   benchmark : Asipfb_bench_suite.Benchmark.t;
@@ -18,7 +17,7 @@ type analysis = Asipfb_engine.Engine.analysis = {
       (** One optimized program graph per level. *)
   verify : Asipfb_diag.Diag.t list;
       (** Verify-checkpoint findings ({!Asipfb_verify}); [[]] unless the
-          analysis ran with [?verify] set to [`Ir] or [`Full]. *)
+          analysis ran with [?verify] set to [`Ir], [`Full] or [`Tv]. *)
 }
 
 val analyze : Asipfb_bench_suite.Benchmark.t -> analysis

@@ -188,11 +188,13 @@ let sched_for t (b : Benchmark.t) prog level =
 
 (* Verify tasks are cached like sched tasks: findings depend only on the
    source (IR checks) or on (source, level) (legality), both covered by
-   the content key. *)
+   the content key.  Each checker family has its own metrics stage
+   ("verify-ir", "verify-sched", "verify-tv"), named like its cache key
+   family, so --timings shows where verification time goes. *)
 let verify_ir_for t (b : Benchmark.t) prog =
   Cache.find_or_compute t.verify_cache ~key:(verify_ir_key ~uarch:t.uarch b)
     (fun () ->
-      Metrics.timed Metrics.global "verify" (fun () ->
+      Metrics.timed Metrics.global "verify-ir" (fun () ->
           Asipfb_verify.Verify.lint_source b.source
           @ Asipfb_verify.Verify.check_ir prog))
 
@@ -200,12 +202,9 @@ let verify_sched_for t (b : Benchmark.t) prog level sched =
   Cache.find_or_compute t.verify_cache
     ~key:(verify_sched_key ~uarch:t.uarch b level)
     (fun () ->
-      Metrics.timed Metrics.global "verify" (fun () ->
+      Metrics.timed Metrics.global "verify-sched" (fun () ->
           Asipfb_verify.Verify.check_schedule ~original:prog sched))
 
-(* Translation validation is the most expensive checker, so it gets its
-   own metrics stage (and cache key family) rather than folding into
-   "verify". *)
 let verify_tv_for t (b : Benchmark.t) prog level sched =
   Cache.find_or_compute t.verify_cache
     ~key:(verify_tv_key ~uarch:t.uarch b level)

@@ -26,7 +26,8 @@
     depend only on the compiled program and stay cacheable.
 
     Stage wall-clock is charged to {!Metrics.global} under ["frontend"],
-    ["sim"], ["sched"], ["verify"], and ["verify-tv"].
+    ["sim"], ["sched"], ["verify-ir"], ["verify-sched"] (legality) and
+    ["verify-tv"].
 
     {2 Verify checkpoint}
 

@@ -177,6 +177,51 @@ let test_live_before () =
   Alcotest.(check int) "nothing live at end" 0
     (Reg.Set.cardinal (Liveness.live_before live ~block:0 ~pos:n))
 
+(* Differential check of the per-block position table against the
+   textbook query: drop the block prefix and transfer the rest backward
+   from live_out. *)
+let naive_live_before live (cfg : Cfg.t) ~block ~pos =
+  List.fold_right
+    (fun i live ->
+      let live =
+        match Instr.def i with Some d -> Reg.Set.remove d live | None -> live
+      in
+      List.fold_left (fun s r -> Reg.Set.add r s) live (Instr.uses i))
+    (Asipfb_util.Listx.drop pos cfg.blocks.(block).instrs)
+    (Liveness.live_out live block)
+
+let live_disagreement (f : Func.t) =
+  let cfg = Cfg.build f in
+  let live = Liveness.compute cfg in
+  Array.to_list cfg.blocks
+  |> List.find_map (fun (b : Cfg.block) ->
+         List.init (List.length b.instrs + 1) Fun.id
+         |> List.find_map (fun pos ->
+                let got = Liveness.live_before live ~block:b.index ~pos
+                and want = naive_live_before live cfg ~block:b.index ~pos in
+                if Reg.Set.equal got want then None
+                else Some (Printf.sprintf "block %d pos %d" b.index pos)))
+
+let test_live_before_differential () =
+  List.iter
+    (fun (label, f) ->
+      match live_disagreement f with
+      | Some msg -> Alcotest.failf "%s: live_before differs at %s" label msg
+      | None -> ())
+    (Lazy.force Dataflow_programs.suite)
+
+let prop_live_before_differential =
+  QCheck2.Test.make ~name:"live_before agrees with the naive reference"
+    ~count:40 Gen_minic.gen_program (fun src ->
+      List.for_all
+        (fun (label, f) ->
+          match live_disagreement f with
+          | None -> true
+          | Some msg ->
+              QCheck2.Test.fail_reportf "%s: live_before differs at %s" label
+                msg)
+        (Dataflow_programs.of_source src))
+
 (* Direct use of the generic fixpoint framework: a forward may analysis
    ("some path defines the register") must pick up both branches of the
    diamond at the join, while a forward must analysis ("every path
@@ -271,6 +316,9 @@ let suite =
       [
         Alcotest.test_case "loop liveness" `Quick test_liveness_loop;
         Alcotest.test_case "live_before" `Quick test_live_before;
+        Alcotest.test_case "live_before agrees with naive on the suite"
+          `Quick test_live_before_differential;
+        QCheck_alcotest.to_alcotest prop_live_before_differential;
       ] );
     ( "cfg.dataflow",
       [

@@ -192,6 +192,172 @@ let test_du_chains_deterministic () =
        o1
     && List.sort (fun (a, _) (b, _) -> Int.compare a b) o1 = o1)
 
+(* --- differential check against a naive reference ------------------------- *)
+
+(* The textbook formulation: the fact is a flat set of def opids, a
+   definition kills every other def of its register, and a query at
+   (block, pos) replays the block prefix from the entry fact. *)
+module Naive = struct
+  module Int_set = Set.Make (Int)
+
+  type t = {
+    cfg : Cfg.t;
+    reach_in : Int_set.t array;
+    reach_out : Int_set.t array;
+    def_reg : (int, Reg.t) Hashtbl.t;
+  }
+
+  let transfer def_reg reaching i =
+    match Instr.def i with
+    | None -> reaching
+    | Some d ->
+        Int_set.add (Instr.opid i)
+          (Int_set.filter
+             (fun opid ->
+               match Hashtbl.find_opt def_reg opid with
+               | Some r -> not (Reg.equal r d)
+               | None -> true)
+             reaching)
+
+  let compute (cfg : Cfg.t) =
+    let def_reg = Hashtbl.create 64 in
+    Array.iter
+      (fun (b : Cfg.block) ->
+        List.iter
+          (fun i ->
+            Option.iter (Hashtbl.replace def_reg (Instr.opid i)) (Instr.def i))
+          b.instrs)
+      cfg.blocks;
+    let module Solver = Asipfb_cfg.Dataflow.Make (struct
+      type fact = Int_set.t
+
+      let direction = `Forward
+      let init = Int_set.empty
+      let merge _ = List.fold_left Int_set.union Int_set.empty
+
+      let transfer (b : Cfg.block) inn =
+        List.fold_left (transfer def_reg) inn b.instrs
+
+      let equal = Int_set.equal
+    end) in
+    let { Solver.input; output } = Solver.solve cfg in
+    { cfg; reach_in = input; reach_out = output; def_reg }
+
+  let reaching_at t ~block ~pos =
+    List.fold_left (transfer t.def_reg) t.reach_in.(block)
+      (Asipfb_util.Listx.take pos t.cfg.blocks.(block).instrs)
+
+  let defs_of t reaching reg =
+    reaching
+    |> Int_set.filter (fun opid ->
+           match Hashtbl.find_opt t.def_reg opid with
+           | Some r -> Reg.equal r reg
+           | None -> false)
+    |> Int_set.elements
+
+  let defs_reaching_use t ~block ~pos ~reg =
+    defs_of t (reaching_at t ~block ~pos) reg
+
+  let du_chains t =
+    let uses_of_def = Hashtbl.create 64 in
+    Array.iter
+      (fun (b : Cfg.block) ->
+        List.iteri
+          (fun pos i ->
+            List.iter
+              (fun reg ->
+                List.iter
+                  (fun d ->
+                    let prev =
+                      Option.value ~default:[] (Hashtbl.find_opt uses_of_def d)
+                    in
+                    Hashtbl.replace uses_of_def d ((b.index, pos) :: prev))
+                  (defs_reaching_use t ~block:b.index ~pos ~reg))
+              (Asipfb_util.Listx.dedup Reg.equal (Instr.uses i)))
+          b.instrs)
+      t.cfg.blocks;
+    Hashtbl.fold (fun d uses acc -> (d, List.sort compare uses) :: acc)
+      uses_of_def []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+end
+
+(* Compare every query of [Reaching] with [Naive] on one function; the
+   first disagreement is returned as a message. *)
+let reaching_disagreement (f : Asipfb_ir.Func.t) =
+  let cfg = Cfg.build f in
+  let r = Reaching.compute cfg and n = Naive.compute cfg in
+  let regs =
+    Reg.Set.elements
+      (Reg.Set.union (Asipfb_ir.Func.defined_regs f) (Asipfb_ir.Func.used_regs f))
+  in
+  let fail fmt = Printf.ksprintf Option.some fmt in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let check_block (b : Cfg.block) =
+    let bi = b.index in
+    if Reaching.reach_in r bi <> Naive.Int_set.elements n.reach_in.(bi) then
+      fail "reach_in of block %d" bi
+    else if Reaching.reach_out r bi <> Naive.Int_set.elements n.reach_out.(bi)
+    then fail "reach_out of block %d" bi
+    else
+      let rec at pos =
+        if pos > List.length b.instrs then None
+        else
+          let here = Naive.reaching_at n ~block:bi ~pos in
+          let bad =
+            List.find_opt
+              (fun reg ->
+                Reaching.defs_reaching_use r ~block:bi ~pos ~reg
+                <> Naive.defs_of n here reg)
+              regs
+          in
+          match bad with
+          | Some reg ->
+              fail "block %d pos %d %s: got [%s], naive [%s]" bi pos
+                (Reg.to_string reg)
+                (ints (Reaching.defs_reaching_use r ~block:bi ~pos ~reg))
+                (ints (Naive.defs_reaching_use n ~block:bi ~pos ~reg))
+          | None -> at (pos + 1)
+      in
+      at 0
+  in
+  match Array.to_list cfg.blocks |> List.find_map check_block with
+  | Some _ as m -> m
+  | None ->
+      let chains = Naive.du_chains n in
+      if Reaching.du_chains r <> chains then fail "du_chains"
+      else
+        let opids =
+          List.map
+            (fun (d, uses) ->
+              ( d,
+                List.sort_uniq Int.compare
+                  (List.map
+                     (fun (b, p) ->
+                       Instr.opid (List.nth cfg.blocks.(b).instrs p))
+                     uses) ))
+            chains
+        in
+        if Reaching.du_chains_opids r <> opids then fail "du_chains_opids"
+        else None
+
+let test_differential_suite () =
+  List.iter
+    (fun (label, f) ->
+      match reaching_disagreement f with
+      | Some msg -> Alcotest.failf "%s: %s" label msg
+      | None -> ())
+    (Lazy.force Dataflow_programs.suite)
+
+let prop_differential_generated =
+  QCheck2.Test.make ~name:"reaching agrees with the naive reference"
+    ~count:40 Gen_minic.gen_program (fun src ->
+      List.for_all
+        (fun (label, f) ->
+          match reaching_disagreement f with
+          | None -> true
+          | Some msg -> QCheck2.Test.fail_reportf "%s: %s" label msg)
+        (Dataflow_programs.of_source src))
+
 let suite =
   [
     ( "cfg.reaching",
@@ -205,5 +371,8 @@ let suite =
           test_du_chains_deterministic;
         Alcotest.test_case "single-def uses" `Quick test_single_def_uses;
         QCheck_alcotest.to_alcotest prop_reaching_terminates_and_sound;
+        Alcotest.test_case "agrees with naive on the suite" `Quick
+          test_differential_suite;
+        QCheck_alcotest.to_alcotest prop_differential_generated;
       ] );
   ]

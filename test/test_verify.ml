@@ -305,6 +305,49 @@ let test_corrupted_schedule_flagged () =
         (fun d -> Alcotest.(check bool) "error severity" true (Diag.is_error d))
         (Legality.to_diags (Legality.Violation vs))
 
+(* The prover's named witnesses for seeded corruptions of the fir
+   schedule, pinned: a dataflow change that moves which definition reaches
+   which use shows up here as a different (before, after) pair.  Drop-copy
+   and retarget-jump exercise the value-flow obligations (a deleted
+   restore copy, a new path into a use), swap-deps the ordering ones. *)
+let test_mutated_fir_witnesses () =
+  let module Mutate = Asipfb_verify.Mutate in
+  let prog =
+    Asipfb_bench_suite.Benchmark.compile
+      (Asipfb_bench_suite.Registry.find "fir")
+  in
+  let witnesses level kind seed =
+    let sched = Schedule.optimize ~level prog in
+    match Mutate.apply ~seed kind sched.prog with
+    | None -> Alcotest.fail "no mutation site"
+    | Some p -> (
+        match Legality.check ~original:prog { sched with prog = p } with
+        | Legality.Legal -> []
+        | Legality.Violation vs ->
+            List.map
+              (fun (v : Legality.violation) ->
+                Printf.sprintf "(%d, %d, %s)" v.before v.after
+                  (Legality.string_of_kind v.vkind))
+              vs)
+  in
+  let pin name want got = Alcotest.(check (list string)) name want got in
+  pin "O0 swap-deps" [ "(27, 28, flow)" ]
+    (witnesses Opt_level.O0 Mutate.Swap_deps 3);
+  pin "O1 swap-deps" [ "(48, 49, flow)" ]
+    (witnesses Opt_level.O1 Mutate.Swap_deps 3);
+  pin "O2 swap-deps" [ "(7, 8, flow)" ]
+    (witnesses Opt_level.O2 Mutate.Swap_deps 3);
+  pin "O2 drop-copy"
+    [ "(55, 35, flow)"; "(55, 42, flow)"; "(55, 46, flow)"; "(55, 54, flow)";
+      "(55, 55, flow)" ]
+    (witnesses Opt_level.O2 Mutate.Drop_copy 3);
+  pin "O2 retarget-jump"
+    [ "(49, 49, flow)"; "(49, 54, flow)"; "(51, 40, flow)"; "(51, 42, flow)";
+      "(51, 45, flow)"; "(51, 46, flow)"; "(51, 51, flow)" ]
+    (witnesses Opt_level.O2 Mutate.Retarget_jump 1);
+  pin "O1 retarget-jump" [ "(10, 27, flow)" ]
+    (witnesses Opt_level.O1 Mutate.Retarget_jump 3)
+
 let prop_random_schedules_legal =
   QCheck2.Test.make ~name:"optimized random programs verify legal" ~count:30
     Gen_minic.gen_program (fun src ->
@@ -392,6 +435,8 @@ let suite =
           test_all_schedules_legal;
         Alcotest.test_case "corrupted schedule flagged" `Quick
           test_corrupted_schedule_flagged;
+        Alcotest.test_case "mutated fir witnesses pinned" `Quick
+          test_mutated_fir_witnesses;
         QCheck_alcotest.to_alcotest prop_random_schedules_legal;
       ] );
     ( "verify.engine",
