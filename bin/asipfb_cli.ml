@@ -100,8 +100,8 @@ let cmd_simulate name fault_seed fault_reg_rate fault_mem_rate fault_fuel =
         | None -> None
         | Some seed ->
             Some
-              (Asipfb_sim.Fault.create
-                 { Asipfb_sim.Fault.seed;
+              (Asipfb_exec.Fault.create
+                 { Asipfb_exec.Fault.seed;
                    reg_corrupt_rate = fault_reg_rate;
                    mem_fault_rate = fault_mem_rate;
                    fuel_cap = fault_fuel })
@@ -119,26 +119,26 @@ let cmd_simulate name fault_seed fault_reg_rate fault_mem_rate fault_fuel =
             match Asipfb_bench_suite.Benchmark.self_check b o with
             | Ok () ->
                 Printf.printf "self-check passed (%d corruption(s) injected)\n"
-                  (Asipfb_sim.Fault.injected_total f);
+                  (Asipfb_exec.Fault.injected_total f);
                 Ok ()
             | Error msg ->
                 Error
                   (Asipfb_diag.Diag.to_string
                      (Asipfb_diag.Diag.make ~stage:Asipfb_diag.Diag.Simulation
-                        ~context:(Asipfb_sim.Fault.summary f)
+                        ~context:(Asipfb_exec.Fault.summary f)
                         msg)))
       in
       Printf.printf "%s: %d dynamic operations (= baseline cycles)\n"
         name o.instrs_executed;
       List.iter
         (fun region ->
-          let data = Asipfb_sim.Memory.dump o.memory region in
+          let data = Asipfb_exec.Memory.dump o.memory region in
           let shown = min 8 (Array.length data) in
           Printf.printf "  %s[0..%d] =" region (shown - 1);
           Array.iteri
             (fun i v ->
               if i < shown then
-                Printf.printf " %s" (Asipfb_sim.Value.to_string v))
+                Printf.printf " %s" (Asipfb_exec.Value.to_string v))
             data;
           print_newline ())
         b.output_regions;

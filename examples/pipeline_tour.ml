@@ -41,7 +41,7 @@ let () =
 
   banner "5. dynamic profile (top ops)";
   let outcome = Asipfb_sim.Interp.run prog in
-  let counts = Asipfb_sim.Profile.to_alist outcome.profile in
+  let counts = Asipfb_exec.Profile.to_alist outcome.profile in
   let sorted =
     List.sort (fun (_, a) (_, b) -> Int.compare b a) counts
   in
@@ -49,7 +49,7 @@ let () =
     (fun rank (opid, count) ->
       if rank < 5 then Printf.printf "  opid %d executed %d times\n" opid count)
     sorted;
-  Printf.printf "  total %d dynamic ops\n" (Asipfb_sim.Profile.total outcome.profile);
+  Printf.printf "  total %d dynamic ops\n" (Asipfb_exec.Profile.total outcome.profile);
 
   banner "6. optimized code (O1: percolation + pipelining)";
   let sched = Asipfb_sched.Schedule.optimize ~level:Opt_level.O1 prog in

@@ -62,7 +62,7 @@ let block_length ?uarch ~pairs ops =
 let block_exec_count profile ops =
   Array.fold_left
     (fun acc i ->
-      max acc (Asipfb_sim.Profile.count profile ~opid:(Instr.opid i)))
+      max acc (Asipfb_exec.Profile.count profile ~opid:(Instr.opid i)))
     0 ops
 
 let dynamic_cycles ?uarch ~pairs (sched : Schedule.t) ~profile =

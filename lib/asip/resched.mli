@@ -23,7 +23,7 @@ type estimate = {
 val estimate :
   ?uarch:Uarch.t ->
   Asipfb_sched.Schedule.t ->
-  profile:Asipfb_sim.Profile.t ->
+  profile:Asipfb_exec.Profile.t ->
   choices:Select.choice list ->
   detections:Asipfb_chain.Detect.detected list ->
   estimate

@@ -76,7 +76,7 @@ let candidates config sched ~profile ~banned =
          Cost.chain_feasible ~max_delay:config.max_delay d.classes)
 
 let choose_report config sched ~profile =
-  let total = Asipfb_sim.Profile.total profile in
+  let total = Asipfb_exec.Profile.total profile in
   let rejected = ref [] in
   let note_rejected vetoed =
     List.iter

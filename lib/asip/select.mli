@@ -37,12 +37,12 @@ val default_config : config
     at most 8 chained instructions, uarch {!Uarch.flat}. *)
 
 val choose :
-  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_sim.Profile.t ->
+  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_exec.Profile.t ->
   choice list
 (** Chosen chained instructions in selection order. *)
 
 val choose_report :
-  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_sim.Profile.t ->
+  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_exec.Profile.t ->
   choice list * Asipfb_diag.Diag.t list
 (** Like {!choose}, also returning one warning diagnostic (kind
     ["clock-violation"]) per distinct candidate chain whose critical path

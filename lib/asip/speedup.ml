@@ -34,7 +34,7 @@ let weighted_baseline uarch (prog : Asipfb_ir.Prog.t) ~profile =
       List.fold_left
         (fun acc i ->
           acc
-          + Asipfb_sim.Profile.count profile ~opid:(Asipfb_ir.Instr.opid i)
+          + Asipfb_exec.Profile.count profile ~opid:(Asipfb_ir.Instr.opid i)
             * Uarch.instr_latency uarch i)
         acc f.body)
     0 prog.funcs
@@ -43,7 +43,7 @@ let estimate ?(uarch = Uarch.flat) ?prog (choices : Select.choice list)
     ~profile =
   let baseline_cycles =
     match prog with
-    | None -> Asipfb_sim.Profile.total profile
+    | None -> Asipfb_exec.Profile.total profile
     | Some p -> weighted_baseline uarch p ~profile
   in
   let saved_cycles =

@@ -35,7 +35,7 @@ val estimate :
   ?uarch:Uarch.t ->
   ?prog:Asipfb_ir.Prog.t ->
   Select.choice list ->
-  profile:Asipfb_sim.Profile.t ->
+  profile:Asipfb_exec.Profile.t ->
   estimate
 (** [uarch] defaults to {!Uarch.flat}.  With [prog], baseline cycles are
     latency-weighted over the program's instructions; without it they

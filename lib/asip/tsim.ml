@@ -1,5 +1,5 @@
-module Value = Asipfb_sim.Value
-module Memory = Asipfb_sim.Memory
+module Value = Asipfb_exec.Value
+module Memory = Asipfb_exec.Memory
 module Ops = Asipfb_exec.Ops
 module Code = Asipfb_exec.Code
 module Core = Asipfb_exec.Core

@@ -19,8 +19,8 @@
 exception Runtime_error of string
 
 type outcome = {
-  return_value : Asipfb_sim.Value.t option;
-  memory : Asipfb_sim.Memory.t;
+  return_value : Asipfb_exec.Value.t option;
+  memory : Asipfb_exec.Memory.t;
   cycles : int;
       (** Executed cycles under the cycle model (labels free); equals
           executed target instructions on the flat model. *)
@@ -35,7 +35,7 @@ type outcome = {
 
 val run :
   ?fuel:int ->
-  ?inputs:(string * Asipfb_sim.Value.t array) list ->
+  ?inputs:(string * Asipfb_exec.Value.t array) list ->
   ?uarch:Uarch.t ->
   Target.tprog ->
   outcome

@@ -3,7 +3,7 @@ type t = {
   description : string;
   data_input : string;
   source : string;
-  inputs : unit -> (string * Asipfb_sim.Value.t array) list;
+  inputs : unit -> (string * Asipfb_exec.Value.t array) list;
   output_regions : string list;
 }
 
@@ -20,7 +20,7 @@ let run_with_faults t ~faults =
    so reads and writes go through a mutex; the golden value itself is
    deterministic, so racing computers would agree anyway — the lock only
    protects the table structure. *)
-let golden : (string, (string * Asipfb_sim.Value.t array) list) Hashtbl.t =
+let golden : (string, (string * Asipfb_exec.Value.t array) list) Hashtbl.t =
   Hashtbl.create 16
 
 let golden_mutex = Mutex.create ()
@@ -40,7 +40,7 @@ let expected_outputs t =
       let o = run t in
       let v =
         List.map
-          (fun region -> (region, Asipfb_sim.Memory.dump o.memory region))
+          (fun region -> (region, Asipfb_exec.Memory.dump o.memory region))
           t.output_regions
       in
       Mutex.lock golden_mutex;
@@ -52,7 +52,7 @@ let self_check t (outcome : Asipfb_sim.Interp.outcome) : (unit, string) result =
   let mismatch =
     List.find_map
       (fun (region, want) ->
-        let got = Asipfb_sim.Memory.dump outcome.memory region in
+        let got = Asipfb_exec.Memory.dump outcome.memory region in
         if Array.length want <> Array.length got then
           Some (Printf.sprintf "%s: length %d <> %d" region
                   (Array.length got) (Array.length want))
@@ -60,12 +60,12 @@ let self_check t (outcome : Asipfb_sim.Interp.outcome) : (unit, string) result =
           let bad = ref None in
           Array.iteri
             (fun i w ->
-              if !bad = None && not (Asipfb_sim.Value.close w got.(i)) then
+              if !bad = None && not (Asipfb_exec.Value.close w got.(i)) then
                 bad :=
                   Some
                     (Printf.sprintf "%s[%d]: got %s, expected %s" region i
-                       (Asipfb_sim.Value.to_string got.(i))
-                       (Asipfb_sim.Value.to_string w)))
+                       (Asipfb_exec.Value.to_string got.(i))
+                       (Asipfb_exec.Value.to_string w)))
             want;
           !bad)
       (expected_outputs t)

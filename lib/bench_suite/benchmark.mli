@@ -9,7 +9,7 @@ type t = {
   description : string;  (** Table 1 description column. *)
   data_input : string;  (** Table 1 data-input column. *)
   source : string;  (** Mini-C translation unit with a [void main()]. *)
-  inputs : unit -> (string * Asipfb_sim.Value.t array) list;
+  inputs : unit -> (string * Asipfb_exec.Value.t array) list;
       (** Seeded input data for the named regions; deterministic. *)
   output_regions : string list;
       (** Regions holding results, compared by equivalence tests. *)
@@ -23,16 +23,16 @@ val compile : t -> Asipfb_ir.Prog.t
 val run : t -> Asipfb_sim.Interp.outcome
 (** Compile, seed inputs, and execute. *)
 
-val run_with_faults : t -> faults:Asipfb_sim.Fault.t -> Asipfb_sim.Interp.outcome
-(** {!run} under a fault injector (see {!Asipfb_sim.Fault}). *)
+val run_with_faults : t -> faults:Asipfb_exec.Fault.t -> Asipfb_sim.Interp.outcome
+(** {!run} under a fault injector (see {!Asipfb_exec.Fault}). *)
 
-val expected_outputs : t -> (string * Asipfb_sim.Value.t array) list
+val expected_outputs : t -> (string * Asipfb_exec.Value.t array) list
 (** Golden output-region contents from a clean run.  Deterministic
     (LCG-generated inputs), memoized per benchmark name. *)
 
 val self_check : t -> Asipfb_sim.Interp.outcome -> (unit, string) result
 (** Compare [outcome]'s output regions against {!expected_outputs} with
-    {!Asipfb_sim.Value.close}.  [Error] names the first mismatching cell —
+    {!Asipfb_exec.Value.close}.  [Error] names the first mismatching cell —
     the hook that turns silently corrupted (fault-injected) runs into
     diagnostics instead of wrong profiles. *)
 

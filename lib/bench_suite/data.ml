@@ -1,5 +1,5 @@
 module Prng = Asipfb_util.Prng
-module Value = Asipfb_sim.Value
+module Value = Asipfb_exec.Value
 
 let float_signal ~seed ~len =
   let g = Prng.create ~seed in

@@ -122,7 +122,7 @@ let acs =
            Array.map
              (fun v ->
                match v with
-               | Asipfb_sim.Value.Vint n -> Asipfb_sim.Value.Vint (abs n)
+               | Asipfb_exec.Value.Vint n -> Asipfb_exec.Value.Vint (abs n)
                | other -> other)
              (Data.int_stream ~seed:2301 ~len:256)) ]);
     output_regions = [ "metric"; "decision" ];

@@ -34,4 +34,4 @@ val default_config : config
     ~3%). *)
 
 val analyze :
-  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_sim.Profile.t -> result
+  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_exec.Profile.t -> result

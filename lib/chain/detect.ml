@@ -1,6 +1,6 @@
 module Instr = Asipfb_ir.Instr
 module Reg = Asipfb_ir.Reg
-module Profile = Asipfb_sim.Profile
+module Profile = Asipfb_exec.Profile
 module Schedule = Asipfb_sched.Schedule
 module Ddg = Asipfb_sched.Ddg
 module Opt_level = Asipfb_sched.Opt_level

@@ -59,7 +59,7 @@ type detected = {
 }
 
 val run :
-  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_sim.Profile.t ->
+  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_exec.Profile.t ->
   detected list
 (** Detected sequences sorted by decreasing frequency, one entry per
     distinct class list, restricted to [freq >= config.min_freq].
@@ -73,12 +73,12 @@ type report = {
 }
 
 val run_report :
-  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_sim.Profile.t -> report
+  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_exec.Profile.t -> report
 (** Budget-aware {!run}.  With [config.budget = None] the result is
     always [Exact]; level 0's linear scan never consumes budget. *)
 
 val run_greedy :
-  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_sim.Profile.t ->
+  config -> Asipfb_sched.Schedule.t -> profile:Asipfb_exec.Profile.t ->
   detected list
 (** The greedy result alone: a linear scan for literally adjacent,
     flow-dependent runs in each scope's op order.  This is exactly what a

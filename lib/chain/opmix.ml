@@ -1,6 +1,6 @@
 module Types = Asipfb_ir.Types
 module Instr = Asipfb_ir.Instr
-module Profile = Asipfb_sim.Profile
+module Profile = Asipfb_exec.Profile
 
 type entry = { op_class : string; dynamic_count : int; share : float }
 

@@ -16,7 +16,7 @@ type entry = {
 }
 
 val analyze :
-  Asipfb_ir.Prog.t -> profile:Asipfb_sim.Profile.t -> entry list
+  Asipfb_ir.Prog.t -> profile:Asipfb_exec.Profile.t -> entry list
 (** Buckets sorted by decreasing share.  Only classes that actually
     executed appear. *)
 

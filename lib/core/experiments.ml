@@ -397,12 +397,12 @@ let codegen_report ?uarch suite =
       (* Assert output equality against the reference run. *)
       List.iter
         (fun region ->
-          let want = Asipfb_sim.Memory.dump a.outcome.memory region in
-          let got = Asipfb_sim.Memory.dump t_out.memory region in
+          let want = Asipfb_exec.Memory.dump a.outcome.memory region in
+          let got = Asipfb_exec.Memory.dump t_out.memory region in
           if
             not
               (Array.length want = Array.length got
-              && Array.for_all2 Asipfb_sim.Value.close want got)
+              && Array.for_all2 Asipfb_exec.Value.close want got)
           then
             failwith
               (Printf.sprintf "codegen output mismatch: %s/%s"

@@ -4,14 +4,14 @@ module Schedule = Asipfb_sched.Schedule
 module Detect = Asipfb_chain.Detect
 module Coverage = Asipfb_chain.Coverage
 module Diag = Asipfb_diag.Diag
-module Fault = Asipfb_sim.Fault
+module Fault = Asipfb_exec.Fault
 module Engine = Asipfb_engine.Engine
 module Metrics = Asipfb_engine.Metrics
 
 type analysis = Engine.analysis = {
   benchmark : Benchmark.t;
   prog : Asipfb_ir.Prog.t;
-  profile : Asipfb_sim.Profile.t;
+  profile : Asipfb_exec.Profile.t;
   outcome : Asipfb_sim.Interp.outcome;
   scheds : (Opt_level.t * Schedule.t) list;
   verify : Diag.t list;

@@ -11,7 +11,7 @@
 type analysis = Asipfb_engine.Engine.analysis = {
   benchmark : Asipfb_bench_suite.Benchmark.t;
   prog : Asipfb_ir.Prog.t;  (** Unoptimized 3-address code. *)
-  profile : Asipfb_sim.Profile.t;  (** From the unoptimized run. *)
+  profile : Asipfb_exec.Profile.t;  (** From the unoptimized run. *)
   outcome : Asipfb_sim.Interp.outcome;
   scheds : (Asipfb_sched.Opt_level.t * Asipfb_sched.Schedule.t) list;
       (** One optimized program graph per level. *)
@@ -80,7 +80,7 @@ val diag_of_exn : exn -> Asipfb_diag.Diag.t
 
 val analyze_result :
   ?verify:Asipfb_engine.Engine.verify_mode ->
-  ?faults:Asipfb_sim.Fault.config ->
+  ?faults:Asipfb_exec.Fault.config ->
   Asipfb_bench_suite.Benchmark.t ->
   (analysis, Asipfb_diag.Diag.t) result
 (** {!analyze} with failures as diagnostics (tagged with the benchmark
@@ -115,7 +115,7 @@ type suite_report = {
 val run_results :
   ?engine:Asipfb_engine.Engine.t ->
   ?verify:Asipfb_engine.Engine.verify_mode ->
-  ?faults:Asipfb_sim.Fault.config ->
+  ?faults:Asipfb_exec.Fault.config ->
   ?benchmarks:Asipfb_bench_suite.Benchmark.t list ->
   unit ->
   (Asipfb_bench_suite.Benchmark.t * (analysis, failure) result) list
@@ -129,7 +129,7 @@ val run_results :
 val run_suite :
   ?engine:Asipfb_engine.Engine.t ->
   ?verify:Asipfb_engine.Engine.verify_mode ->
-  ?faults:Asipfb_sim.Fault.config ->
+  ?faults:Asipfb_exec.Fault.config ->
   ?benchmarks:Asipfb_bench_suite.Benchmark.t list ->
   on_error:[ `Raise | `Isolate ] ->
   unit ->

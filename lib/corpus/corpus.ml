@@ -13,7 +13,7 @@ module Benchmark = Asipfb_bench_suite.Benchmark
 module Opt_level = Asipfb_sched.Opt_level
 module Detect = Asipfb_chain.Detect
 module Engine = Asipfb_engine.Engine
-module Profile = Asipfb_sim.Profile
+module Profile = Asipfb_exec.Profile
 module Pipeline = Asipfb.Pipeline
 
 type spec = { seed : int; count : int; size : int }

@@ -88,54 +88,6 @@ let to_string t =
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-(* --- machine-readable rendering (hand-rolled JSON, no dependencies) ---- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json t =
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let fields =
-    [ field "severity" (str (severity_to_string t.severity));
-      field "stage" (str (stage_to_string t.stage)) ]
-    @ (match t.file with
-      | Some f -> [ field "file" (str f) ]
-      | None -> [])
-    @ (match t.pos with
-      | Some p ->
-          [ field "line" (string_of_int p.line);
-            field "col" (string_of_int p.col) ]
-      | None -> [])
-    @ [ field "message" (str t.message) ]
-    @
-    match t.context with
-    | [] -> []
-    | kvs ->
-        [ field "context"
-            ("{"
-            ^ String.concat ","
-                (List.map (fun (k, v) -> field (json_escape k) (str v)) kvs)
-            ^ "}") ]
-  in
-  "{" ^ String.concat "," fields ^ "}"
-
-let report_to_json diags =
-  "[" ^ String.concat "," (List.map to_json diags) ^ "]"
-
 (* Last-resort conversion for exceptions no subsystem shim recognised. *)
 let of_unknown_exn exn =
   match exn with

@@ -6,7 +6,8 @@
     context.  [Result]-based entry points (e.g.
     [Pipeline.analyze_result], [Frontend_diag.compile_result]) carry
     these instead of raising, so one broken benchmark yields a diagnostic
-    while the rest of a suite run completes. *)
+    while the rest of a suite run completes.  The JSON form lives with
+    the other wire types in [Service.Api.diag_to_json]. *)
 
 type severity = Info | Warning | Error
 
@@ -68,12 +69,6 @@ val to_string : t -> string
     ["error[frontend] foo.c:3:7: message (key=value)"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_json : t -> string
-(** Machine-readable rendering (self-contained JSON object). *)
-
-val report_to_json : t list -> string
-(** JSON array of {!to_json} objects. *)
 
 val of_unknown_exn : exn -> t
 (** Last-resort conversion for exceptions no subsystem shim recognised

@@ -2,14 +2,14 @@ module Benchmark = Asipfb_bench_suite.Benchmark
 module Opt_level = Asipfb_sched.Opt_level
 module Schedule = Asipfb_sched.Schedule
 module Diag = Asipfb_diag.Diag
-module Fault = Asipfb_sim.Fault
+module Fault = Asipfb_exec.Fault
 module Supervise = Asipfb_supervise.Supervise
 module Chaos = Asipfb_supervise.Chaos
 
 type analysis = {
   benchmark : Benchmark.t;
   prog : Asipfb_ir.Prog.t;
-  profile : Asipfb_sim.Profile.t;
+  profile : Asipfb_exec.Profile.t;
   outcome : Asipfb_sim.Interp.outcome;
   scheds : (Opt_level.t * Schedule.t) list;
   verify : Diag.t list;

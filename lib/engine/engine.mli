@@ -47,7 +47,7 @@
 type analysis = {
   benchmark : Asipfb_bench_suite.Benchmark.t;
   prog : Asipfb_ir.Prog.t;  (** Unoptimized 3-address code. *)
-  profile : Asipfb_sim.Profile.t;  (** From the unoptimized run. *)
+  profile : Asipfb_exec.Profile.t;  (** From the unoptimized run. *)
   outcome : Asipfb_sim.Interp.outcome;
   scheds : (Asipfb_sched.Opt_level.t * Asipfb_sched.Schedule.t) list;
       (** One optimized program graph per level, in {!Asipfb_sched.Opt_level.all} order. *)
@@ -145,8 +145,8 @@ val verify_tv_key :
     result. *)
 
 val derive_faults :
-  Asipfb_sim.Fault.config -> Asipfb_bench_suite.Benchmark.t ->
-  Asipfb_sim.Fault.t
+  Asipfb_exec.Fault.config -> Asipfb_bench_suite.Benchmark.t ->
+  Asipfb_exec.Fault.t
 (** Per-benchmark fault stream: one PRNG per benchmark, derived from the
     suite seed and the benchmark name, so results are order-independent
     and reproducible from a single seed. *)
@@ -159,7 +159,7 @@ val analyze :
 val analyze_all :
   t ->
   ?verify:verify_mode ->
-  ?faults:Asipfb_sim.Fault.config ->
+  ?faults:Asipfb_exec.Fault.config ->
   Asipfb_bench_suite.Benchmark.t list ->
   (Asipfb_bench_suite.Benchmark.t * (analysis, exn) result) list
 (** The full task graph over a benchmark list, input order preserved.

@@ -12,12 +12,12 @@ let fold_binop op a b =
   | Types.Div | Types.Rem -> None
   | Types.Shl | Types.Shr ->
       if b >= 0 && b <= 62 then
-        Some (Asipfb_sim.Interp.eval_binop op (Asipfb_sim.Value.Vint a)
-                (Asipfb_sim.Value.Vint b))
+        Some (Asipfb_sim.Interp.eval_binop op (Asipfb_exec.Value.Vint a)
+                (Asipfb_exec.Value.Vint b))
       else None
   | Types.Add | Types.Sub | Types.Mul | Types.And | Types.Or | Types.Xor ->
-      Some (Asipfb_sim.Interp.eval_binop op (Asipfb_sim.Value.Vint a)
-              (Asipfb_sim.Value.Vint b))
+      Some (Asipfb_sim.Interp.eval_binop op (Asipfb_exec.Value.Vint a)
+              (Asipfb_exec.Value.Vint b))
   | Types.Fadd | Types.Fsub | Types.Fmul | Types.Fdiv -> None
 
 let fold_fbinop op a b =
@@ -35,9 +35,9 @@ let constant_fold (f : Func.t) : Func.t =
     match Instr.kind i with
     | Instr.Binop (op, d, Instr.Imm_int a, Instr.Imm_int b) -> (
         match fold_binop op a b with
-        | Some (Asipfb_sim.Value.Vint v) ->
+        | Some (Asipfb_exec.Value.Vint v) ->
             Instr.with_kind i (Instr.Mov (d, Instr.Imm_int v))
-        | Some (Asipfb_sim.Value.Vfloat _) | None -> i)
+        | Some (Asipfb_exec.Value.Vfloat _) | None -> i)
     | Instr.Binop (op, d, Instr.Imm_float a, Instr.Imm_float b) -> (
         match fold_fbinop op a b with
         | Some v -> Instr.with_kind i (Instr.Mov (d, Instr.Imm_float v))

@@ -102,7 +102,7 @@ type estimate = { widths : (int * int) list; scalar_cycles : int }
 let block_exec_count profile (ops : Instr.t list) =
   List.fold_left
     (fun acc i ->
-      max acc (Asipfb_sim.Profile.count profile ~opid:(Instr.opid i)))
+      max acc (Asipfb_exec.Profile.count profile ~opid:(Instr.opid i)))
     0 ops
 
 let dynamic_cycles ?latency m prog ~profile =

@@ -40,7 +40,7 @@ val characterize :
   ?widths:int list ->
   ?latency:(Asipfb_ir.Instr.t -> int) ->
   Asipfb_ir.Prog.t ->
-  profile:Asipfb_sim.Profile.t ->
+  profile:Asipfb_exec.Profile.t ->
   estimate
 (** Dynamic-cycle estimate of the program at each issue width (default
     1, 2, 4, 8).  Block execution counts are taken as the maximum dynamic

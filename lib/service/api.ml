@@ -1,6 +1,8 @@
-(* The versioned wire API: total JSON encoders/decoders for every type
-   that crosses the service boundary.  The same encoders back the
-   offline CLI's --json output, so daemon and CLI share one schema. *)
+(* The versioned wire API.  Every type that crosses the service boundary
+   is described once, as a codec built field by field in wire order; its
+   encoder and decoder both derive from that description.  The same
+   codecs back the offline CLI's --json output, so daemon and CLI share
+   one schema. *)
 
 module Pipeline = Asipfb.Pipeline
 module Timing = Asipfb.Timing
@@ -34,31 +36,7 @@ type request =
   | Timing of { benchmark : string; level : Opt_level.t; uarch : string;
                 clock : float option }
 
-let request_op = function
-  | Ping -> "ping"
-  | Stats -> "stats"
-  | Shutdown -> "shutdown"
-  | Detect _ -> "detect"
-  | Coverage _ -> "coverage"
-  | Verify _ -> "verify"
-  | Lint _ -> "lint"
-  | Corpus_sample _ -> "corpus-sample"
-  | Timing _ -> "timing"
-
 type cache_status = Hit | Join | Miss | Uncached
-
-let cache_status_to_string = function
-  | Hit -> "hit"
-  | Join -> "join"
-  | Miss -> "miss"
-  | Uncached -> "none"
-
-let cache_status_of_string = function
-  | "hit" -> Some Hit
-  | "join" -> Some Join
-  | "miss" -> Some Miss
-  | "none" -> Some Uncached
-  | _ -> None
 
 type service_stats = {
   requests : int;
@@ -115,781 +93,599 @@ let unsupported_version offered =
        "unsupported api version %s (this daemon speaks api %d)" offered_s
        api_version)
 
-(* --- decode combinators -------------------------------------------------- *)
+(* --- codecs --------------------------------------------------------------- *)
 
 let ( let* ) = Result.bind
 
-let as_obj = function
-  | Json.Obj _ as j -> Ok j
-  | _ -> Error "expected a JSON object"
+(* One wire type, both directions.  [kind] names the top-level objects
+   that lead with the kind/schema_version header ({!kinded}). *)
+type 'a codec = {
+  enc : 'a -> Json.t;
+  dec : Json.t -> ('a, string) result;
+  kind : string option;
+}
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
+let codec enc dec = { enc; dec; kind = None }
 
-let opt_field name j =
-  match Json.member name j with
-  | None | Some Json.Null -> None
-  | Some v -> Some v
+let scalar what enc proj =
+  codec enc (fun v ->
+      match proj v with Some x -> Ok x | None -> Error ("must be " ^ what))
 
-let int_field name j =
-  let* v = field name j in
-  match Json.to_int v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S must be an integer" name)
-
-let opt_int_field name j =
-  match opt_field name j with
-  | None -> Ok None
-  | Some v -> (
-      match Json.to_int v with
-      | Some i -> Ok (Some i)
-      | None -> Error (Printf.sprintf "field %S must be an integer or null" name))
-
-let float_field name j =
-  let* v = field name j in
-  match Json.to_float v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S must be a number" name)
-
-let str_field name j =
-  let* v = field name j in
-  match Json.to_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S must be a string" name)
-
-let list_field name j =
-  let* v = field name j in
-  match Json.to_list v with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "field %S must be an array" name)
+let int = scalar "an integer" (fun i -> Json.Int i) Json.to_int
+let float = scalar "a number" (fun f -> Json.Float f) Json.to_float
+let string = scalar "a string" (fun s -> Json.String s) Json.to_str
+let bool = scalar "a boolean" (fun b -> Json.Bool b) Json.to_bool
 
 let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-        let* y = f x in
-        go (y :: acc) rest
+  List.fold_left (fun acc x -> let* ys = acc in let* y = f x in Ok (y :: ys)) (Ok []) l
+  |> Result.map List.rev
+
+let list c =
+  codec
+    (fun l -> Json.List (List.map c.enc l))
+    (function Json.List l -> map_result c.dec l | _ -> Error "must be an array")
+
+(* [None] encodes as [null]; [null] and a missing field decode as [None]. *)
+let nullable c =
+  codec
+    (function Some x -> c.enc x | None -> Json.Null)
+    (function Json.Null -> Ok None | v -> Result.map Option.some (c.dec v))
+
+(* "ir, full, or tv" *)
+let one_of names =
+  match List.rev names with
+  | [] -> ""
+  | [ n ] -> n
+  | [ b; a ] -> a ^ " or " ^ b
+  | last :: rest -> String.concat ", " (List.rev rest) ^ ", or " ^ last
+
+(* A closed set of values named by a [(value, name)] table; errors list
+   the accepted names. *)
+let enum what table =
+  let expected = "(expected " ^ one_of (List.map snd table) ^ ")" in
+  codec
+    (fun v -> Json.String (List.assoc v table))
+    (function
+      | Json.String s -> (
+          match List.find_opt (fun (_, n) -> n = s) table with
+          | Some (v, _) -> Ok v
+          | None -> Error (Printf.sprintf "unknown %s %S %s" what s expected))
+      | _ -> Error ("must be a string " ^ expected))
+
+(* A record under construction: encoders of the fields described so far,
+   last field first, and a decoder that feeds the decoded fields in wire
+   order to the record's constructor. *)
+type ('r, 'k) fields = {
+  encs : ('r -> (string * Json.t) list -> (string * Json.t) list) list;
+  decs : Json.t -> ('k, string) result;
+  tag : string option;
+}
+
+let obj k = { encs = []; decs = (fun _ -> Ok k); tag = None }
+
+(* A missing field decodes like [null]: a nullable codec reads it as
+   [None], every other codec reports the field missing. *)
+let member name c j =
+  match Json.member name j with
+  | Some v -> Result.map_error (Printf.sprintf "field %S: %s" name) (c.dec v)
+  | None ->
+      Result.map_error
+        (fun _ -> Printf.sprintf "missing field %S" name)
+        (c.dec Json.Null)
+
+(* [skip] leaves the field out of the encoding when it holds for the
+   value; such a field must decode from absence ([nullable], say). *)
+let field ?skip name c get b =
+  let enc r acc =
+    let v = get r in
+    match skip with Some s when s v -> acc | _ -> (name, c.enc v) :: acc
   in
-  go [] l
+  { b with
+    encs = enc :: b.encs;
+    decs =
+      (fun j ->
+        let* k = b.decs j in
+        let* v = member name c j in
+        Ok (k v)) }
 
-let str_list_field name j =
-  let* l = list_field name j in
-  map_result
-    (fun v ->
-      match Json.to_str v with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "field %S must hold strings" name))
-    l
+(* An encode-only field, computed from the record and ignored on decode. *)
+let derived name c get b =
+  { b with encs = (fun r acc -> (name, c.enc (get r)) :: acc) :: b.encs }
 
-let check_kind expected j =
-  let* k = str_field "kind" j in
-  if k = expected then Ok ()
-  else Error (Printf.sprintf "expected kind %S, found %S" expected k)
+(* The kind/schema_version header every top-level object leads with;
+   decoding checks the kind and ignores the version stamp. *)
+let kinded kind b =
+  let header = [ ("kind", Json.String kind);
+                 ("schema_version", Json.Int schema_version) ] in
+  { encs = (fun _ acc -> header @ acc) :: b.encs;
+    decs =
+      (fun j ->
+        let* found = member "kind" string j in
+        if found = kind then b.decs j
+        else Error (Printf.sprintf "expected kind %S, found %S" kind found));
+    tag = Some kind }
 
-(* Every encoded top-level object leads with its kind and the schema
-   version — the one header shared by wire payloads and offline --json. *)
-let header kind = [ ("kind", Json.String kind); ("schema_version", Json.Int schema_version) ]
+(* Close a record whose constructor may reject a combination of fields. *)
+let seal_checked b =
+  { enc = (fun r -> Json.Obj (List.fold_left (fun acc e -> e r acc) [] b.encs));
+    dec = (function Json.Obj _ as j -> Result.join (b.decs j)
+                  | _ -> Error "must be an object");
+    kind = b.tag }
 
-(* --- query --------------------------------------------------------------- *)
+let seal b = seal_checked { b with decs = (fun j -> Result.map Result.ok (b.decs j)) }
 
-let query_to_json (q : Pipeline.Query.t) =
-  Json.Obj
-    [
-      ("level", Json.Int (Opt_level.to_int q.level));
-      ("length", Json.Int q.length);
-      ( "min_freq",
-        match q.min_freq with Some f -> Json.Float f | None -> Json.Null );
-      ( "budget",
-        match q.budget with Some b -> Json.Int b | None -> Json.Null );
-    ]
+(* --- case tables ----------------------------------------------------------- *)
 
-let level_of_json v =
-  let found =
-    match v with
-    | Json.Int i -> Opt_level.of_int i
-    | Json.String s -> Opt_level.of_string s
-    | _ -> None
+(* One constructor of a variant: its wire name, the codec of its
+   arguments, and the injection/projection between the two.  A table of
+   cases is the variant's only description: naming, encoding and
+   decoding all read it. *)
+type 'v case =
+  | Case : { name : string; codec : 'a codec; inj : 'a -> 'v;
+             prj : 'v -> 'a option } -> 'v case
+
+(* Payload cases are named by their codec's kind, request cases by op. *)
+let case ?name codec inj prj =
+  match (name, codec.kind) with
+  | Some name, _ | None, Some name -> Case { name; codec; inj; prj }
+  | None, None -> invalid_arg "Api.case: a case needs a name or a kind"
+
+(* [v]'s case; every table is exhaustive. *)
+let case_of cases v =
+  match List.find_opt (fun (Case c) -> Option.is_some (c.prj v)) cases with
+  | Some case -> case
+  | None -> invalid_arg "Api: a case table misses a constructor"
+
+let encode_case cases v =
+  let (Case c) = case_of cases v in
+  (c.name, c.codec.enc (Option.get (c.prj v)))
+
+let decode_case cases name j =
+  List.find_map
+    (fun (Case c) ->
+      if c.name = name then Some (Result.map c.inj (c.codec.dec j)) else None)
+    cases
+
+(* --- query ----------------------------------------------------------------- *)
+
+let level =
+  scalar "an optimization level (0, 1, or 2)"
+    (fun l -> Json.Int (Opt_level.to_int l))
+    (function
+      | Json.Int i -> Opt_level.of_int i
+      | Json.String s -> Opt_level.of_string s
+      | _ -> None)
+
+let query =
+  obj (fun level length min_freq budget ->
+      { Pipeline.Query.level; length; min_freq; budget })
+  |> field "level" level (fun q -> q.Pipeline.Query.level)
+  |> field "length" int (fun q -> q.Pipeline.Query.length)
+  |> field "min_freq" (nullable float) (fun q -> q.Pipeline.Query.min_freq)
+  |> field "budget" (nullable int) (fun q -> q.Pipeline.Query.budget)
+  |> seal
+
+(* --- diagnostics ----------------------------------------------------------- *)
+
+let severity =
+  enum "severity"
+    (List.map (fun s -> (s, Diag.severity_to_string s))
+       [ Diag.Info; Diag.Warning; Diag.Error ])
+
+let stage =
+  enum "stage"
+    (List.map (fun s -> (s, Diag.stage_to_string s))
+       [ Diag.Frontend; Diag.Simulation; Diag.Scheduling; Diag.Detection;
+         Diag.Coverage; Diag.Verification; Diag.Selection; Diag.Reporting;
+         Diag.Driver ])
+
+(* Context is a string-valued object, omitted when empty. *)
+let context =
+  codec
+    (fun kvs -> Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) kvs))
+    (function
+      | Json.Null -> Ok []
+      | Json.Obj kvs ->
+          map_result
+            (fun (k, v) ->
+              match Json.to_str v with
+              | Some s -> Ok (k, s)
+              | None -> Error "must hold string values")
+            kvs
+      | _ -> Error "must be an object")
+
+let diag =
+  let pos_part f (d : Diag.t) = Option.map f d.pos in
+  obj (fun severity stage file line col message context ->
+      match (line, col) with
+      | None, None -> Ok { Diag.severity; stage; file; pos = None; message; context }
+      | Some line, Some col ->
+          Ok { Diag.severity; stage; file; pos = Some { line; col }; message;
+               context }
+      | _ -> Error "fields \"line\" and \"col\" must appear together")
+  |> field "severity" severity (fun d -> d.Diag.severity)
+  |> field "stage" stage (fun d -> d.Diag.stage)
+  |> field ~skip:Option.is_none "file" (nullable string) (fun d -> d.Diag.file)
+  |> field ~skip:Option.is_none "line" (nullable int) (pos_part (fun p -> p.line))
+  |> field ~skip:Option.is_none "col" (nullable int) (pos_part (fun p -> p.col))
+  |> field "message" string (fun d -> d.Diag.message)
+  |> field ~skip:(( = ) []) "context" context (fun d -> d.Diag.context)
+  |> seal_checked
+
+(* --- detection and coverage ------------------------------------------------ *)
+
+let completeness =
+  enum "completeness"
+    [ (Detect.Exact, "exact"); (Detect.Budget_truncated, "budget-truncated") ]
+
+let classes = list string
+
+let occurrence =
+  let pair =
+    codec
+      (fun (opid, iter) -> Json.List [ Json.Int opid; Json.Int iter ])
+      (function
+        | Json.List [ Json.Int opid; Json.Int iter ] -> Ok (opid, iter)
+        | _ -> Error "must hold [opid, iter] pairs")
   in
-  match found with
-  | Some l -> Ok l
-  | None -> Error "field \"level\" must be an optimization level (0, 1, or 2)"
+  obj (fun opids count -> { Detect.opids; count })
+  |> field "opids" (list pair) (fun o -> o.Detect.opids)
+  |> field "count" int (fun o -> o.Detect.count)
+  |> seal
 
-let query_of_json j =
-  let* j = as_obj j in
-  let* level = Result.bind (field "level" j) level_of_json in
-  let* length = int_field "length" j in
-  let* min_freq =
-    match opt_field "min_freq" j with
-    | None -> Ok None
-    | Some v -> (
-        match Json.to_float v with
-        | Some f -> Ok (Some f)
-        | None -> Error "field \"min_freq\" must be a number or null")
+let detected =
+  obj (fun classes freq occurrences -> { Detect.classes; freq; occurrences })
+  |> derived "name" string Detect.display_name
+  |> field "classes" classes (fun d -> d.Detect.classes)
+  |> field "freq" float (fun d -> d.Detect.freq)
+  |> field "occurrences" (list occurrence) (fun d -> d.Detect.occurrences)
+  |> seal
+
+let detect_report =
+  obj (fun completeness detections -> { Detect.detections; completeness })
+  |> kinded "detect-report"
+  |> field "completeness" completeness (fun r -> r.Detect.completeness)
+  |> field "detections" (list detected) (fun r -> r.Detect.detections)
+  |> seal
+
+let pick =
+  obj (fun pick_classes pick_freq -> { Coverage.pick_classes; pick_freq })
+  |> derived "name" string (fun p ->
+         Asipfb_chain.Chainop.sequence_name p.Coverage.pick_classes)
+  |> field "classes" classes (fun p -> p.Coverage.pick_classes)
+  |> field "freq" float (fun p -> p.Coverage.pick_freq)
+  |> seal
+
+let coverage =
+  obj (fun completeness coverage picks -> { Coverage.picks; coverage; completeness })
+  |> kinded "coverage"
+  |> field "completeness" completeness (fun r -> r.Coverage.completeness)
+  |> field "coverage" float (fun r -> r.Coverage.coverage)
+  |> field "picks" (list pick) (fun r -> r.Coverage.picks)
+  |> seal
+
+(* --- verifier findings and the translation-validation verdict -------------- *)
+
+let findings =
+  obj Fun.id |> kinded "findings" |> field "findings" (list diag) Fun.id |> seal
+
+let equiv_verdict =
+  obj (fun ev_benchmark ev_levels ev_refinement_failures ev_counterexamples
+           ev_findings ->
+      { ev_benchmark; ev_levels; ev_refinement_failures; ev_counterexamples;
+        ev_findings })
+  |> kinded "equiv-verdict"
+  |> field "benchmark" string (fun v -> v.ev_benchmark)
+  |> field "levels" int (fun v -> v.ev_levels)
+  |> field "refinement_failures" int (fun v -> v.ev_refinement_failures)
+  |> field "counterexamples" int (fun v -> v.ev_counterexamples)
+  |> field "findings" (list diag) (fun v -> v.ev_findings)
+  |> seal
+
+(* --- microarchitecture timing report ---------------------------------------- *)
+
+let chain_report =
+  obj (fun cr_mnemonic cr_classes cr_delay cr_slack cr_cycles cr_latency_sum ->
+      { Timing.cr_mnemonic; cr_classes; cr_delay; cr_slack; cr_cycles;
+        cr_latency_sum })
+  |> field "mnemonic" string (fun c -> c.Timing.cr_mnemonic)
+  |> field "classes" classes (fun c -> c.Timing.cr_classes)
+  |> field "delay" float (fun c -> c.Timing.cr_delay)
+  |> field "slack" float (fun c -> c.Timing.cr_slack)
+  |> field "cycles" int (fun c -> c.Timing.cr_cycles)
+  |> field "latency_sum" int (fun c -> c.Timing.cr_latency_sum)
+  |> seal
+
+let timing_report =
+  obj (fun t_benchmark t_level t_uarch t_clock t_baseline_cycles t_asip_cycles
+           t_estimated_speedup t_measured_cycles t_measured_speedup
+           t_total_area t_chains t_rejected ->
+      { Timing.t_benchmark; t_level; t_uarch; t_clock; t_baseline_cycles;
+        t_asip_cycles; t_estimated_speedup; t_measured_cycles;
+        t_measured_speedup; t_total_area; t_chains; t_rejected })
+  |> kinded "timing-report"
+  |> field "benchmark" string (fun r -> r.Timing.t_benchmark)
+  |> field "level" level (fun r -> r.Timing.t_level)
+  |> field "uarch" string (fun r -> r.Timing.t_uarch)
+  |> field "clock" float (fun r -> r.Timing.t_clock)
+  |> field "baseline_cycles" int (fun r -> r.Timing.t_baseline_cycles)
+  |> field "asip_cycles" int (fun r -> r.Timing.t_asip_cycles)
+  |> field "estimated_speedup" float (fun r -> r.Timing.t_estimated_speedup)
+  |> field "measured_cycles" int (fun r -> r.Timing.t_measured_cycles)
+  |> field "measured_speedup" float (fun r -> r.Timing.t_measured_speedup)
+  |> field "total_area" float (fun r -> r.Timing.t_total_area)
+  |> field "chains" (list chain_report) (fun r -> r.Timing.t_chains)
+  |> field "rejected" (list diag) (fun r -> r.Timing.t_rejected)
+  |> seal
+
+(* --- engine and service statistics ------------------------------------------ *)
+
+let cache_stats =
+  obj (fun hits disk_hits misses stores corrupt io_errors ->
+      { Cache.hits; disk_hits; misses; stores; corrupt; io_errors })
+  |> field "hits" int (fun s -> s.Cache.hits)
+  |> field "disk_hits" int (fun s -> s.Cache.disk_hits)
+  |> field "misses" int (fun s -> s.Cache.misses)
+  |> field "stores" int (fun s -> s.Cache.stores)
+  |> field "corrupt" int (fun s -> s.Cache.corrupt)
+  |> field "io_errors" int (fun s -> s.Cache.io_errors)
+  |> seal
+
+let supervise_stats =
+  obj (fun tasks attempts retries failures timeouts quarantined degraded ->
+      { Supervise.tasks; attempts; retries; failures; timeouts; quarantined;
+        degraded })
+  |> field "tasks" int (fun s -> s.Supervise.tasks)
+  |> field "attempts" int (fun s -> s.Supervise.attempts)
+  |> field "retries" int (fun s -> s.Supervise.retries)
+  |> field "failures" int (fun s -> s.Supervise.failures)
+  |> field "timeouts" int (fun s -> s.Supervise.timeouts)
+  |> field "quarantined" int (fun s -> s.Supervise.quarantined)
+  |> field "degraded" int (fun s -> s.Supervise.degraded)
+  |> seal
+
+let engine_stats =
+  obj (fun base sched verify supervise -> { Engine.base; sched; verify; supervise })
+  |> derived "schema" string (fun _ -> Engine.schema_revision)
+  |> field "base" cache_stats (fun s -> s.Engine.base)
+  |> field "sched" cache_stats (fun s -> s.Engine.sched)
+  |> field "verify" cache_stats (fun s -> s.Engine.verify)
+  |> field "supervise" supervise_stats (fun s -> s.Engine.supervise)
+  |> seal
+
+let service_stats =
+  obj (fun requests errors memo_hits coalesced uptime_s ->
+      { requests; errors; memo_hits; coalesced; uptime_s })
+  |> field "requests" int (fun s -> s.requests)
+  |> field "errors" int (fun s -> s.errors)
+  |> field "memo_hits" int (fun s -> s.memo_hits)
+  |> field "coalesced" int (fun s -> s.coalesced)
+  |> field "uptime_s" float (fun s -> s.uptime_s)
+  |> seal
+
+let stats =
+  obj (fun engine service -> { engine; service })
+  |> kinded "stats"
+  |> field "engine" engine_stats (fun p -> p.engine)
+  |> field "service" service_stats (fun p -> p.service)
+  |> seal
+
+(* --- offline-only envelopes ------------------------------------------------- *)
+
+let diag_report =
+  obj Fun.id |> kinded "diagnostics" |> field "diagnostics" (list diag) Fun.id
+  |> seal
+
+let corpus_summary =
+  let chain =
+    obj (fun name share -> (name, share))
+    |> field "name" string fst |> field "share" float snd |> seal
   in
-  let* budget = opt_int_field "budget" j in
-  Ok { Pipeline.Query.level; length; min_freq; budget }
+  obj (fun seed count size total ok crashed timeouts quarantined dynamic_ops
+           verify_findings chains ->
+      ( { Corpus.seed; count; size },
+        { Corpus.total; ok; crashed; timeouts; quarantined; dynamic_ops;
+          verify_findings; chains } ))
+  |> kinded "corpus-summary"
+  |> field "seed" int (fun (sp, _) -> sp.Corpus.seed)
+  |> field "count" int (fun (sp, _) -> sp.Corpus.count)
+  |> field "size" int (fun (sp, _) -> sp.Corpus.size)
+  |> field "total" int (fun (_, s) -> s.Corpus.total)
+  |> field "ok" int (fun (_, s) -> s.Corpus.ok)
+  |> field "crashed" int (fun (_, s) -> s.Corpus.crashed)
+  |> field "timeouts" int (fun (_, s) -> s.Corpus.timeouts)
+  |> field "quarantined" int (fun (_, s) -> s.Corpus.quarantined)
+  |> field "dynamic_ops" int (fun (_, s) -> s.Corpus.dynamic_ops)
+  |> field "verify_findings" int (fun (_, s) -> s.Corpus.verify_findings)
+  |> field "chains" (list chain) (fun (_, s) -> s.Corpus.chains)
+  |> seal
 
-(* --- diagnostics --------------------------------------------------------- *)
+(* --- payloads, keyed by kind ------------------------------------------------- *)
 
-let severities =
-  [ (Diag.Info, "info"); (Diag.Warning, "warning"); (Diag.Error, "error") ]
+let sample =
+  obj (fun seed index size name source -> (seed, index, size, name, source))
+  |> kinded "corpus-sample"
+  |> field "seed" int (fun (s, _, _, _, _) -> s)
+  |> field "index" int (fun (_, i, _, _, _) -> i)
+  |> field "size" int (fun (_, _, z, _, _) -> z)
+  |> field "name" string (fun (_, _, _, n, _) -> n)
+  |> field "source" string (fun (_, _, _, _, s) -> s)
+  |> seal
 
-let stages =
-  List.map
-    (fun s -> (s, Diag.stage_to_string s))
-    [ Diag.Frontend; Diag.Simulation; Diag.Scheduling; Diag.Detection;
-      Diag.Coverage; Diag.Verification; Diag.Selection; Diag.Reporting;
-      Diag.Driver ]
+let payload_cases =
+  let bare kind = obj () |> kinded kind |> seal in
+  [ case (bare "pong") (fun () -> Pong) (function Pong -> Some () | _ -> None);
+    case (bare "stopping") (fun () -> Stopping)
+      (function Stopping -> Some () | _ -> None);
+    case detect_report (fun r -> Detect_result r)
+      (function Detect_result r -> Some r | _ -> None);
+    case coverage (fun r -> Coverage_result r)
+      (function Coverage_result r -> Some r | _ -> None);
+    case findings (fun ds -> Findings ds)
+      (function Findings ds -> Some ds | _ -> None);
+    case stats (fun p -> Stats_result p)
+      (function Stats_result p -> Some p | _ -> None);
+    case equiv_verdict (fun v -> Tv_result v)
+      (function Tv_result v -> Some v | _ -> None);
+    case sample
+      (fun (seed, index, size, name, source) ->
+        Sample { seed; index; size; name; source })
+      (function
+        | Sample { seed; index; size; name; source } ->
+            Some (seed, index, size, name, source)
+        | _ -> None);
+    case timing_report (fun r -> Timing_result r)
+      (function Timing_result r -> Some r | _ -> None) ]
 
-let rev_lookup table name err =
-  match List.find_opt (fun (_, s) -> s = name) table with
-  | Some (v, _) -> Ok v
-  | None -> Error (Printf.sprintf "%s %S" err name)
+let payload =
+  codec
+    (fun p -> snd (encode_case payload_cases p))
+    (fun j ->
+      let* kind = member "kind" string j in
+      match decode_case payload_cases kind j with
+      | Some r -> r
+      | None -> Error (Printf.sprintf "unknown result kind %S" kind))
 
-(* Field-for-field the layout of Diag.to_json, so the service reuses the
-   established diagnostic schema (tested: printing this object equals
-   Diag.to_json's string). *)
-let diag_to_json (d : Diag.t) =
-  Json.Obj
-    ([ ("severity", Json.String (Diag.severity_to_string d.severity));
-       ("stage", Json.String (Diag.stage_to_string d.stage)) ]
-    @ (match d.file with
-      | Some f -> [ ("file", Json.String f) ]
-      | None -> [])
-    @ (match d.pos with
-      | Some p -> [ ("line", Json.Int p.line); ("col", Json.Int p.col) ]
-      | None -> [])
-    @ [ ("message", Json.String d.message) ]
-    @
-    match d.context with
-    | [] -> []
-    | kvs ->
-        [ ( "context",
-            Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) kvs) ) ])
+(* --- requests, keyed by op ---------------------------------------------------- *)
 
-let diag_of_json j =
-  let* j = as_obj j in
-  let* severity =
-    Result.bind (str_field "severity" j) (fun s ->
-        rev_lookup severities s "unknown severity")
+let mode = enum "verify mode" [ (`Ir, "ir"); (`Full, "full"); (`Tv, "tv") ]
+
+let request_cases =
+  let bare = obj () |> seal in
+  let bench_query =
+    obj (fun benchmark query -> (benchmark, query))
+    |> field "benchmark" string fst |> field "query" query snd |> seal
   in
-  let* stage =
-    Result.bind (str_field "stage" j) (fun s ->
-        rev_lookup stages s "unknown stage")
-  in
-  let file = Option.bind (opt_field "file" j) Json.to_str in
-  let* pos =
-    match (opt_field "line" j, opt_field "col" j) with
-    | None, None -> Ok None
-    | Some l, Some c -> (
-        match (Json.to_int l, Json.to_int c) with
-        | Some line, Some col -> Ok (Some { Diag.line; col })
-        | _ -> Error "fields \"line\"/\"col\" must be integers")
-    | _ -> Error "fields \"line\" and \"col\" must appear together"
-  in
-  let* message = str_field "message" j in
-  let* context =
-    match opt_field "context" j with
-    | None -> Ok []
-    | Some (Json.Obj kvs) ->
-        map_result
-          (fun (k, v) ->
-            match Json.to_str v with
-            | Some s -> Ok (k, s)
-            | None -> Error "field \"context\" must hold string values")
-          kvs
-    | Some _ -> Error "field \"context\" must be an object"
-  in
-  Ok { Diag.severity; stage; file; pos; message; context }
+  [ case ~name:"ping" bare (fun () -> Ping) (function Ping -> Some () | _ -> None);
+    case ~name:"stats" bare (fun () -> Stats)
+      (function Stats -> Some () | _ -> None);
+    case ~name:"shutdown" bare (fun () -> Shutdown)
+      (function Shutdown -> Some () | _ -> None);
+    case ~name:"detect" bench_query
+      (fun (benchmark, query) -> Detect { benchmark; query })
+      (function Detect { benchmark; query } -> Some (benchmark, query) | _ -> None);
+    case ~name:"coverage" bench_query
+      (fun (benchmark, query) -> Coverage { benchmark; query })
+      (function
+        | Coverage { benchmark; query } -> Some (benchmark, query) | _ -> None);
+    case ~name:"verify"
+      (obj (fun benchmark mode -> (benchmark, mode))
+      |> field "benchmark" string fst |> field "mode" mode snd |> seal)
+      (fun (benchmark, mode) -> Verify { benchmark; mode })
+      (function Verify { benchmark; mode } -> Some (benchmark, mode) | _ -> None);
+    case ~name:"lint"
+      (obj Fun.id |> field "benchmark" (nullable string) Fun.id |> seal)
+      (fun benchmark -> Lint { benchmark })
+      (function Lint { benchmark } -> Some benchmark | _ -> None);
+    case ~name:"corpus-sample"
+      (obj (fun seed index size -> (seed, index, size))
+      |> field "seed" int (fun (s, _, _) -> s)
+      |> field "index" int (fun (_, i, _) -> i)
+      |> field "size" (nullable int) (fun (_, _, z) -> z)
+      |> seal)
+      (fun (seed, index, size) -> Corpus_sample { seed; index; size })
+      (function
+        | Corpus_sample { seed; index; size } -> Some (seed, index, size)
+        | _ -> None);
+    case ~name:"timing"
+      (obj (fun benchmark level uarch clock -> (benchmark, level, uarch, clock))
+      |> field "benchmark" string (fun (b, _, _, _) -> b)
+      |> field "level" level (fun (_, l, _, _) -> l)
+      |> field "uarch" string (fun (_, _, u, _) -> u)
+      |> field "clock" (nullable float) (fun (_, _, _, c) -> c)
+      |> seal)
+      (fun (benchmark, level, uarch, clock) ->
+        Timing { benchmark; level; uarch; clock })
+      (function
+        | Timing { benchmark; level; uarch; clock } ->
+            Some (benchmark, level, uarch, clock)
+        | _ -> None) ]
 
-(* --- detection ----------------------------------------------------------- *)
-
-let completeness_to_string = function
-  | Detect.Exact -> "exact"
-  | Detect.Budget_truncated -> "budget-truncated"
-
-let completeness_of_string = function
-  | "exact" -> Ok Detect.Exact
-  | "budget-truncated" -> Ok Detect.Budget_truncated
-  | s -> Error (Printf.sprintf "unknown completeness %S" s)
-
-let occurrence_to_json (o : Detect.occurrence) =
-  Json.Obj
-    [
-      ( "opids",
-        Json.List
-          (List.map
-             (fun (opid, iter) -> Json.List [ Json.Int opid; Json.Int iter ])
-             o.opids) );
-      ("count", Json.Int o.count);
-    ]
-
-let occurrence_of_json j =
-  let* opids =
-    Result.bind (list_field "opids" j)
-      (map_result (fun v ->
-           match v with
-           | Json.List [ a; b ] -> (
-               match (Json.to_int a, Json.to_int b) with
-               | Some opid, Some iter -> Ok (opid, iter)
-               | _ -> Error "field \"opids\" must hold [opid, iter] pairs")
-           | _ -> Error "field \"opids\" must hold [opid, iter] pairs"))
-  in
-  let* count = int_field "count" j in
-  Ok { Detect.opids; count }
-
-let detected_to_json (d : Detect.detected) =
-  Json.Obj
-    [
-      ("name", Json.String (Detect.display_name d));
-      ("classes", Json.List (List.map (fun c -> Json.String c) d.classes));
-      ("freq", Json.Float d.freq);
-      ("occurrences", Json.List (List.map occurrence_to_json d.occurrences));
-    ]
-
-let detected_of_json j =
-  let* j = as_obj j in
-  let* classes = str_list_field "classes" j in
-  let* freq = float_field "freq" j in
-  let* occurrences =
-    Result.bind (list_field "occurrences" j) (map_result occurrence_of_json)
-  in
-  Ok { Detect.classes; freq; occurrences }
-
-let detect_report_to_json (r : Detect.report) =
-  Json.Obj
-    (header "detect-report"
-    @ [
-        ("completeness", Json.String (completeness_to_string r.completeness));
-        ("detections", Json.List (List.map detected_to_json r.detections));
-      ])
-
-let detect_report_of_json j =
-  let* j = as_obj j in
-  let* () = check_kind "detect-report" j in
-  let* completeness =
-    Result.bind (str_field "completeness" j) completeness_of_string
-  in
-  let* detections =
-    Result.bind (list_field "detections" j) (map_result detected_of_json)
-  in
-  Ok { Detect.detections; completeness }
-
-(* --- coverage ------------------------------------------------------------ *)
-
-let pick_to_json (p : Coverage.pick) =
-  Json.Obj
-    [
-      ("name", Json.String (Asipfb_chain.Chainop.sequence_name p.pick_classes));
-      ( "classes",
-        Json.List (List.map (fun c -> Json.String c) p.pick_classes) );
-      ("freq", Json.Float p.pick_freq);
-    ]
-
-let pick_of_json j =
-  let* j = as_obj j in
-  let* pick_classes = str_list_field "classes" j in
-  let* pick_freq = float_field "freq" j in
-  Ok { Coverage.pick_classes; pick_freq }
-
-let coverage_to_json (r : Coverage.result) =
-  Json.Obj
-    (header "coverage"
-    @ [
-        ("completeness", Json.String (completeness_to_string r.completeness));
-        ("coverage", Json.Float r.coverage);
-        ("picks", Json.List (List.map pick_to_json r.picks));
-      ])
-
-let coverage_of_json j =
-  let* j = as_obj j in
-  let* () = check_kind "coverage" j in
-  let* completeness =
-    Result.bind (str_field "completeness" j) completeness_of_string
-  in
-  let* coverage = float_field "coverage" j in
-  let* picks = Result.bind (list_field "picks" j) (map_result pick_of_json) in
-  Ok { Coverage.picks; coverage; completeness }
-
-(* --- verifier findings --------------------------------------------------- *)
-
-let findings_to_json findings =
-  Json.Obj
-    (header "findings"
-    @ [ ("findings", Json.List (List.map diag_to_json findings)) ])
-
-let findings_of_json j =
-  let* j = as_obj j in
-  let* () = check_kind "findings" j in
-  Result.bind (list_field "findings" j) (map_result diag_of_json)
-
-(* --- translation-validation verdict --------------------------------------- *)
-
-let equiv_verdict_to_json (v : equiv_verdict) =
-  Json.Obj
-    (header "equiv-verdict"
-    @ [
-        ("benchmark", Json.String v.ev_benchmark);
-        ("levels", Json.Int v.ev_levels);
-        ("refinement_failures", Json.Int v.ev_refinement_failures);
-        ("counterexamples", Json.Int v.ev_counterexamples);
-        ("findings", Json.List (List.map diag_to_json v.ev_findings));
-      ])
-
-let equiv_verdict_of_json j =
-  let* j = as_obj j in
-  let* () = check_kind "equiv-verdict" j in
-  let* ev_benchmark = str_field "benchmark" j in
-  let* ev_levels = int_field "levels" j in
-  let* ev_refinement_failures = int_field "refinement_failures" j in
-  let* ev_counterexamples = int_field "counterexamples" j in
-  let* ev_findings =
-    Result.bind (list_field "findings" j) (map_result diag_of_json)
-  in
-  Ok { ev_benchmark; ev_levels; ev_refinement_failures; ev_counterexamples;
-       ev_findings }
-
-(* --- microarchitecture timing report -------------------------------------- *)
-
-let chain_report_to_json (c : Timing.chain_report) =
-  Json.Obj
-    [
-      ("mnemonic", Json.String c.cr_mnemonic);
-      ("classes", Json.List (List.map (fun s -> Json.String s) c.cr_classes));
-      ("delay", Json.Float c.cr_delay);
-      ("slack", Json.Float c.cr_slack);
-      ("cycles", Json.Int c.cr_cycles);
-      ("latency_sum", Json.Int c.cr_latency_sum);
-    ]
-
-let chain_report_of_json j =
-  let* j = as_obj j in
-  let* cr_mnemonic = str_field "mnemonic" j in
-  let* cr_classes = str_list_field "classes" j in
-  let* cr_delay = float_field "delay" j in
-  let* cr_slack = float_field "slack" j in
-  let* cr_cycles = int_field "cycles" j in
-  let* cr_latency_sum = int_field "latency_sum" j in
-  Ok { Timing.cr_mnemonic; cr_classes; cr_delay; cr_slack; cr_cycles;
-       cr_latency_sum }
-
-let timing_report_to_json (r : Timing.report) =
-  Json.Obj
-    (header "timing-report"
-    @ [
-        ("benchmark", Json.String r.t_benchmark);
-        ("level", Json.Int (Opt_level.to_int r.t_level));
-        ("uarch", Json.String r.t_uarch);
-        ("clock", Json.Float r.t_clock);
-        ("baseline_cycles", Json.Int r.t_baseline_cycles);
-        ("asip_cycles", Json.Int r.t_asip_cycles);
-        ("estimated_speedup", Json.Float r.t_estimated_speedup);
-        ("measured_cycles", Json.Int r.t_measured_cycles);
-        ("measured_speedup", Json.Float r.t_measured_speedup);
-        ("total_area", Json.Float r.t_total_area);
-        ("chains", Json.List (List.map chain_report_to_json r.t_chains));
-        ("rejected", Json.List (List.map diag_to_json r.t_rejected));
-      ])
-
-let timing_report_of_json j =
-  let* j = as_obj j in
-  let* () = check_kind "timing-report" j in
-  let* t_benchmark = str_field "benchmark" j in
-  let* t_level = Result.bind (field "level" j) level_of_json in
-  let* t_uarch = str_field "uarch" j in
-  let* t_clock = float_field "clock" j in
-  let* t_baseline_cycles = int_field "baseline_cycles" j in
-  let* t_asip_cycles = int_field "asip_cycles" j in
-  let* t_estimated_speedup = float_field "estimated_speedup" j in
-  let* t_measured_cycles = int_field "measured_cycles" j in
-  let* t_measured_speedup = float_field "measured_speedup" j in
-  let* t_total_area = float_field "total_area" j in
-  let* t_chains =
-    Result.bind (list_field "chains" j) (map_result chain_report_of_json)
-  in
-  let* t_rejected =
-    Result.bind (list_field "rejected" j) (map_result diag_of_json)
-  in
-  Ok { Timing.t_benchmark; t_level; t_uarch; t_clock; t_baseline_cycles;
-       t_asip_cycles; t_estimated_speedup; t_measured_cycles;
-       t_measured_speedup; t_total_area; t_chains; t_rejected }
-
-(* --- engine + service statistics ----------------------------------------- *)
-
-let cache_stats_to_json (s : Cache.stats) =
-  Json.Obj
-    [
-      ("hits", Json.Int s.hits);
-      ("disk_hits", Json.Int s.disk_hits);
-      ("misses", Json.Int s.misses);
-      ("stores", Json.Int s.stores);
-      ("corrupt", Json.Int s.corrupt);
-      ("io_errors", Json.Int s.io_errors);
-    ]
-
-let cache_stats_of_json name j =
-  let* j =
-    Result.map_error (fun e -> Printf.sprintf "%s: %s" name e) (as_obj j)
-  in
-  let get f = Result.map_error (fun e -> Printf.sprintf "%s: %s" name e) f in
-  let* hits = get (int_field "hits" j) in
-  let* disk_hits = get (int_field "disk_hits" j) in
-  let* misses = get (int_field "misses" j) in
-  let* stores = get (int_field "stores" j) in
-  let* corrupt = get (int_field "corrupt" j) in
-  let* io_errors = get (int_field "io_errors" j) in
-  Ok { Cache.hits; disk_hits; misses; stores; corrupt; io_errors }
-
-let supervise_stats_to_json (s : Supervise.stats) =
-  Json.Obj
-    [
-      ("tasks", Json.Int s.tasks);
-      ("attempts", Json.Int s.attempts);
-      ("retries", Json.Int s.retries);
-      ("failures", Json.Int s.failures);
-      ("timeouts", Json.Int s.timeouts);
-      ("quarantined", Json.Int s.quarantined);
-      ("degraded", Json.Int s.degraded);
-    ]
-
-let supervise_stats_of_json j =
-  let* j = as_obj j in
-  let* tasks = int_field "tasks" j in
-  let* attempts = int_field "attempts" j in
-  let* retries = int_field "retries" j in
-  let* failures = int_field "failures" j in
-  let* timeouts = int_field "timeouts" j in
-  let* quarantined = int_field "quarantined" j in
-  let* degraded = int_field "degraded" j in
-  Ok
-    { Supervise.tasks; attempts; retries; failures; timeouts; quarantined;
-      degraded }
-
-let engine_stats_to_json (s : Engine.stats) =
-  Json.Obj
-    [
-      ("schema", Json.String Engine.schema_revision);
-      ("base", cache_stats_to_json s.base);
-      ("sched", cache_stats_to_json s.sched);
-      ("verify", cache_stats_to_json s.verify);
-      ("supervise", supervise_stats_to_json s.supervise);
-    ]
-
-let engine_stats_of_json j =
-  let* j = as_obj j in
-  let* base = Result.bind (field "base" j) (cache_stats_of_json "base") in
-  let* sched = Result.bind (field "sched" j) (cache_stats_of_json "sched") in
-  let* verify =
-    Result.bind (field "verify" j) (cache_stats_of_json "verify")
-  in
-  let* supervise = Result.bind (field "supervise" j) supervise_stats_of_json in
-  Ok { Engine.base; sched; verify; supervise }
-
-let stats_to_json (p : stats_payload) =
-  Json.Obj
-    (header "stats"
-    @ [
-        ("engine", engine_stats_to_json p.engine);
-        ( "service",
-          Json.Obj
-            [
-              ("requests", Json.Int p.service.requests);
-              ("errors", Json.Int p.service.errors);
-              ("memo_hits", Json.Int p.service.memo_hits);
-              ("coalesced", Json.Int p.service.coalesced);
-              ("uptime_s", Json.Float p.service.uptime_s);
-            ] );
-      ])
-
-let stats_of_json j =
-  let* j = as_obj j in
-  let* () = check_kind "stats" j in
-  let* engine = Result.bind (field "engine" j) engine_stats_of_json in
-  let* svc = field "service" j in
-  let* requests = int_field "requests" svc in
-  let* errors = int_field "errors" svc in
-  let* memo_hits = int_field "memo_hits" svc in
-  let* coalesced = int_field "coalesced" svc in
-  let* uptime_s = float_field "uptime_s" svc in
-  Ok
-    { engine;
-      service = { requests; errors; memo_hits; coalesced; uptime_s } }
-
-(* --- offline-only envelopes ---------------------------------------------- *)
-
-let diag_report_to_json diags =
-  Json.Obj
-    (header "diagnostics"
-    @ [ ("diagnostics", Json.List (List.map diag_to_json diags)) ])
-
-let corpus_summary_to_json (sp : Corpus.spec) (s : Corpus.summary) =
-  Json.Obj
-    (header "corpus-summary"
-    @ [
-        ("seed", Json.Int sp.seed);
-        ("count", Json.Int sp.count);
-        ("size", Json.Int sp.size);
-        ("total", Json.Int s.total);
-        ("ok", Json.Int s.ok);
-        ("crashed", Json.Int s.crashed);
-        ("timeouts", Json.Int s.timeouts);
-        ("quarantined", Json.Int s.quarantined);
-        ("dynamic_ops", Json.Int s.dynamic_ops);
-        ("verify_findings", Json.Int s.verify_findings);
-        ( "chains",
-          Json.List
-            (List.map
-               (fun (name, share) ->
-                 Json.Obj
-                   [ ("name", Json.String name); ("share", Json.Float share) ])
-               s.chains) );
-      ])
-
-(* --- request frames ------------------------------------------------------ *)
-
-let mode_to_string = function `Ir -> "ir" | `Full -> "full" | `Tv -> "tv"
-
-let mode_of_string = function
-  | "ir" -> Ok `Ir
-  | "full" -> Ok `Full
-  | "tv" -> Ok `Tv
-  | s ->
-      Error
-        (Printf.sprintf "unknown verify mode %S (expected ir, full, or tv)" s)
+let request_op req = match case_of request_cases req with Case c -> c.name
 
 let encode_request ?(id = "") req =
-  let head =
-    [
-      ("api", Json.Int api_version);
-      ("id", Json.String id);
-      ("op", Json.String (request_op req));
-    ]
-  in
-  let rest =
-    match req with
-    | Ping | Stats | Shutdown -> []
-    | Detect { benchmark; query } | Coverage { benchmark; query } ->
-        [ ("benchmark", Json.String benchmark);
-          ("query", query_to_json query) ]
-    | Verify { benchmark; mode } ->
-        [ ("benchmark", Json.String benchmark);
-          ("mode", Json.String (mode_to_string mode)) ]
-    | Lint { benchmark } ->
-        [ ( "benchmark",
-            match benchmark with Some b -> Json.String b | None -> Json.Null )
-        ]
-    | Corpus_sample { seed; index; size } ->
-        [ ("seed", Json.Int seed); ("index", Json.Int index);
-          ( "size",
-            match size with Some s -> Json.Int s | None -> Json.Null ) ]
-    | Timing { benchmark; level; uarch; clock } ->
-        [ ("benchmark", Json.String benchmark);
-          ("level", Json.Int (Opt_level.to_int level));
-          ("uarch", Json.String uarch);
-          ( "clock",
-            match clock with Some c -> Json.Float c | None -> Json.Null ) ]
-  in
-  Json.to_string (Json.Obj (head @ rest))
+  let op, body = encode_case request_cases req in
+  let fields = match body with Json.Obj fs -> fs | _ -> [] in
+  Json.to_string
+    (Json.Obj
+       (("api", Json.Int api_version) :: ("id", Json.String id)
+       :: ("op", Json.String op) :: fields))
 
+(* The id echoes on every answer to a readable object, so a client can
+   match even a rejected frame to its request. *)
 let decode_request line =
   match Json.of_string line with
-  | Error e -> Error (protocol_error ("malformed frame: " ^ e))
-  | Ok j -> (
-      match j with
-      | Json.Obj _ -> (
-          match Json.member "api" j with
-          | None -> Error (unsupported_version None)
-          | Some v -> (
-              match Json.to_int v with
-              | None -> Error (unsupported_version None)
-              | Some v when v <> api_version ->
-                  Error (unsupported_version (Some v))
-              | Some _ -> (
-                  let id =
-                    Option.value ~default:""
-                      (Option.bind (Json.member "id" j) Json.to_str)
-                  in
-                  match Option.bind (Json.member "op" j) Json.to_str with
-                  | None ->
-                      Error
-                        (protocol_error "missing or non-string field \"op\"")
-                  | Some op -> (
-                      let fail e =
-                        Error
-                          (protocol_error ~context:[ ("op", op) ]
-                             (Printf.sprintf "invalid %S request: %s" op e))
-                      in
-                      let benchmark_query mk =
-                        match
-                          let* benchmark = str_field "benchmark" j in
-                          let* query =
-                            Result.bind (field "query" j) query_of_json
-                          in
-                          Ok (mk benchmark query)
-                        with
-                        | Ok req -> Ok (id, req)
-                        | Error e -> fail e
-                      in
-                      match op with
-                      | "ping" -> Ok (id, Ping)
-                      | "stats" -> Ok (id, Stats)
-                      | "shutdown" -> Ok (id, Shutdown)
-                      | "detect" ->
-                          benchmark_query (fun benchmark query ->
-                              Detect { benchmark; query })
-                      | "coverage" ->
-                          benchmark_query (fun benchmark query ->
-                              Coverage { benchmark; query })
-                      | "verify" -> (
-                          match
-                            let* benchmark = str_field "benchmark" j in
-                            let* mode =
-                              Result.bind (str_field "mode" j) mode_of_string
-                            in
-                            Ok (Verify { benchmark; mode })
-                          with
-                          | Ok req -> Ok (id, req)
-                          | Error e -> fail e)
-                      | "lint" -> (
-                          match opt_field "benchmark" j with
-                          | None -> Ok (id, Lint { benchmark = None })
-                          | Some v -> (
-                              match Json.to_str v with
-                              | Some b ->
-                                  Ok (id, Lint { benchmark = Some b })
-                              | None ->
-                                  fail
-                                    "field \"benchmark\" must be a string \
-                                     or null"))
-                      | "corpus-sample" -> (
-                          match
-                            let* seed = int_field "seed" j in
-                            let* index = int_field "index" j in
-                            let* size = opt_int_field "size" j in
-                            Ok (Corpus_sample { seed; index; size })
-                          with
-                          | Ok req -> Ok (id, req)
-                          | Error e -> fail e)
-                      | "timing" -> (
-                          match
-                            let* benchmark = str_field "benchmark" j in
-                            let* level =
-                              Result.bind (field "level" j) level_of_json
-                            in
-                            let* uarch = str_field "uarch" j in
-                            let* clock =
-                              match opt_field "clock" j with
-                              | None -> Ok None
-                              | Some v -> (
-                                  match Json.to_float v with
-                                  | Some c -> Ok (Some c)
-                                  | None ->
-                                      Error
-                                        "field \"clock\" must be a number \
-                                         or null")
-                            in
-                            Ok (Timing { benchmark; level; uarch; clock })
-                          with
-                          | Ok req -> Ok (id, req)
-                          | Error e -> fail e)
-                      | op ->
-                          Error
-                            (protocol_error ~context:[ ("op", op) ]
-                               (Printf.sprintf
-                                  "unknown op %S (known: ping, stats, \
-                                   shutdown, detect, coverage, verify, \
-                                   lint, corpus-sample, timing)"
-                                  op))))))
-      | _ -> Error (protocol_error "frame must be a JSON object"))
+  | Error e -> ("", Error (protocol_error ("malformed frame: " ^ e)))
+  | Ok (Json.Obj _ as j) ->
+      let str name = Option.bind (Json.member name j) Json.to_str in
+      ( Option.value ~default:"" (str "id"),
+        match (Option.bind (Json.member "api" j) Json.to_int, str "op") with
+        | None, _ -> Error (unsupported_version None)
+        | Some v, _ when v <> api_version -> Error (unsupported_version (Some v))
+        | Some _, None -> Error (protocol_error "missing or non-string field \"op\"")
+        | Some _, Some op -> (
+            let fail fmt =
+              Printf.ksprintf
+                (fun m -> Error (protocol_error ~context:[ ("op", op) ] m))
+                fmt
+            in
+            match decode_case request_cases op j with
+            | Some (Ok req) -> Ok req
+            | Some (Error e) -> fail "invalid %S request: %s" op e
+            | None ->
+                fail "unknown op %S (known: %s)" op
+                  (String.concat ", "
+                     (List.map (fun (Case c) -> c.name) request_cases))) )
+  | Ok _ -> ("", Error (protocol_error "frame must be a JSON object"))
 
-(* --- response frames ----------------------------------------------------- *)
+(* --- response frames ---------------------------------------------------------- *)
 
-let payload_to_json = function
-  | Pong -> Json.Obj (header "pong")
-  | Stopping -> Json.Obj (header "stopping")
-  | Detect_result r -> detect_report_to_json r
-  | Coverage_result r -> coverage_to_json r
-  | Findings ds -> findings_to_json ds
-  | Stats_result p -> stats_to_json p
-  | Tv_result v -> equiv_verdict_to_json v
-  | Sample { seed; index; size; name; source } ->
-      Json.Obj
-        (header "corpus-sample"
-        @ [
-            ("seed", Json.Int seed);
-            ("index", Json.Int index);
-            ("size", Json.Int size);
-            ("name", Json.String name);
-            ("source", Json.String source);
-          ])
-  | Timing_result r -> timing_report_to_json r
+let cache_statuses =
+  [ (Hit, "hit"); (Join, "join"); (Miss, "miss"); (Uncached, "none") ]
 
-let payload_of_json j =
-  let* j = as_obj j in
-  let* kind = str_field "kind" j in
-  match kind with
-  | "pong" -> Ok Pong
-  | "stopping" -> Ok Stopping
-  | "detect-report" -> Result.map (fun r -> Detect_result r) (detect_report_of_json j)
-  | "coverage" -> Result.map (fun r -> Coverage_result r) (coverage_of_json j)
-  | "findings" -> Result.map (fun ds -> Findings ds) (findings_of_json j)
-  | "stats" -> Result.map (fun p -> Stats_result p) (stats_of_json j)
-  | "equiv-verdict" ->
-      Result.map (fun v -> Tv_result v) (equiv_verdict_of_json j)
-  | "corpus-sample" ->
-      let* seed = int_field "seed" j in
-      let* index = int_field "index" j in
-      let* size = int_field "size" j in
-      let* name = str_field "name" j in
-      let* source = str_field "source" j in
-      Ok (Sample { seed; index; size; name; source })
-  | "timing-report" ->
-      Result.map (fun r -> Timing_result r) (timing_report_of_json j)
-  | kind -> Error (Printf.sprintf "unknown result kind %S" kind)
+let cache_status_to_string c = List.assoc c cache_statuses
 
-let encode_response (r : response) =
-  let head =
-    [
-      ("api", Json.Int api_version);
-      ("id", Json.String r.id);
-      ("ok", Json.Bool (Result.is_ok r.body));
-      ("cache", Json.String (cache_status_to_string r.cache));
-    ]
-  in
-  let body =
-    match r.body with
-    | Ok payload -> [ ("result", payload_to_json payload) ]
-    | Error diag -> [ ("error", diag_to_json diag) ]
-  in
-  Json.to_string (Json.Obj (head @ body))
+let cache_status_of_string s =
+  List.find_map (fun (c, n) -> if n = s then Some c else None) cache_statuses
+
+let response =
+  obj (fun api id ok cache result error ->
+      if api <> api_version then
+        Error (Printf.sprintf "unsupported api version %d" api)
+      else
+        match (ok, result, error) with
+        | true, Some p, _ -> Ok { id; cache; body = Ok p }
+        | false, _, Some d -> Ok { id; cache; body = Error d }
+        | true, None, _ -> Error "missing field \"result\""
+        | false, _, None -> Error "missing field \"error\"")
+  |> field "api" int (fun _ -> api_version)
+  |> field "id" string (fun r -> r.id)
+  |> field "ok" bool (fun r -> Result.is_ok r.body)
+  |> field "cache" (enum "cache status" cache_statuses) (fun r -> r.cache)
+  |> field ~skip:Option.is_none "result" (nullable payload) (fun r ->
+         Result.to_option r.body)
+  |> field ~skip:Option.is_none "error" (nullable diag) (fun r ->
+         match r.body with Error d -> Some d | Ok _ -> None)
+  |> seal_checked
+
+let encode_response r = Json.to_string (response.enc r)
 
 let decode_response line =
-  let* j = Result.map_error (fun e -> "malformed frame: " ^ e) (Json.of_string line) in
-  let* j = as_obj j in
-  let* api = int_field "api" j in
-  let* () =
-    if api = api_version then Ok ()
-    else Error (Printf.sprintf "unsupported api version %d" api)
+  let* j =
+    Result.map_error (fun e -> "malformed frame: " ^ e) (Json.of_string line)
   in
-  let id =
-    Option.value ~default:"" (Option.bind (Json.member "id" j) Json.to_str)
-  in
-  let* ok = Result.bind (field "ok" j) (fun v ->
-      match Json.to_bool v with
-      | Some b -> Ok b
-      | None -> Error "field \"ok\" must be a boolean")
-  in
-  let* cache =
-    Result.bind (str_field "cache" j) (fun s ->
-        match cache_status_of_string s with
-        | Some c -> Ok c
-        | None -> Error (Printf.sprintf "unknown cache status %S" s))
-  in
-  if ok then
-    let* payload = Result.bind (field "result" j) payload_of_json in
-    Ok { id; cache; body = Ok payload }
-  else
-    let* diag = Result.bind (field "error" j) diag_of_json in
-    Ok { id; cache; body = Error diag }
+  response.dec j
+
+(* --- the named encoders and decoders ------------------------------------------ *)
+
+let query_to_json, query_of_json = (query.enc, query.dec)
+let diag_to_json, diag_of_json = (diag.enc, diag.dec)
+let detect_report_to_json, detect_report_of_json = (detect_report.enc, detect_report.dec)
+let coverage_to_json, coverage_of_json = (coverage.enc, coverage.dec)
+let findings_to_json, findings_of_json = (findings.enc, findings.dec)
+let equiv_verdict_to_json, equiv_verdict_of_json = (equiv_verdict.enc, equiv_verdict.dec)
+let timing_report_to_json, timing_report_of_json = (timing_report.enc, timing_report.dec)
+let engine_stats_to_json, engine_stats_of_json = (engine_stats.enc, engine_stats.dec)
+let stats_to_json, stats_of_json = (stats.enc, stats.dec)
+let diag_report_to_json = diag_report.enc
+let corpus_summary_to_json sp s = corpus_summary.enc (sp, s)

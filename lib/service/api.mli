@@ -1,14 +1,18 @@
 (** The versioned wire API of the analysis service.
 
     One request/response protocol, spoken over newline-delimited JSON
-    frames (DESIGN §14), with total hand-written encoders and decoders
-    for every type that crosses the boundary: {!Asipfb.Pipeline.Query.t},
-    detection and coverage results, verifier findings
-    ({!Asipfb_diag.Diag.t}), engine statistics, and generated-corpus
-    samples.  Nothing on the wire is [Marshal]ed: a frame is plain JSON
-    a foreign client can produce and consume, and every frame carries
-    the protocol version ([{"api":1,...}]) so an incompatible client
-    gets a structured error instead of a misparse.
+    frames (DESIGN §14).  Every type that crosses the boundary —
+    {!Asipfb.Pipeline.Query.t}, detection and coverage results, verifier
+    findings ({!Asipfb_diag.Diag.t}), timing reports, engine statistics,
+    generated-corpus samples — is described once, as a codec built field
+    by field in wire order; the encoder and the total decoder below both
+    derive from that one description.  Requests (keyed by [op]) and
+    payloads (keyed by [kind]) each have one case table from which the
+    names, the encoding, the decoding and the unknown-name errors
+    derive.  Nothing on the wire is [Marshal]ed: a frame is plain JSON a
+    foreign client can produce and consume, and every frame carries the
+    protocol version ([{"api":1,...}]) so an incompatible client gets a
+    structured error instead of a misparse.
 
     The same encoders back the offline CLI's machine-readable output
     ([detect --json], [coverage --json], [lint --json], [corpus
@@ -122,10 +126,13 @@ type response = {
 val encode_request : ?id:string -> request -> string
 (** One frame, no trailing newline (the transport adds it). *)
 
-val decode_request : string -> (string * request, Asipfb_diag.Diag.t) result
-(** [(id, request)] or a structured protocol diagnostic: malformed
-    JSON, missing/unsupported [api], unknown [op], missing or ill-typed
-    fields.  Total — never raises. *)
+val decode_request : string -> string * (request, Asipfb_diag.Diag.t) result
+(** The frame's [id] together with the request or a structured protocol
+    diagnostic: malformed JSON, missing/unsupported [api], unknown [op],
+    missing or ill-typed fields.  The [id] is echoed whenever the frame
+    is a JSON object, so even a rejected request can be matched to its
+    answer; it is [""] only when the frame is not a readable object (or
+    carries no string [id]).  Total — never raises. *)
 
 val encode_response : response -> string
 
@@ -142,9 +149,9 @@ val query_to_json : Asipfb.Pipeline.Query.t -> Json.t
 val query_of_json : Json.t -> (Asipfb.Pipeline.Query.t, string) result
 
 val diag_to_json : Asipfb_diag.Diag.t -> Json.t
-(** Field-for-field the same object {!Asipfb_diag.Diag.to_json} prints
-    (the service reuses the diagnostic schema rather than inventing a
-    second one); [Json.to_string (diag_to_json d) = Diag.to_json d]. *)
+(** The one JSON form of a diagnostic: [severity], [stage], then [file],
+    [line]/[col] and [context] only when present, with [message] before
+    [context]. *)
 
 val diag_of_json : Json.t -> (Asipfb_diag.Diag.t, string) result
 
@@ -173,7 +180,7 @@ val stats_of_json : Json.t -> (stats_payload, string) result
 
 val diag_report_to_json : Asipfb_diag.Diag.t list -> Json.t
 (** The [--diag-json] file envelope:
-    [{"kind":"diagnostics","schema_version":1,"diagnostics":[…]}]. *)
+    [{"kind":"diagnostics","schema_version":3,"diagnostics":[…]}]. *)
 
 val corpus_summary_to_json :
   Asipfb_corpus.Corpus.spec -> Asipfb_corpus.Corpus.summary -> Json.t

@@ -15,8 +15,8 @@ let max_depth = 256
 
 (* --- printing ----------------------------------------------------------- *)
 
-(* Same escape set as Diag.to_json, so a diagnostic rendered through
-   this module is byte-identical to Diag.to_json output. *)
+(* Quote, backslash, the common whitespace escapes, and every other
+   control character as \u00XX. *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

@@ -1,9 +1,7 @@
 (** Minimal JSON values for the service wire protocol.
 
-    The repository deliberately has no JSON dependency; every
-    machine-readable surface so far hand-rolls its output
-    ({!Asipfb_diag.Diag.to_json}, the bench baseline, metrics).  The
-    wire protocol additionally needs to {e read} JSON, so this module
+    The repository deliberately has no JSON dependency.  The wire
+    protocol needs to both write and {e read} JSON, so this module
     provides the one value type both directions share: a printer whose
     output is canonical (no whitespace, fields in construction order,
     deterministic float rendering — byte-identical output for equal
@@ -29,7 +27,9 @@ val to_string : t -> string
     order, integers bare, floats via a deterministic shortest-ish form
     (integral values as ["1.0"], otherwise ["%.12g"]); non-finite
     floats render as [null] (JSON has no representation for them).
-    Strings are escaped exactly like {!Asipfb_diag.Diag.to_json}. *)
+    Strings escape the quote, the backslash, newline, carriage return
+    and tab, and write every other control character as a [u00XX]
+    escape. *)
 
 val of_string : string -> (t, string) result
 (** Total parse of one JSON value; trailing non-whitespace, unterminated

@@ -256,11 +256,12 @@ let dispatch t req : Api.cache_status * (Api.payload, Diag.t) result =
 
 let handle_line t line =
   Atomic.incr t.requests;
+  let id, decoded = Api.decode_request line in
   let op, response =
-    match Api.decode_request line with
+    match decoded with
     | Error diag ->
-        ("<malformed>", { Api.id = ""; cache = Api.Uncached; body = Error diag })
-    | Ok (id, req) ->
+        ("<malformed>", { Api.id; cache = Api.Uncached; body = Error diag })
+    | Ok req ->
         let cache, body =
           match dispatch t req with
           | r -> r

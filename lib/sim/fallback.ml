@@ -4,6 +4,8 @@
    tree-walker, which is slow but independently implemented. *)
 
 module Diag = Asipfb_diag.Diag
+module Memory = Asipfb_exec.Memory
+module Profile = Asipfb_exec.Profile
 
 (* Structural hashtables underlie Profile.t and Memory.t, so agreement is
    checked on their canonical projections (sorted alist, per-region dump),

@@ -16,9 +16,9 @@ val outcomes_agree : Interp.outcome -> Interp.outcome -> bool
 
 val run :
   ?fuel:int ->
-  ?inputs:(string * Value.t array) list ->
-  ?faults:Fault.t ->
-  ?fresh_faults:(unit -> Fault.t) ->
+  ?inputs:(string * Asipfb_exec.Value.t array) list ->
+  ?faults:Asipfb_exec.Fault.t ->
+  ?fresh_faults:(unit -> Asipfb_exec.Fault.t) ->
   ?watchdog:(unit -> bool) ->
   ?inject_core_crash:bool ->
   ?cross_check:bool ->

@@ -2,6 +2,10 @@ module Prog = Asipfb_ir.Prog
 module Ops = Asipfb_exec.Ops
 module Code = Asipfb_exec.Code
 module Core = Asipfb_exec.Core
+module Value = Asipfb_exec.Value
+module Memory = Asipfb_exec.Memory
+module Profile = Asipfb_exec.Profile
+module Fault = Asipfb_exec.Fault
 
 exception Runtime_error of string
 exception Fuel_exhausted of { instrs_executed : int; fuel : int }

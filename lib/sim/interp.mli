@@ -29,17 +29,18 @@ exception Watchdog_timeout of { instrs_executed : int }
     [kind=timeout] by {!Sim_diag.to_diag}, like {!Fuel_exhausted}. *)
 
 type outcome = {
-  return_value : Value.t option;  (** Entry function's return, if any. *)
-  profile : Profile.t;
-  memory : Memory.t;  (** Final memory, for output checking. *)
+  return_value : Asipfb_exec.Value.t option;
+      (** Entry function's return, if any. *)
+  profile : Asipfb_exec.Profile.t;
+  memory : Asipfb_exec.Memory.t;  (** Final memory, for output checking. *)
   instrs_executed : int;
 }
 
 val run :
   ?fuel:int ->
-  ?inputs:(string * Value.t array) list ->
+  ?inputs:(string * Asipfb_exec.Value.t array) list ->
   ?on_exec:(string -> Asipfb_ir.Instr.t -> unit) ->
-  ?faults:Fault.t ->
+  ?faults:Asipfb_exec.Fault.t ->
   ?watchdog:(unit -> bool) ->
   Asipfb_ir.Prog.t ->
   outcome
@@ -57,8 +58,10 @@ val run :
     @raise Fuel_exhausted when the fuel budget is spent.
     @raise Watchdog_timeout when [watchdog] reports expiry. *)
 
-val eval_binop : Asipfb_ir.Types.binop -> Value.t -> Value.t -> Value.t
+val eval_binop :
+  Asipfb_ir.Types.binop -> Asipfb_exec.Value.t -> Asipfb_exec.Value.t ->
+  Asipfb_exec.Value.t
 (** Exposed for unit tests and for the ASIP rewriter's constant folding.
     @raise Runtime_error on division by zero or out-of-range shift. *)
 
-val eval_unop : Asipfb_ir.Types.unop -> Value.t -> Value.t
+val eval_unop : Asipfb_ir.Types.unop -> Asipfb_exec.Value.t -> Asipfb_exec.Value.t

@@ -11,6 +11,10 @@ module Label = Asipfb_ir.Label
 module Instr = Asipfb_ir.Instr
 module Func = Asipfb_ir.Func
 module Prog = Asipfb_ir.Prog
+module Value = Asipfb_exec.Value
+module Memory = Asipfb_exec.Memory
+module Profile = Asipfb_exec.Profile
+module Fault = Asipfb_exec.Fault
 
 let err fmt =
   Format.kasprintf (fun msg -> raise (Interp.Runtime_error msg)) fmt

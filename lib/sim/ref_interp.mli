@@ -13,9 +13,9 @@
 
 val run :
   ?fuel:int ->
-  ?inputs:(string * Value.t array) list ->
+  ?inputs:(string * Asipfb_exec.Value.t array) list ->
   ?on_exec:(string -> Asipfb_ir.Instr.t -> unit) ->
-  ?faults:Fault.t ->
+  ?faults:Asipfb_exec.Fault.t ->
   Asipfb_ir.Prog.t ->
   Interp.outcome
 (** Same contract as {!Interp.run}, pre-refactor behavior. *)

@@ -1,6 +1,7 @@
 (* Conversion shim: simulator exceptions -> structured diagnostics. *)
 
 module Diag = Asipfb_diag.Diag
+module Memory = Asipfb_exec.Memory
 
 let to_diag : exn -> Diag.t option = function
   | Interp.Runtime_error msg ->

@@ -14,7 +14,7 @@ type event = {
 
 val run :
   ?limit:int ->
-  ?inputs:(string * Value.t array) list ->
+  ?inputs:(string * Asipfb_exec.Value.t array) list ->
   Asipfb_ir.Prog.t ->
   event list * Interp.outcome
 (** [run p] executes like {!Interp.run} (same fuel default) and returns

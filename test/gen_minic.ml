@@ -82,5 +82,5 @@ void main() {
 (* Observable behaviour: the out region after execution. *)
 let observe prog =
   let o = Asipfb_sim.Interp.run prog in
-  Array.to_list (Asipfb_sim.Memory.dump o.memory "out")
-  |> List.map Asipfb_sim.Value.to_string
+  Array.to_list (Asipfb_exec.Memory.dump o.memory "out")
+  |> List.map Asipfb_exec.Value.to_string

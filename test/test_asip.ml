@@ -101,7 +101,7 @@ let test_selection_no_duplicates () =
     (List.length (Asipfb_util.Listx.dedup ( = ) shapes))
 
 let test_speedup_math () =
-  let profile = Asipfb_sim.Profile.of_alist [ (0, 600); (1, 400) ] in
+  let profile = Asipfb_exec.Profile.of_alist [ (0, 600); (1, 400) ] in
   let choice =
     { Select.classes = [ "multiply"; "add" ]; freq = 0.0; area = 9.4;
       delay = 1.05; saved_cycles = 250 }

@@ -4,7 +4,7 @@
 module Benchmark = Asipfb_bench_suite.Benchmark
 module Registry = Asipfb_bench_suite.Registry
 module Data = Asipfb_bench_suite.Data
-module Value = Asipfb_sim.Value
+module Value = Asipfb_exec.Value
 
 let test_registry_complete () =
   Alcotest.(check int) "twelve benchmarks" 12 (List.length Registry.all);
@@ -59,7 +59,7 @@ let test_outputs_nontrivial () =
           (fun region ->
             Array.exists
               (fun v -> not (Value.equal v (Value.zero (Value.ty v))))
-              (Asipfb_sim.Memory.dump o.memory region))
+              (Asipfb_exec.Memory.dump o.memory region))
           b.output_regions
       in
       Alcotest.(check bool) (b.name ^ " output not all zero") true
@@ -74,8 +74,8 @@ let test_deterministic () =
         o2.instrs_executed;
       List.iter
         (fun region ->
-          let a = Asipfb_sim.Memory.dump o1.memory region in
-          let c = Asipfb_sim.Memory.dump o2.memory region in
+          let a = Asipfb_exec.Memory.dump o1.memory region in
+          let c = Asipfb_exec.Memory.dump o2.memory region in
           Alcotest.(check bool) (b.name ^ "/" ^ region ^ " identical") true
             (Array.for_all2 Value.equal a c))
         b.output_regions)
@@ -123,7 +123,7 @@ let test_fft_benchmarks_sane () =
   (* Parseval-flavoured sanity: pse's spectrum carries energy. *)
   let pse = Registry.find "pse" in
   let o = Benchmark.run pse in
-  let psd = Asipfb_sim.Memory.dump o.memory "psd" in
+  let psd = Asipfb_exec.Memory.dump o.memory "psd" in
   let energy =
     Array.fold_left (fun acc v -> acc +. Value.as_float v) 0.0 psd
   in
@@ -132,14 +132,14 @@ let test_fft_benchmarks_sane () =
      bounded. *)
   let intfft = Registry.find "intfft" in
   let oi = Benchmark.run intfft in
-  let interp = Asipfb_sim.Memory.dump oi.memory "interp" in
+  let interp = Asipfb_exec.Memory.dump oi.memory "interp" in
   Alcotest.(check bool) "interpolation bounded" true
     (Array.for_all (fun v -> Float.abs (Value.as_float v) < 100.0) interp)
 
 let test_image_benchmarks_sane () =
   let smooth = Registry.find "smooth" in
   let o = Benchmark.run smooth in
-  let out = Asipfb_sim.Memory.dump o.memory "result" in
+  let out = Asipfb_exec.Memory.dump o.memory "result" in
   Array.iter
     (fun v ->
       let x = Value.as_int v in
@@ -148,7 +148,7 @@ let test_image_benchmarks_sane () =
     out;
   let edge = Registry.find "edge" in
   let oe = Benchmark.run edge in
-  let eout = Asipfb_sim.Memory.dump oe.memory "result" in
+  let eout = Asipfb_exec.Memory.dump oe.memory "result" in
   Array.iter
     (fun v ->
       let x = Value.as_int v in
@@ -158,7 +158,7 @@ let test_image_benchmarks_sane () =
     (Array.exists (fun v -> Value.as_int v = 255) eout);
   let flatten = Registry.find "flatten" in
   let off = Benchmark.run flatten in
-  let fout = Asipfb_sim.Memory.dump off.memory "result" in
+  let fout = Asipfb_exec.Memory.dump off.memory "result" in
   Array.iter
     (fun v ->
       let x = Value.as_int v in
@@ -170,19 +170,19 @@ let test_filter_benchmarks_sane () =
   (* A lowpass FIR of a bounded signal stays bounded. *)
   let fir = Registry.find "fir" in
   let o = Benchmark.run fir in
-  let out = Asipfb_sim.Memory.dump o.memory "output" in
+  let out = Asipfb_exec.Memory.dump o.memory "output" in
   Alcotest.(check bool) "fir bounded" true
     (Array.for_all (fun v -> Float.abs (Value.as_float v) < 10.0) out);
   (* Coefficients are a window-designed lowpass: the center tap is the
      largest. *)
-  let coef = Asipfb_sim.Memory.dump o.memory "coef" in
+  let coef = Asipfb_exec.Memory.dump o.memory "coef" in
   let center = Value.as_float coef.(17) in
   Alcotest.(check bool) "center tap dominates" true
     (Array.for_all (fun v -> Value.as_float v <= center +. 1e-9) coef);
   (* IIR of a bounded input remains stable. *)
   let iir = Registry.find "iir" in
   let oi = Benchmark.run iir in
-  let iout = Asipfb_sim.Memory.dump oi.memory "output" in
+  let iout = Asipfb_exec.Memory.dump oi.memory "output" in
   Alcotest.(check bool) "iir stable" true
     (Array.for_all (fun v -> Float.abs (Value.as_float v) < 50.0) iout)
 

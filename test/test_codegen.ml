@@ -5,7 +5,7 @@ module Instr = Asipfb_ir.Instr
 module Prog = Asipfb_ir.Prog
 module Lower = Asipfb_frontend.Lower
 module Interp = Asipfb_sim.Interp
-module Value = Asipfb_sim.Value
+module Value = Asipfb_exec.Value
 module Target = Asipfb_asip.Target
 module Codegen = Asipfb_asip.Codegen
 module Tsim = Asipfb_asip.Tsim
@@ -46,8 +46,8 @@ let test_plain_target_runs_identically () =
   let t_out = Tsim.run (Target.of_prog p) in
   Alcotest.(check bool) "same out[0]" true
     (Value.close
-       (Asipfb_sim.Memory.load ref_out.memory "out" 0)
-       (Asipfb_sim.Memory.load t_out.memory "out" 0));
+       (Asipfb_exec.Memory.load ref_out.memory "out" 0)
+       (Asipfb_exec.Memory.load t_out.memory "out" 0));
   Alcotest.(check int) "cycles = base dynamic ops" ref_out.instrs_executed
     t_out.cycles;
   Alcotest.(check int) "ops = cycles when nothing chained" t_out.cycles
@@ -61,8 +61,8 @@ let test_codegen_no_shapes_is_identity_semantics () =
   let t_out = Tsim.run tp in
   Alcotest.(check bool) "reordering preserves output" true
     (Value.close
-       (Asipfb_sim.Memory.load ref_out.memory "out" 0)
-       (Asipfb_sim.Memory.load t_out.memory "out" 0))
+       (Asipfb_exec.Memory.load ref_out.memory "out" 0)
+       (Asipfb_exec.Memory.load t_out.memory "out" 0))
 
 let test_codegen_fuses_mac () =
   let p = compile mac_src in
@@ -77,8 +77,8 @@ let test_codegen_fuses_mac () =
   let ref_out = Interp.run p in
   Alcotest.(check bool) "same result" true
     (Value.close
-       (Asipfb_sim.Memory.load ref_out.memory "out" 0)
-       (Asipfb_sim.Memory.load t_out.memory "out" 0));
+       (Asipfb_exec.Memory.load ref_out.memory "out" 0)
+       (Asipfb_exec.Memory.load t_out.memory "out" 0));
   Alcotest.(check int) "ops equal base dynamic count"
     ref_out.instrs_executed t_out.ops_executed
 
@@ -154,8 +154,8 @@ let test_whole_suite_codegen_equivalence () =
         ref_out.instrs_executed t_out.ops_executed;
       List.iter
         (fun region ->
-          let want = Asipfb_sim.Memory.dump ref_out.memory region in
-          let got = Asipfb_sim.Memory.dump t_out.memory region in
+          let want = Asipfb_exec.Memory.dump ref_out.memory region in
+          let got = Asipfb_exec.Memory.dump t_out.memory region in
           Alcotest.(check bool)
             (bench.name ^ "/" ^ region ^ " equal")
             true

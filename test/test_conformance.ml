@@ -10,7 +10,7 @@
 
 module Lower = Asipfb_frontend.Lower
 module Interp = Asipfb_sim.Interp
-module Value = Asipfb_sim.Value
+module Value = Asipfb_exec.Value
 module Opt_level = Asipfb_sched.Opt_level
 
 type case = {
@@ -136,14 +136,14 @@ let cases =
 let executors :
     (string * (Asipfb_ir.Prog.t -> string -> Value.t array)) list =
   let via_interp p region =
-    Asipfb_sim.Memory.dump (Interp.run p).memory region
+    Asipfb_exec.Memory.dump (Interp.run p).memory region
   in
   let via_level level p region =
     let s = Asipfb_sched.Schedule.optimize ~level p in
-    Asipfb_sim.Memory.dump (Interp.run s.prog).memory region
+    Asipfb_exec.Memory.dump (Interp.run s.prog).memory region
   in
   let via_cleanup p region =
-    Asipfb_sim.Memory.dump (Interp.run (Asipfb_sched.Cleanup.run p)).memory
+    Asipfb_exec.Memory.dump (Interp.run (Asipfb_sched.Cleanup.run p)).memory
       region
   in
   let via_target p region =
@@ -154,10 +154,10 @@ let executors :
         ~profile
     in
     let tp = Asipfb_asip.Codegen.generate_for_choices ~choices p in
-    Asipfb_sim.Memory.dump (Asipfb_asip.Tsim.run tp).memory region
+    Asipfb_exec.Memory.dump (Asipfb_asip.Tsim.run tp).memory region
   in
   let via_unroll p region =
-    Asipfb_sim.Memory.dump
+    Asipfb_exec.Memory.dump
       (Interp.run (Asipfb_sched.Unroll.loop_once p)).memory region
   in
   [ ("interp", via_interp); ("O1", via_level Opt_level.O1);
@@ -239,7 +239,7 @@ void main() {
       in
       let p = Lower.compile src ~entry:"main" in
       let o = Interp.run p in
-      Value.as_int (Asipfb_sim.Memory.load o.memory "out" 0) = expected)
+      Value.as_int (Asipfb_exec.Memory.load o.memory "out" 0) = expected)
 
 let suite =
   [

@@ -1,10 +1,12 @@
 (* Structured-diagnostic tests: rendering, JSON, exception conversion. *)
 
 module Diag = Asipfb_diag.Diag
+module Json = Asipfb_service.Json
+module Api = Asipfb_service.Api
 module Frontend_diag = Asipfb_frontend.Frontend_diag
 module Sim_diag = Asipfb_sim.Sim_diag
 module Interp = Asipfb_sim.Interp
-module Memory = Asipfb_sim.Memory
+module Memory = Asipfb_exec.Memory
 
 let test_to_string () =
   let d =
@@ -23,7 +25,9 @@ let test_to_string () =
     (Diag.to_string warn);
   Alcotest.(check bool) "is_error" false (Diag.is_error warn)
 
+(* The one JSON form of a diagnostic is the service's encoder. *)
 let test_to_json () =
+  let json d = Json.to_string (Api.diag_to_json d) in
   let d =
     Diag.make ~stage:Diag.Simulation ~context:[ ("region", "a") ]
       "bad \"quote\"\nnewline"
@@ -31,11 +35,15 @@ let test_to_json () =
   Alcotest.(check string) "json escaping"
     "{\"severity\":\"error\",\"stage\":\"simulation\",\"message\":\"bad \
      \\\"quote\\\"\\nnewline\",\"context\":{\"region\":\"a\"}}"
-    (Diag.to_json d);
-  Alcotest.(check string) "empty report" "[]" (Diag.report_to_json []);
-  let two = Diag.report_to_json [ d; d ] in
-  Alcotest.(check bool) "report is an array" true
-    (String.length two > 2 && two.[0] = '[' && String.contains two ',')
+    (json d);
+  let positioned =
+    Diag.make ~severity:Diag.Warning ~stage:Diag.Frontend ~file:"dir\\a.c"
+      ~pos:{ line = 3; col = 7 } "tab\there\001"
+  in
+  Alcotest.(check string) "file and position"
+    "{\"severity\":\"warning\",\"stage\":\"frontend\",\"file\":\"dir\\\\a.c\",\
+     \"line\":3,\"col\":7,\"message\":\"tab\\there\\u0001\"}"
+    (json positioned)
 
 let test_frontend_conversion () =
   (* Parser error carries its source position into the diagnostic. *)

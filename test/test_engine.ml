@@ -164,7 +164,7 @@ let test_faulted_runs_never_cached () =
      part of the key — they must not poison the cache. *)
   let e = Engine.create ~jobs:1 ~cache:true () in
   let faults =
-    { Asipfb_sim.Fault.seed = 7; reg_corrupt_rate = 0.01;
+    { Asipfb_exec.Fault.seed = 7; reg_corrupt_rate = 0.01;
       mem_fault_rate = 0.0; fuel_cap = None }
   in
   ignore (Engine.analyze_all e ~faults [ fir () ]);
@@ -174,7 +174,7 @@ let test_faulted_runs_never_cached () =
   (* A clean analyze afterwards gets a correct, uncorrupted result. *)
   let a = Engine.analyze e (fir ()) in
   Alcotest.(check bool) "clean run after faults self-checks" true
-    (Asipfb_sim.Profile.total a.profile > 0)
+    (Asipfb_exec.Profile.total a.profile > 0)
 
 let test_engine_disk_cache_across_instances () =
   let dir = fresh_cache_dir () in

@@ -12,10 +12,10 @@
 module Lower = Asipfb_frontend.Lower
 module Interp = Asipfb_sim.Interp
 module Ref_interp = Asipfb_sim.Ref_interp
-module Value = Asipfb_sim.Value
-module Memory = Asipfb_sim.Memory
-module Profile = Asipfb_sim.Profile
-module Fault = Asipfb_sim.Fault
+module Value = Asipfb_exec.Value
+module Memory = Asipfb_exec.Memory
+module Profile = Asipfb_exec.Profile
+module Fault = Asipfb_exec.Fault
 module Schedule = Asipfb_sched.Schedule
 module Opt_level = Asipfb_sched.Opt_level
 module Target = Asipfb_asip.Target

@@ -91,8 +91,8 @@ let test_characterize_monotone () =
 
 let observe prog =
   let o = Interp.run prog in
-  Array.to_list (Asipfb_sim.Memory.dump o.memory "out")
-  |> List.map Asipfb_sim.Value.to_string
+  Array.to_list (Asipfb_exec.Memory.dump o.memory "out")
+  |> List.map Asipfb_exec.Value.to_string
 
 let test_constant_fold () =
   (* One folding pass turns literal-only operations into moves... *)
@@ -152,7 +152,7 @@ let test_dce_keeps_stores_and_calls () =
   let p' = Cleanup.run p in
   let o = Interp.run p' in
   Alcotest.(check int) "side effects kept" 2
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o.memory "out" 0))
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o.memory "out" 0))
 
 let prop_cleanup_preserves_semantics =
   QCheck2.Test.make ~name:"cleanup preserves observable behaviour" ~count:60
@@ -253,9 +253,9 @@ let test_trace_equivalence_debugging () =
   let _, o1 = Trace.run ~limit:50 ~inputs:(bench.inputs ()) p in
   let _, o2 = Trace.run ~limit:50 ~inputs:(bench.inputs ()) s.prog in
   Alcotest.(check bool) "same output" true
-    (Asipfb_sim.Value.equal
-       (Asipfb_sim.Memory.load o1.memory "output" 50)
-       (Asipfb_sim.Memory.load o2.memory "output" 50))
+    (Asipfb_exec.Value.equal
+       (Asipfb_exec.Memory.load o1.memory "output" 50)
+       (Asipfb_exec.Memory.load o2.memory "output" 50))
 
 let suite =
   [

@@ -2,7 +2,7 @@
 
 module Benchmark = Asipfb_bench_suite.Benchmark
 module Extra = Asipfb_bench_suite.Extra
-module Value = Asipfb_sim.Value
+module Value = Asipfb_exec.Value
 module Interp = Asipfb_sim.Interp
 module Opt_level = Asipfb_sched.Opt_level
 
@@ -28,8 +28,8 @@ let test_equivalence_across_levels () =
           let o = Interp.run s.prog ~inputs in
           List.iter
             (fun region ->
-              let want = Asipfb_sim.Memory.dump reference.memory region in
-              let got = Asipfb_sim.Memory.dump o.memory region in
+              let want = Asipfb_exec.Memory.dump reference.memory region in
+              let got = Asipfb_exec.Memory.dump o.memory region in
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s/%s" b.name
                    (Opt_level.to_string level) region)
@@ -46,7 +46,7 @@ let test_matmul_correct () =
   let o = Benchmark.run b in
   let inputs = b.inputs () in
   let a_data = List.assoc "a" inputs and b_data = List.assoc "b" inputs in
-  let got = Asipfb_sim.Memory.dump o.memory "c" in
+  let got = Asipfb_exec.Memory.dump o.memory "c" in
   for i = 0 to 7 do
     for j = 0 to 7 do
       let expect = ref 0 in
@@ -92,7 +92,7 @@ let test_matmul_mac_signature () =
 
 let test_quant_decisions_valid () =
   let o = Benchmark.run Extra.quant in
-  let got = Asipfb_sim.Memory.dump o.memory "assignment" in
+  let got = Asipfb_exec.Memory.dump o.memory "assignment" in
   Array.iter
     (fun v ->
       let c = Value.as_int v in
@@ -119,8 +119,8 @@ let test_retargeted_codegen_on_extra () =
             (b.name ^ "/" ^ region ^ " target-equal")
             true
             (Array.for_all2 Value.close
-               (Asipfb_sim.Memory.dump reference.memory region)
-               (Asipfb_sim.Memory.dump t_out.memory region)))
+               (Asipfb_exec.Memory.dump reference.memory region)
+               (Asipfb_exec.Memory.dump t_out.memory region)))
         b.output_regions;
       Alcotest.(check bool) (b.name ^ " target no slower") true
         (t_out.cycles <= reference.instrs_executed))

@@ -7,7 +7,7 @@ module Types = Asipfb_ir.Types
 module Prog = Asipfb_ir.Prog
 module Func = Asipfb_ir.Func
 module Interp = Asipfb_sim.Interp
-module Value = Asipfb_sim.Value
+module Value = Asipfb_exec.Value
 
 let compile src = Lower.compile src ~entry:"main"
 
@@ -16,11 +16,11 @@ let run_main ?inputs src =
 
 let result_int src region idx =
   let o = run_main src in
-  Value.as_int (Asipfb_sim.Memory.load o.memory region idx)
+  Value.as_int (Asipfb_exec.Memory.load o.memory region idx)
 
 let result_float src region idx =
   let o = run_main src in
-  Value.as_float (Asipfb_sim.Memory.load o.memory region idx)
+  Value.as_float (Asipfb_exec.Memory.load o.memory region idx)
 
 let check_int msg expected src =
   Alcotest.(check int) msg expected (result_int src "out" 0)

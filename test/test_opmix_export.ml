@@ -45,7 +45,7 @@ let test_opmix_counts_match_profile () =
       0 entries
   in
   Alcotest.(check int) "all executed ops bucketed"
-    (Asipfb_sim.Profile.total a.profile)
+    (Asipfb_exec.Profile.total a.profile)
     total_counted
 
 let test_optimize_custom_flags () =
@@ -78,9 +78,9 @@ let test_optimize_custom_flags () =
     (fun (s : Schedule.t) ->
       let o = Interp.run s.prog in
       Alcotest.(check bool) "equivalent" true
-        (Asipfb_sim.Value.close
-           (Asipfb_sim.Memory.load reference.memory "x" 0)
-           (Asipfb_sim.Memory.load o.memory "x" 0)))
+        (Asipfb_exec.Value.close
+           (Asipfb_exec.Memory.load reference.memory "x" 0)
+           (Asipfb_exec.Memory.load o.memory "x" 0)))
     [ nothing; pipe_only; rename_only ]
 
 let test_export_csv () =

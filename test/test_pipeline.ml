@@ -23,9 +23,9 @@ let test_analyze_shape () =
   let a = Asipfb.Pipeline.analyze (Asipfb_bench_suite.Registry.find "sewha") in
   Alcotest.(check int) "three levels" 3 (List.length a.scheds);
   Alcotest.(check bool) "profile populated" true
-    (Asipfb_sim.Profile.total a.profile > 0);
+    (Asipfb_exec.Profile.total a.profile > 0);
   Alcotest.(check bool) "profile total = executed" true
-    (Asipfb_sim.Profile.total a.profile = a.outcome.instrs_executed);
+    (Asipfb_exec.Profile.total a.profile = a.outcome.instrs_executed);
   List.iter
     (fun level -> ignore (Asipfb.Pipeline.sched a level))
     Opt_level.all

@@ -60,7 +60,7 @@ let prop_vliw_scalar_matches_profile =
     Gen_minic.gen_program (fun src ->
       let p, profile = analyze_random src in
       let est = Asipfb_sched.Vliw.characterize ~widths:[ 1 ] p ~profile in
-      est.scalar_cycles = Asipfb_sim.Profile.total profile)
+      est.scalar_cycles = Asipfb_exec.Profile.total profile)
 
 let prop_codegen_random_equivalence =
   QCheck2.Test.make
@@ -75,8 +75,8 @@ let prop_codegen_random_equivalence =
       let reference = Gen_minic.observe p in
       let t_out = Asipfb_asip.Tsim.run tp in
       let got =
-        Array.to_list (Asipfb_sim.Memory.dump t_out.memory "out")
-        |> List.map Asipfb_sim.Value.to_string
+        Array.to_list (Asipfb_exec.Memory.dump t_out.memory "out")
+        |> List.map Asipfb_exec.Value.to_string
       in
       reference = got)
 

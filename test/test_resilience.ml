@@ -4,7 +4,7 @@
 
 module Benchmark = Asipfb_bench_suite.Benchmark
 module Registry = Asipfb_bench_suite.Registry
-module Fault = Asipfb_sim.Fault
+module Fault = Asipfb_exec.Fault
 module Diag = Asipfb_diag.Diag
 module Detect = Asipfb_chain.Detect
 module Coverage = Asipfb_chain.Coverage
@@ -30,7 +30,7 @@ let test_analyze_result_ok () =
   | Ok a ->
       Alcotest.(check int) "three levels" 3 (List.length a.scheds);
       Alcotest.(check bool) "profile populated" true
-        (Asipfb_sim.Profile.total a.profile > 0)
+        (Asipfb_exec.Profile.total a.profile > 0)
   | Error d -> Alcotest.fail (Diag.to_string d)
 
 let test_analyze_result_broken () =

@@ -260,13 +260,6 @@ let prop_diag_roundtrip =
   roundtrip "diag json round-trip" diag_gen Api.diag_to_json Api.diag_of_json
     ( = ) Diag.to_string
 
-(* The service reuses the established diagnostic schema: rendering the
-   service encoder's object must be byte-identical to Diag.to_json. *)
-let prop_diag_matches_diag_to_json =
-  QCheck.Test.make ~count:200 ~name:"diag_to_json matches Diag.to_json"
-    (QCheck.make ~print:Diag.to_string diag_gen)
-    (fun d -> Json.to_string (Api.diag_to_json d) = Diag.to_json d)
-
 let prop_detect_roundtrip =
   roundtrip "detect-report json round-trip" detect_report_gen
     Api.detect_report_to_json Api.detect_report_of_json ( = )
@@ -310,8 +303,8 @@ let prop_request_roundtrip =
        QCheck.Gen.(pair small_str request_gen))
     (fun (id, req) ->
       match Api.decode_request (Api.encode_request ~id req) with
-      | Ok (id', req') -> id' = id && req' = req
-      | Error d -> QCheck.Test.fail_reportf "decode failed: %s" d.message)
+      | id', Ok req' -> id' = id && req' = req
+      | _, Error d -> QCheck.Test.fail_reportf "decode failed: %s" d.message)
 
 let prop_response_roundtrip =
   QCheck.Test.make ~count:300 ~name:"response frame round-trip"
@@ -320,6 +313,282 @@ let prop_response_roundtrip =
       match Api.decode_response (Api.encode_response r) with
       | Ok r' -> r' = r
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
+
+(* --- decode totality --------------------------------------------------------- *)
+
+(* One object field of a frame: its parent object, its key, whether it is
+   an entry of a diagnostic's context map, and a rebuild of the whole
+   frame with the field deleted ([None]) or replaced. *)
+type site = {
+  parent : (string * Json.t) list;
+  key : string;
+  in_context : bool;
+  rebuild : Json.t option -> Json.t;
+}
+
+let rec sites ~in_context j =
+  let nested i rebuild_at v =
+    List.map
+      (fun s -> { s with rebuild = (fun r -> rebuild_at i (Some (s.rebuild r))) })
+      v
+  in
+  match j with
+  | Json.Obj kvs ->
+      let rebuild_at i repl =
+        Json.Obj
+          (List.concat
+             (List.mapi
+                (fun i' (k, v) ->
+                  if i' <> i then [ (k, v) ]
+                  else match repl with None -> [] | Some v' -> [ (k, v') ])
+                kvs))
+      in
+      List.concat
+        (List.mapi
+           (fun i (key, v) ->
+             { parent = kvs; key; in_context; rebuild = rebuild_at i }
+             :: nested i rebuild_at
+                  (sites ~in_context:(key = "context") v))
+           kvs)
+  | Json.List vs ->
+      let rebuild_at i repl =
+        Json.List
+          (List.mapi (fun i' v -> if i' = i then Option.get repl else v) vs)
+      in
+      List.concat
+        (List.mapi (fun i v -> nested i rebuild_at (sites ~in_context:false v)) vs)
+  | _ -> []
+
+(* Mutations a decoder may accept: the request id is read leniently, the
+   schema stamp is not checked, the engine's "schema" and a "name" beside
+   "classes" are derived (encode-only), context entries may go, and a
+   nullable field may be absent. *)
+let tolerated site ~deleted =
+  let op_is o = List.assoc_opt "op" site.parent = Some (Json.String o) in
+  if site.in_context then deleted
+  else
+    match site.key with
+    | "schema_version" -> true
+    | "schema" -> List.mem_assoc "base" site.parent
+    | "id" -> List.mem_assoc "op" site.parent
+    | "name" -> List.mem_assoc "classes" site.parent
+    | "min_freq" | "budget" | "file" | "context" -> deleted
+    | "benchmark" -> deleted && op_is "lint"
+    | "size" -> deleted && op_is "corpus-sample"
+    | "clock" -> deleted && op_is "timing"
+    | _ -> false
+
+let mutated_frame_gen =
+  let open QCheck.Gen in
+  let* request, frame =
+    oneof
+      [ map (fun (id, req) -> (true, Api.encode_request ~id req))
+          (pair small_str request_gen);
+        map (fun r -> (false, Api.encode_response r)) response_gen ]
+  in
+  let sites =
+    match Json.of_string frame with
+    | Ok j -> sites ~in_context:false j
+    | Error _ -> []
+  in
+  let+ site = oneofl sites and+ deleted = bool in
+  (request, frame, site, deleted)
+
+(* Deleting one field of a frame, or giving it a value of the wrong JSON
+   type, is answered with [Error] — never an exception — unless the
+   mutation is one the protocol tolerates; an [Error] caused by a
+   required field names that field. *)
+let prop_decode_total =
+  QCheck.Test.make ~count:500 ~name:"decode total on mutated frames"
+    (QCheck.make
+       ~print:(fun (_, frame, site, deleted) ->
+         Printf.sprintf "%s %S in %s" (if deleted then "delete" else "retype")
+           site.key frame)
+       mutated_frame_gen)
+    (fun (request, _, site, deleted) ->
+      let wrong =
+        match List.assoc site.key site.parent with
+        | Json.Bool _ -> Json.String "x"
+        | _ -> Json.Bool true
+      in
+      let line =
+        Json.to_string (site.rebuild (if deleted then None else Some wrong))
+      in
+      let result =
+        try
+          if request then
+            Result.map_error (fun (d : Diag.t) -> d.message)
+              (Result.map ignore (snd (Api.decode_request line)))
+          else Result.map ignore (Api.decode_response line)
+        with exn ->
+          QCheck.Test.fail_reportf "decoder raised %s on %s"
+            (Printexc.to_string exn) line
+      in
+      match result with
+      | Ok () ->
+          tolerated site ~deleted
+          || QCheck.Test.fail_reportf "accepted %s" line
+      | Error msg ->
+          let name = if site.in_context then "context" else site.key in
+          tolerated site ~deleted
+          || contains msg (Printf.sprintf "%S" name)
+          (* the envelope's api check answers "unsupported api version" *)
+          || (name = "api" && contains msg "api version")
+          || QCheck.Test.fail_reportf "error %S does not name %S" msg name)
+
+(* --- byte-layout goldens ----------------------------------------------------- *)
+
+(* The round-trip properties would still pass if two fields swapped
+   places; these pin the exact encoded bytes of one fixed value per wire
+   kind, one request frame per op, and both response shapes. *)
+
+let golden_diag =
+  Diag.make ~severity:Diag.Warning ~stage:Diag.Selection ~file:"fir.c"
+    ~pos:{ Diag.line = 12; col = 5 }
+    ~context:[ ("kind", "clock-violation"); ("chain", "multiply-add") ]
+    "chain \"multiply-add\" misses the clock"
+
+let golden_bare_diag = Diag.make ~stage:Diag.Verification "refinement failed"
+
+let golden_cache n =
+  { Cache.hits = n; disk_hits = n + 1; misses = n + 2; stores = n + 3;
+    corrupt = 0; io_errors = 1 }
+
+let golden_stats =
+  { Api.engine =
+      { Engine.base = golden_cache 10; sched = golden_cache 20;
+        verify = golden_cache 30;
+        supervise =
+          { Supervise.tasks = 48; attempts = 50; retries = 2; failures = 1;
+            timeouts = 0; quarantined = 0; degraded = 1 } };
+    service =
+      { Api.requests = 7; errors = 1; memo_hits = 3; coalesced = 2;
+        uptime_s = 12.5 } }
+
+let golden_timing =
+  { Timing.t_benchmark = "fir"; t_level = Opt_level.O1; t_uarch = "risc5";
+    t_clock = 2.0; t_baseline_cycles = 63391; t_asip_cycles = 50000;
+    t_estimated_speedup = 1.25; t_measured_cycles = 50001;
+    t_measured_speedup = 1.375; t_total_area = 3.5;
+    t_chains =
+      [ { Timing.cr_mnemonic = "mac"; cr_classes = [ "multiply"; "add" ];
+          cr_delay = 1.75; cr_slack = 0.25; cr_cycles = 1;
+          cr_latency_sum = 4 } ];
+    t_rejected = [ golden_diag ] }
+
+let golden_payloads =
+  [ ("detect-report",
+     Json.to_string
+       (Api.detect_report_to_json
+          { Detect.detections =
+              [ { Detect.classes = [ "multiply"; "add" ]; freq = 12.5;
+                  occurrences =
+                    [ { Detect.opids = [ (3, 0); (4, 1) ]; count = 2 } ] } ];
+            completeness = Detect.Budget_truncated }));
+    ("coverage",
+     Json.to_string
+       (Api.coverage_to_json
+          { Coverage.picks =
+              [ { Coverage.pick_classes = [ "fload"; "fmultiply" ];
+                  pick_freq = 0.375 } ];
+            coverage = 0.625; completeness = Detect.Exact }));
+    ("findings",
+     Json.to_string (Api.findings_to_json [ golden_diag; golden_bare_diag ]));
+    ("equiv-verdict",
+     Json.to_string
+       (Api.equiv_verdict_to_json
+          { Api.ev_benchmark = "iir"; ev_levels = 3;
+            ev_refinement_failures = 1; ev_counterexamples = 0;
+            ev_findings = [ golden_bare_diag ] }));
+    ("timing-report", Json.to_string (Api.timing_report_to_json golden_timing));
+    ("stats", Json.to_string (Api.stats_to_json golden_stats));
+    ("diagnostics",
+     Json.to_string (Api.diag_report_to_json [ golden_diag; golden_bare_diag ]));
+    ("corpus-summary",
+     Json.to_string
+       (Api.corpus_summary_to_json
+          { Asipfb_corpus.Corpus.seed = 1995; count = 4; size = 12 }
+          { Asipfb_corpus.Corpus.total = 4; ok = 3; crashed = 1; timeouts = 0;
+            quarantined = 0; dynamic_ops = 660; verify_findings = 2;
+            chains = [ ("multiply-add", 25.5); ("add-add", 4.0) ] }));
+    ("pong response",
+     Api.encode_response { Api.id = "p"; cache = Api.Uncached; body = Ok Api.Pong });
+    ("stopping response",
+     Api.encode_response
+       { Api.id = ""; cache = Api.Uncached; body = Ok Api.Stopping });
+    ("corpus-sample response",
+     Api.encode_response
+       { Api.id = "s"; cache = Api.Uncached;
+         body =
+           Ok
+             (Api.Sample
+                { seed = 7; index = 2; size = 9; name = "gen_7_2";
+                  source = "int main() {\n  return 0;\n}\n" }) });
+    ("error response",
+     Api.encode_response
+       { Api.id = "e"; cache = Api.Miss; body = Error golden_diag }) ]
+
+let golden_requests =
+  [ Api.Ping; Api.Stats; Api.Shutdown;
+    Api.Detect
+      { benchmark = "fir";
+        query =
+          { Pipeline.Query.level = Opt_level.O2; length = 3;
+            min_freq = Some 1.5; budget = None } };
+    Api.Coverage
+      { benchmark = "iir";
+        query =
+          { Pipeline.Query.level = Opt_level.O0; length = 2; min_freq = None;
+            budget = Some 5000 } };
+    Api.Verify { benchmark = "pse"; mode = `Tv };
+    Api.Lint { benchmark = None };
+    Api.Corpus_sample { seed = 3; index = 4; size = None };
+    Api.Timing
+      { benchmark = "dft"; level = Opt_level.O1; uarch = "risc5";
+        clock = Some 1.5 } ]
+
+let test_payload_goldens () =
+  List.iter2
+    (fun (name, actual) expected -> Alcotest.(check string) name expected actual)
+    golden_payloads
+    [
+      "{\"kind\":\"detect-report\",\"schema_version\":3,\"completeness\":\"budget-truncated\",\"detections\":[{\"name\":\"multiply-add\",\"classes\":[\"multiply\",\"add\"],\"freq\":12.5,\"occurrences\":[{\"opids\":[[3,0],[4,1]],\"count\":2}]}]}";
+      "{\"kind\":\"coverage\",\"schema_version\":3,\"completeness\":\"exact\",\"coverage\":0.625,\"picks\":[{\"name\":\"fload-fmultiply\",\"classes\":[\"fload\",\"fmultiply\"],\"freq\":0.375}]}";
+      "{\"kind\":\"findings\",\"schema_version\":3,\"findings\":[{\"severity\":\"warning\",\"stage\":\"selection\",\"file\":\"fir.c\",\"line\":12,\"col\":5,\"message\":\"chain \\\"multiply-add\\\" misses the clock\",\"context\":{\"kind\":\"clock-violation\",\"chain\":\"multiply-add\"}},{\"severity\":\"error\",\"stage\":\"verification\",\"message\":\"refinement failed\"}]}";
+      "{\"kind\":\"equiv-verdict\",\"schema_version\":3,\"benchmark\":\"iir\",\"levels\":3,\"refinement_failures\":1,\"counterexamples\":0,\"findings\":[{\"severity\":\"error\",\"stage\":\"verification\",\"message\":\"refinement failed\"}]}";
+      "{\"kind\":\"timing-report\",\"schema_version\":3,\"benchmark\":\"fir\",\"level\":1,\"uarch\":\"risc5\",\"clock\":2.0,\"baseline_cycles\":63391,\"asip_cycles\":50000,\"estimated_speedup\":1.25,\"measured_cycles\":50001,\"measured_speedup\":1.375,\"total_area\":3.5,\"chains\":[{\"mnemonic\":\"mac\",\"classes\":[\"multiply\",\"add\"],\"delay\":1.75,\"slack\":0.25,\"cycles\":1,\"latency_sum\":4}],\"rejected\":[{\"severity\":\"warning\",\"stage\":\"selection\",\"file\":\"fir.c\",\"line\":12,\"col\":5,\"message\":\"chain \\\"multiply-add\\\" misses the clock\",\"context\":{\"kind\":\"clock-violation\",\"chain\":\"multiply-add\"}}]}";
+      "{\"kind\":\"stats\",\"schema_version\":3,\"engine\":{\"schema\":\"" ^ Engine.schema_revision ^ "\",\"base\":{\"hits\":10,\"disk_hits\":11,\"misses\":12,\"stores\":13,\"corrupt\":0,\"io_errors\":1},\"sched\":{\"hits\":20,\"disk_hits\":21,\"misses\":22,\"stores\":23,\"corrupt\":0,\"io_errors\":1},\"verify\":{\"hits\":30,\"disk_hits\":31,\"misses\":32,\"stores\":33,\"corrupt\":0,\"io_errors\":1},\"supervise\":{\"tasks\":48,\"attempts\":50,\"retries\":2,\"failures\":1,\"timeouts\":0,\"quarantined\":0,\"degraded\":1}},\"service\":{\"requests\":7,\"errors\":1,\"memo_hits\":3,\"coalesced\":2,\"uptime_s\":12.5}}";
+      "{\"kind\":\"diagnostics\",\"schema_version\":3,\"diagnostics\":[{\"severity\":\"warning\",\"stage\":\"selection\",\"file\":\"fir.c\",\"line\":12,\"col\":5,\"message\":\"chain \\\"multiply-add\\\" misses the clock\",\"context\":{\"kind\":\"clock-violation\",\"chain\":\"multiply-add\"}},{\"severity\":\"error\",\"stage\":\"verification\",\"message\":\"refinement failed\"}]}";
+      "{\"kind\":\"corpus-summary\",\"schema_version\":3,\"seed\":1995,\"count\":4,\"size\":12,\"total\":4,\"ok\":3,\"crashed\":1,\"timeouts\":0,\"quarantined\":0,\"dynamic_ops\":660,\"verify_findings\":2,\"chains\":[{\"name\":\"multiply-add\",\"share\":25.5},{\"name\":\"add-add\",\"share\":4.0}]}";
+      "{\"api\":1,\"id\":\"p\",\"ok\":true,\"cache\":\"none\",\"result\":{\"kind\":\"pong\",\"schema_version\":3}}";
+      "{\"api\":1,\"id\":\"\",\"ok\":true,\"cache\":\"none\",\"result\":{\"kind\":\"stopping\",\"schema_version\":3}}";
+      "{\"api\":1,\"id\":\"s\",\"ok\":true,\"cache\":\"none\",\"result\":{\"kind\":\"corpus-sample\",\"schema_version\":3,\"seed\":7,\"index\":2,\"size\":9,\"name\":\"gen_7_2\",\"source\":\"int main() {\\n  return 0;\\n}\\n\"}}";
+      "{\"api\":1,\"id\":\"e\",\"ok\":false,\"cache\":\"miss\",\"error\":{\"severity\":\"warning\",\"stage\":\"selection\",\"file\":\"fir.c\",\"line\":12,\"col\":5,\"message\":\"chain \\\"multiply-add\\\" misses the clock\",\"context\":{\"kind\":\"clock-violation\",\"chain\":\"multiply-add\"}}}"
+    ]
+
+let test_request_goldens () =
+  List.iteri
+    (fun i (req, expected) ->
+      let id = Printf.sprintf "r%d" i in
+      Alcotest.(check string) (Api.request_op req) expected
+        (Api.encode_request ~id req);
+      match Api.decode_request expected with
+      | id', Ok req' ->
+          Alcotest.(check bool) (Api.request_op req ^ " decodes") true
+            (id' = id && req' = req)
+      | _, Error d -> Alcotest.failf "golden frame rejected: %s" d.message)
+    (List.combine golden_requests
+       [
+         "{\"api\":1,\"id\":\"r0\",\"op\":\"ping\"}";
+         "{\"api\":1,\"id\":\"r1\",\"op\":\"stats\"}";
+         "{\"api\":1,\"id\":\"r2\",\"op\":\"shutdown\"}";
+         "{\"api\":1,\"id\":\"r3\",\"op\":\"detect\",\"benchmark\":\"fir\",\"query\":{\"level\":2,\"length\":3,\"min_freq\":1.5,\"budget\":null}}";
+         "{\"api\":1,\"id\":\"r4\",\"op\":\"coverage\",\"benchmark\":\"iir\",\"query\":{\"level\":0,\"length\":2,\"min_freq\":null,\"budget\":5000}}";
+         "{\"api\":1,\"id\":\"r5\",\"op\":\"verify\",\"benchmark\":\"pse\",\"mode\":\"tv\"}";
+         "{\"api\":1,\"id\":\"r6\",\"op\":\"lint\",\"benchmark\":null}";
+         "{\"api\":1,\"id\":\"r7\",\"op\":\"corpus-sample\",\"seed\":3,\"index\":4,\"size\":null}";
+         "{\"api\":1,\"id\":\"r8\",\"op\":\"timing\",\"benchmark\":\"dft\",\"level\":1,\"uarch\":\"risc5\",\"clock\":1.5}"
+       ])
 
 (* Any JSON value survives print -> parse -> print (canonical form is a
    fixed point), and the parser is total on arbitrary line noise. *)
@@ -446,8 +715,13 @@ let test_malformed_frames () =
     response_of server
       "{\"api\":1,\"id\":\"req-7\",\"op\":\"verify\",\"benchmark\":\"fir\",\"mode\":\"nope\"}"
   in
-  Alcotest.(check string) "id echo lost on invalid body is empty" "" r.id;
-  Alcotest.(check string) "invalid mode" "protocol-error" (error_kind r)
+  Alcotest.(check string) "id echoes on invalid body" "req-7" r.id;
+  Alcotest.(check string) "invalid mode" "protocol-error" (error_kind r);
+  match r.body with
+  | Error d ->
+      Alcotest.(check bool) "mode error lists the accepted names" true
+        (contains d.message "(expected ir, full, or tv)")
+  | Ok _ -> Alcotest.fail "expected an error"
 
 (* Frames from a schema-v1 peer still decode: a v1 result object can
    only carry v1 kinds, and the decoders key on "kind", never on the
@@ -693,7 +967,6 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_query_roundtrip;
         QCheck_alcotest.to_alcotest prop_diag_roundtrip;
-        QCheck_alcotest.to_alcotest prop_diag_matches_diag_to_json;
         QCheck_alcotest.to_alcotest prop_detect_roundtrip;
         QCheck_alcotest.to_alcotest prop_coverage_roundtrip;
         QCheck_alcotest.to_alcotest prop_findings_roundtrip;
@@ -703,6 +976,9 @@ let suite =
         QCheck_alcotest.to_alcotest prop_stats_roundtrip;
         QCheck_alcotest.to_alcotest prop_request_roundtrip;
         QCheck_alcotest.to_alcotest prop_response_roundtrip;
+        QCheck_alcotest.to_alcotest prop_decode_total;
+        Alcotest.test_case "payload byte goldens" `Quick test_payload_goldens;
+        Alcotest.test_case "request byte goldens" `Quick test_request_goldens;
         QCheck_alcotest.to_alcotest prop_json_print_parse_fixpoint;
         QCheck_alcotest.to_alcotest prop_json_parser_total;
         Alcotest.test_case "json parser errors" `Quick test_json_parser_errors;

@@ -1,9 +1,9 @@
 (* Simulator tests: value model, memory, operator semantics, profiles. *)
 
 module Types = Asipfb_ir.Types
-module Value = Asipfb_sim.Value
-module Memory = Asipfb_sim.Memory
-module Profile = Asipfb_sim.Profile
+module Value = Asipfb_exec.Value
+module Memory = Asipfb_exec.Memory
+module Profile = Asipfb_exec.Profile
 module Interp = Asipfb_sim.Interp
 module Lower = Asipfb_frontend.Lower
 
@@ -144,7 +144,7 @@ let test_call_stack_depth () =
   in
   let o = Interp.run (Lower.compile src ~entry:"main") in
   Alcotest.(check int) "nested call result" 15
-    (Value.as_int (Asipfb_sim.Memory.load o.memory "out" 0))
+    (Value.as_int (Asipfb_exec.Memory.load o.memory "out" 0))
 
 let test_uninitialized_register () =
   (* Reading a declared-but-unassigned scalar is a runtime error, not

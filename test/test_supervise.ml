@@ -400,8 +400,8 @@ let chaos_policy =
 
 let analyses_equal (a : Pipeline.analysis) (b : Pipeline.analysis) =
   a.prog = b.prog
-  && Asipfb_sim.Profile.to_alist a.profile
-     = Asipfb_sim.Profile.to_alist b.profile
+  && Asipfb_exec.Profile.to_alist a.profile
+     = Asipfb_exec.Profile.to_alist b.profile
   && a.scheds = b.scheds
   && Asipfb_sim.Fallback.outcomes_agree a.outcome b.outcome
 

@@ -42,9 +42,9 @@ let test_rename_validates_and_preserves () =
   let p' = Rename.run p in
   let a = Interp.run p and b = Interp.run p' in
   Alcotest.(check bool) "same x[0]" true
-    (Asipfb_sim.Value.close
-       (Asipfb_sim.Memory.load a.memory "x" 0)
-       (Asipfb_sim.Memory.load b.memory "x" 0))
+    (Asipfb_exec.Value.close
+       (Asipfb_exec.Memory.load a.memory "x" 0)
+       (Asipfb_exec.Memory.load b.memory "x" 0))
 
 let test_rename_introduces_restore_movs () =
   let p = compile mac_loop in
@@ -79,9 +79,9 @@ let test_rename_removes_anti_dependence () =
   let p = compile src in
   let o = Interp.run (Rename.run p) in
   Alcotest.(check int) "x kept old a" 1
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o.memory "out" 0));
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o.memory "out" 0));
   Alcotest.(check int) "a updated" 2
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o.memory "out" 1))
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o.memory "out" 1))
 
 let prop_rename_preserves_semantics =
   QCheck2.Test.make ~name:"renaming preserves observable behaviour" ~count:60
@@ -200,8 +200,8 @@ let test_store_moves_on_unconditional_edge () =
   let p' = Percolate.run p in
   let o = Interp.run p and o' = Interp.run p' in
   Alcotest.(check int) "same result"
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o.memory "out" 0))
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o'.memory "out" 0))
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o.memory "out" 0))
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o'.memory "out" 0))
 
 let test_store_order_preserved () =
   (* Two stores to the same cell must never reorder. *)
@@ -211,7 +211,7 @@ let test_store_order_preserved () =
   let p = compile src in
   let o = Interp.run (Percolate.run p) in
   Alcotest.(check int) "last store wins" 7
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o.memory "out" 0))
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o.memory "out" 0))
 
 let prop_percolate_preserves_semantics =
   QCheck2.Test.make ~name:"percolation preserves observable behaviour"
@@ -282,15 +282,15 @@ let test_benchmark_equivalence () =
           let o = Interp.run s.prog ~inputs in
           List.iter
             (fun region ->
-              let a = Asipfb_sim.Memory.dump reference.memory region in
-              let b = Asipfb_sim.Memory.dump o.memory region in
+              let a = Asipfb_exec.Memory.dump reference.memory region in
+              let b = Asipfb_exec.Memory.dump o.memory region in
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s/%s equivalent" bench.name
                    (Opt_level.to_string level) region)
                 true
                 (Array.length a = Array.length b
                 && Array.for_all2
-                     (fun x y -> Asipfb_sim.Value.close x y)
+                     (fun x y -> Asipfb_exec.Value.close x y)
                      a b))
             bench.output_regions)
         Opt_level.all)

@@ -20,8 +20,8 @@ let test_unroll_preserves_semantics () =
   let p' = Unroll.loop_once p in
   let o = Interp.run p and o' = Interp.run p' in
   Alcotest.(check int) "same sum"
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o.memory "out" 0))
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o'.memory "out" 0));
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o.memory "out" 0))
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o'.memory "out" 0));
   Alcotest.(check bool) "code grew" true
     (Prog.total_instrs p' > Prog.total_instrs p);
   Alcotest.(check bool) "fewer dynamic branches" true
@@ -33,7 +33,7 @@ let test_odd_trip_count () =
   let p' = Unroll.loop_once (compile loop_src) in
   let o' = Interp.run p' in
   Alcotest.(check int) "odd trip handled" 72
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o'.memory "out" 0))
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o'.memory "out" 0))
 
 let test_zero_trip_count () =
   let src =
@@ -41,7 +41,7 @@ let test_zero_trip_count () =
   in
   let o' = Interp.run (Unroll.loop_once (compile src)) in
   Alcotest.(check int) "never entered" 5
-    (Asipfb_sim.Value.as_int (Asipfb_sim.Memory.load o'.memory "out" 0))
+    (Asipfb_exec.Value.as_int (Asipfb_exec.Memory.load o'.memory "out" 0))
 
 let test_unrolled_loop_still_a_kernel () =
   let p' = Unroll.loop_once (compile loop_src) in
@@ -75,9 +75,9 @@ let test_suite_equivalence_under_unrolling () =
           Alcotest.(check bool)
             (b.name ^ "/" ^ region)
             true
-            (Array.for_all2 Asipfb_sim.Value.close
-               (Asipfb_sim.Memory.dump o.memory region)
-               (Asipfb_sim.Memory.dump o'.memory region)))
+            (Array.for_all2 Asipfb_exec.Value.close
+               (Asipfb_exec.Memory.dump o.memory region)
+               (Asipfb_exec.Memory.dump o'.memory region)))
         b.output_regions)
     Asipfb_bench_suite.Registry.all
 
