@@ -267,6 +267,43 @@ let test_core_crash_falls_back_to_ref_interp () =
         (List.assoc_opt "kind" d.Diag.context)
   | l -> Alcotest.fail (Printf.sprintf "expected 1 diag, got %d" (List.length l)))
 
+(* A fault stream cannot be replayed, so the degraded run draws from a
+   fresh, identically seeded injector: it must reproduce the core's faulted
+   run exactly, corruptions included. *)
+let test_core_crash_fallback_replays_faults () =
+  let b = fir () in
+  let prog = Benchmark.compile b in
+  let inputs = b.inputs () in
+  let config =
+    { Asipfb_exec.Fault.seed = 12; reg_corrupt_rate = 0.001;
+      mem_fault_rate = 0.001; fuel_cap = None }
+  in
+  let core_faults = Asipfb_exec.Fault.create config in
+  let expected = Asipfb_sim.Interp.run prog ~inputs ~faults:core_faults in
+  let fresh = ref [] in
+  let fresh_faults () =
+    let f = Asipfb_exec.Fault.create config in
+    fresh := f :: !fresh;
+    f
+  in
+  let out, _ =
+    Asipfb_sim.Fallback.run prog ~inputs
+      ~faults:(Asipfb_exec.Fault.create config) ~fresh_faults
+      ~inject_core_crash:true ~benchmark:b.name
+  in
+  Alcotest.(check bool) "faulted reference result agrees with the core" true
+    (Asipfb_sim.Fallback.outcomes_agree expected out);
+  match !fresh with
+  | [ f ] ->
+      Alcotest.(check bool) "faults were injected" true
+        (Asipfb_exec.Fault.injected_total core_faults > 0);
+      Alcotest.(check int) "same number of injected faults"
+        (Asipfb_exec.Fault.injected_total core_faults)
+        (Asipfb_exec.Fault.injected_total f)
+  | l ->
+      Alcotest.fail
+        (Printf.sprintf "expected 1 fresh injector, got %d" (List.length l))
+
 let test_cross_check_clean_run_is_silent () =
   let b = fir () in
   let prog = Benchmark.compile b in
@@ -472,6 +509,8 @@ let suite =
           test_wedged_task_killed_and_classified_timeout;
         Alcotest.test_case "core crash falls back to oracle" `Quick
           test_core_crash_falls_back_to_ref_interp;
+        Alcotest.test_case "core crash fallback replays faults" `Quick
+          test_core_crash_fallback_replays_faults;
         Alcotest.test_case "cross-check clean run silent" `Quick
           test_cross_check_clean_run_is_silent;
         Alcotest.test_case "cache heals flipped byte" `Quick
