@@ -130,8 +130,10 @@ let run_with ?verify engine =
    compiled once up front, then executed start-to-finish with its seeded
    inputs; instrs/s is total executed operations over wall time.
    Measured both for the pre-compiled execution core (Interp) and for the
-   retained pre-refactor tree-walker (Ref_interp) — the ratio is the
-   unified-core refactor's speedup, asserted >= 2x by CI's bench smoke. *)
+   reference semantics (Verify.Semantics, run under Interp's contract by
+   Fallback.reference, as the degradation ladder runs it) — the ratio is
+   the core's speedup over the reference, asserted >= 2x by CI's bench
+   smoke. *)
 let sim_throughput () =
   let module Benchmark = Asipfb_bench_suite.Benchmark in
   let bs =
@@ -154,7 +156,7 @@ let sim_throughput () =
   in
   let core = measure (fun ~inputs p -> Asipfb_sim.Interp.run ~inputs p) in
   let reference =
-    measure (fun ~inputs p -> Asipfb_sim.Ref_interp.run ~inputs p)
+    measure (fun ~inputs p -> Asipfb_engine.Fallback.reference ~inputs p)
   in
   (core, reference, core /. Float.max 1e-9 reference)
 

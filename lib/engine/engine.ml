@@ -140,8 +140,8 @@ let compute_base t ?faults ?(ctx : Supervise.ctx option) (b : Benchmark.t) =
   let watchdog = Option.bind ctx (fun c -> c.Supervise.watchdog) in
   let attempt = match ctx with Some c -> c.Supervise.attempt | None -> 1 in
   (* The chaos "exec-core" seam: a simulated core crash exercises the
-     Ref_interp degradation ladder; keyed per attempt so a retry can
-     succeed. *)
+     degradation ladder onto the reference semantics; keyed per attempt so
+     a retry can succeed. *)
   let inject_core_crash =
     match Supervise.chaos t.sup with
     | Some c ->
@@ -151,7 +151,7 @@ let compute_base t ?faults ?(ctx : Supervise.ctx option) (b : Benchmark.t) =
   let cross_check = (Supervise.policy t.sup).Supervise.Policy.cross_check in
   let outcome, degrade_diags =
     Metrics.timed Metrics.global "sim" (fun () ->
-        Asipfb_sim.Fallback.run prog ~inputs:(b.inputs ()) ?faults:injector
+        Fallback.run prog ~inputs:(b.inputs ()) ?faults:injector
           ?fresh_faults:(Option.map (fun c () -> derive_faults c b) faults)
           ?watchdog ~inject_core_crash ~cross_check ~benchmark:b.name)
   in

@@ -1,11 +1,13 @@
 (* Degradation ladder for simulation: an execution-core failure that is
    not a semantic outcome of the simulated program (not a trap, fuel
-   exhaustion, or watchdog abort) falls back to the retained reference
-   tree-walker, which is slow but independently implemented. *)
+   exhaustion, or watchdog abort) falls back to the reference semantics,
+   which is slow but shares no code with the core. *)
 
 module Diag = Asipfb_diag.Diag
 module Memory = Asipfb_exec.Memory
 module Profile = Asipfb_exec.Profile
+module Interp = Asipfb_sim.Interp
+module Semantics = Asipfb_verify.Semantics
 
 (* Structural hashtables underlie Profile.t and Memory.t, so agreement is
    checked on their canonical projections (sorted alist, per-region dump),
@@ -26,21 +28,34 @@ let outcomes_agree (a : Interp.outcome) (b : Interp.outcome) =
          = 0)
        ra
 
+let reference ?fuel ?inputs ?faults p : Interp.outcome =
+  let o = Semantics.run ?fuel ?inputs ?faults p in
+  match o.result with
+  | Semantics.Returned return_value ->
+      { return_value; profile = o.profile; memory = o.memory;
+        instrs_executed = o.instrs_executed }
+  | Semantics.Trapped m -> raise (Interp.Runtime_error m)
+  | Semantics.Out_of_fuel ->
+      (* Fuel runs out exactly when the count reaches the (clamped) fuel. *)
+      raise
+        (Interp.Fuel_exhausted
+           { instrs_executed = o.instrs_executed; fuel = o.instrs_executed })
+
 let degraded_diag ~benchmark ~reason =
   Diag.make ~severity:Diag.Warning ~stage:Diag.Simulation
     ~context:
       [ ("phase", "exec-core"); ("kind", "degraded");
-        ("fallback", "ref-interp"); ("benchmark", benchmark) ]
+        ("fallback", "semantics"); ("benchmark", benchmark) ]
     (Printf.sprintf
        "execution core failed non-semantically (%s); result recomputed on \
-        the reference interpreter" reason)
+        the reference semantics" reason)
 
 let mismatch_diag ~benchmark =
   Diag.make ~severity:Diag.Error ~stage:Diag.Simulation
     ~context:
       [ ("phase", "exec-core"); ("kind", "mismatch");
-        ("fallback", "ref-interp"); ("benchmark", benchmark) ]
-    "execution core disagrees with the reference interpreter; reference \
+        ("fallback", "semantics"); ("benchmark", benchmark) ]
+    "execution core disagrees with the reference semantics; reference \
      result used"
 
 let run ?fuel ?inputs ?faults ?fresh_faults ?watchdog
@@ -52,9 +67,7 @@ let run ?fuel ?inputs ?faults ?fresh_faults ?watchdog
   let fallback_faults () =
     match fresh_faults with Some f -> Some (f ()) | None -> faults
   in
-  let run_reference () =
-    Ref_interp.run ?fuel ?inputs ?faults:(fallback_faults ()) p
-  in
+  let run_reference () = reference ?fuel ?inputs ?faults:(fallback_faults ()) p in
   let primary =
     try
       if inject_core_crash then

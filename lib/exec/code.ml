@@ -126,7 +126,7 @@ let compile ~(funcs : src_func list) ~(regions : Prog.region list) ~entry : t =
     (* Unresolvable references compile to trapping ops rather than
        compile-time errors: the pre-compiled program fails exactly when
        (and only when) the broken instruction executes, like the
-       tree-walking interpreters did. *)
+       reference semantics (Verify.Semantics). *)
     let comp_kind (i : Instr.t) : okind =
       match Instr.kind i with
       | Instr.Binop (op, d, a, b) ->

@@ -18,8 +18,8 @@
 
     Unresolvable references (unknown label / function / region) compile to
     trapping ops so a broken program fails exactly when the bad
-    instruction executes, preserving the lazy-failure semantics of the
-    tree-walking interpreters this replaces.
+    instruction executes, preserving the lazy failure of the reference
+    semantics ([Asipfb_verify.Semantics]).
 
     The same form expresses target programs: a {!slot} is either a single
     op (one cycle) or a [Fused] group — a chained instruction whose

@@ -6,12 +6,13 @@
     cycle; the total dynamic count is the baseline cycle count the ASIP
     speedup model compares against.
 
-    Since the unified-core refactor this module is a thin front end over
-    the pre-compiled execution core ([Asipfb_exec]): the program is
-    compiled once to a dense register-renumbered form and interpreted with
-    flat arrays.  Results are identical to the retained reference
-    tree-walker ({!Ref_interp}) — checked by differential tests — at
-    several times the throughput. *)
+    This module is a thin front end over the pre-compiled execution core
+    ([Asipfb_exec]): the program is compiled once to a dense
+    register-renumbered form and interpreted with flat arrays.  Results —
+    profile, instruction count, trap messages and fault stream included —
+    are identical to the reference semantics ([Asipfb_verify.Semantics]),
+    which shares no code with the core; differential tests check this,
+    and the core runs several times faster. *)
 
 exception Runtime_error of string
 (** Division by zero, out-of-bounds access, shift out of range, or an

@@ -41,7 +41,8 @@ val task_crash : t -> key:string -> bool
 
 val core_crash : t -> key:string -> bool
 (** Whether to simulate an execution-core crash for this task — the
-    seam that exercises the [Ref_interp] degradation ladder. *)
+    seam that exercises the degradation ladder onto the reference
+    semantics ([Asipfb_engine.Fallback]). *)
 
 val task_delay : t -> key:string -> float option
 (** An artificial sub-5ms delay to sleep before the task body, or

@@ -742,14 +742,14 @@ let result_to_string = function
   | Semantics.Trapped m -> "trapped: " ^ m
   | Semantics.Out_of_fuel -> "ran out of fuel"
 
-(* Independent confirmation: replay both programs on the reference
-   tree-walking interpreter and compare return value and final memory.
-   Divergence of the original itself (trap) means the input is outside
-   the refinement contract — not a confirmation. *)
+(* Independent confirmation: replay both programs on the execution core,
+   which shares no code with Semantics, and compare return value and
+   final memory.  Divergence of the original itself (trap) means the
+   input is outside the refinement contract — not a confirmation. *)
 let ref_confirms ~original ~transformed inputs =
   let module Interp = Asipfb_sim.Interp in
   let run p =
-    match Asipfb_sim.Ref_interp.run ~fuel:8_000_000 ~inputs p with
+    match Interp.run ~fuel:8_000_000 ~inputs p with
     | (o : Interp.outcome) -> Ok (o.return_value, dump_memory o.memory)
     | exception Interp.Runtime_error _ -> Error ()
     | exception Interp.Fuel_exhausted _ -> Error ()

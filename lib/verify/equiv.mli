@@ -19,8 +19,8 @@
     checker is conservative: [Refines] is a proof, a failure is only a
     *suspicion* — which is why every failure is accompanied, when one can
     be found, by a concrete counterexample replayed on {!Semantics} and
-    confirmed against {!Asipfb_sim.Ref_interp} as an independent
-    oracle. *)
+    confirmed on the execution core ({!Asipfb_sim.Interp}), which shares
+    no code with {!Semantics}, as an independent oracle. *)
 
 (** {1 Verdicts} *)
 
@@ -43,8 +43,8 @@ type counterexample = {
   cx_original_trace : string list;  (** Rendered, possibly truncated. *)
   cx_transformed_trace : string list;
   cx_ref_confirmed : bool;
-      (** [Ref_interp] replay on these inputs also observes the
-          divergence. *)
+      (** A replay on the execution core ({!Asipfb_sim.Interp}) on
+          these inputs also observes the divergence. *)
 }
 
 type verdict =
@@ -63,8 +63,8 @@ val check :
 (** [check ~original ~transformed ()] discharges the refinement
     obligations for every function of [original].  On failure it searches
     [attempts] (default 8) deterministic input valuations (see
-    {!sample_inputs}) for a concrete divergence, preferring one
-    {!Asipfb_sim.Ref_interp} confirms. *)
+    {!sample_inputs}) for a concrete divergence, preferring one the
+    execution core confirms. *)
 
 val check_func :
   original:Asipfb_ir.Func.t ->

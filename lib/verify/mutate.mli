@@ -4,8 +4,8 @@
     Each {!kind} injects one small, realistic miscompile of the classes a
     buggy scheduler could silently produce; the QCheck mutation suite
     feeds the result to {!Equiv.check} and demands a rejection with a
-    {!Asipfb_sim.Ref_interp}-confirmed counterexample whenever the
-    corruption is observable. *)
+    counterexample the execution core confirms whenever the corruption
+    is observable on the reference {!Semantics}. *)
 
 type kind =
   | Swap_deps

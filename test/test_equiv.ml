@@ -1,5 +1,5 @@
-(* Translation validation: semantics vs the reference interpreter, clean
-   schedules proving Refines, and the seeded-mutation adversary. *)
+(* Translation validation: the reference semantics vs the execution core,
+   clean schedules proving Refines, and the seeded-mutation adversary. *)
 
 module Registry = Asipfb_bench_suite.Registry
 module Benchmark = Asipfb_bench_suite.Benchmark
@@ -9,7 +9,6 @@ module Semantics = Asipfb_verify.Semantics
 module Equiv = Asipfb_verify.Equiv
 module Mutate = Asipfb_verify.Mutate
 module Interp = Asipfb_sim.Interp
-module Ref_interp = Asipfb_sim.Ref_interp
 module Value = Asipfb_exec.Value
 module Memory = Asipfb_exec.Memory
 
@@ -26,10 +25,10 @@ let dumps_equal a b =
          && Array.for_all2 Value.equal da db)
        a b
 
-(* The small-step semantics must agree with the reference tree-walker on
-   every benchmark: same return value, same final memory, and one trace
-   Return event per executed Ret. *)
-let test_semantics_matches_ref () =
+(* The small-step semantics must agree with the execution core on every
+   benchmark: same return value, same final memory, and a trace that ends
+   with the entry function's Return. *)
+let test_semantics_matches_core () =
   List.iter
     (fun (b : Benchmark.t) ->
       let prog = Benchmark.compile b in
@@ -37,8 +36,8 @@ let test_semantics_matches_ref () =
         List.map (fun (r, a) -> (r, Array.copy a)) (b.inputs ())
       in
       let sem = Semantics.run ~inputs prog in
-      let ref_ =
-        Ref_interp.run
+      let core =
+        Interp.run
           ~inputs:(List.map (fun (r, a) -> (r, Array.copy a)) (b.inputs ()))
           prog
       in
@@ -47,13 +46,13 @@ let test_semantics_matches_ref () =
           Alcotest.(check bool)
             (b.name ^ ": return value agrees")
             true
-            (Option.equal Value.equal v ref_.Interp.return_value)
+            (Option.equal Value.equal v core.Interp.return_value)
       | Semantics.Trapped m -> Alcotest.failf "%s trapped: %s" b.name m
       | Semantics.Out_of_fuel -> Alcotest.failf "%s ran out of fuel" b.name);
       Alcotest.(check bool)
         (b.name ^ ": final memory agrees")
         true
-        (dumps_equal (dump sem.memory) (dump ref_.Interp.memory));
+        (dumps_equal (dump sem.memory) (dump core.Interp.memory));
       let returns =
         List.filter
           (function Semantics.Return _ -> true | _ -> false)
@@ -101,10 +100,12 @@ let test_clean_suite_refines () =
         levels)
     Registry.all
 
-(* Behavioral-difference oracle shared with the checker: replay both
-   programs on Ref_interp over the checker's own deterministic sample
-   inputs.  [Some true] = a divergence is observable, [Some false] = all
-   samples agree, with the original completing on at least one. *)
+(* Behavioral-difference oracle: replay both programs on the reference
+   semantics over the checker's own deterministic sample inputs.  The
+   checker confirms its counterexamples on the execution core, so the two
+   sides of this test share no interpreter.  [Some true] = a divergence
+   is observable, [Some false] = all samples agree, with the original
+   completing on at least one. *)
 let behavioral_diff ~original ~transformed =
   let attempts = List.init 8 Fun.id in
   let observed = ref false in
@@ -113,10 +114,9 @@ let behavioral_diff ~original ~transformed =
       (fun attempt ->
         let inputs = Equiv.sample_inputs original ~attempt in
         let run p =
-          match Ref_interp.run ~fuel:2_000_000 ~inputs p with
-          | o -> Ok (o.Interp.return_value, dump o.Interp.memory)
-          | exception Interp.Runtime_error _ -> Error ()
-          | exception Interp.Fuel_exhausted _ -> Error ()
+          match Semantics.run ~fuel:2_000_000 ~inputs p with
+          | { result = Returned v; memory; _ } -> Ok (v, dump memory)
+          | { result = Trapped _ | Out_of_fuel; _ } -> Error ()
         in
         match run original with
         | Error () -> false
@@ -133,8 +133,8 @@ let behavioral_diff ~original ~transformed =
 
 (* The QCheck adversary: corrupt a scheduled program and demand that
    (a) whenever the corruption is behaviorally observable on the sample
-   inputs, the checker rejects with a Ref_interp-confirmed
-   counterexample, and (b) whenever the checker proves Refines, no
+   inputs, the checker rejects with a counterexample the execution core
+   confirms, and (b) whenever the checker proves Refines, no
    sample input observes a difference (soundness). *)
 let mutation_gen =
   QCheck.Gen.(
@@ -170,7 +170,7 @@ let mutation_prop (bench_i, level_i, kind_i, seed) =
           | Equiv.Fails { counterexample = Some cx; _ } ->
               cx.Equiv.cx_ref_confirmed
               || QCheck.Test.fail_reportf
-                   "%s %s %s seed=%d: counterexample not Ref_interp-confirmed \
+                   "%s %s %s seed=%d: counterexample not confirmed by the core \
                     (%s)"
                    b.name (Opt_level.to_string level)
                    (Mutate.kind_to_string kind) seed cx.Equiv.cx_divergence)
@@ -189,7 +189,7 @@ let mutation_test =
 
 (* One pinned corruption end-to-end: fir's O2 schedule with a constant
    edit must be rejected with a counterexample whose inputs replay to a
-   real divergence on the reference interpreter. *)
+   real divergence on the reference semantics. *)
 let test_pinned_counterexample () =
   let b = List.find (fun (b : Benchmark.t) -> b.name = "fir") Registry.all in
   let original = Benchmark.compile b in
@@ -215,9 +215,10 @@ let test_pinned_counterexample () =
           Alcotest.(check bool) "ref-confirmed" true cx.Equiv.cx_ref_confirmed;
           let inputs = Equiv.sample_inputs original ~attempt:cx.Equiv.cx_attempt in
           let run p =
-            match Ref_interp.run ~inputs p with
-            | o -> Ok (o.Interp.return_value, dump o.Interp.memory)
-            | exception Interp.Runtime_error m -> Error m
+            match Semantics.run ~inputs p with
+            | { result = Returned v; memory; _ } -> Ok (v, dump memory)
+            | { result = Trapped m; _ } -> Error m
+            | { result = Out_of_fuel; _ } -> Error "ran out of fuel"
           in
           let diverges =
             match (run original, run corrupted) with
@@ -258,8 +259,8 @@ let suite =
   [
     ( "equiv",
       [
-        Alcotest.test_case "semantics agrees with Ref_interp" `Quick
-          test_semantics_matches_ref;
+        Alcotest.test_case "semantics agrees with Interp" `Quick
+          test_semantics_matches_core;
         Alcotest.test_case "semantics traps structurally" `Quick
           test_semantics_traps;
         Alcotest.test_case "clean 12x3 suite refines" `Quick

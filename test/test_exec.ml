@@ -1,17 +1,18 @@
-(* Differential tests for the unified execution core.
+(* Differential tests for the execution core against the reference
+   semantics.
 
-   Interp now executes through the pre-compiled core (Asipfb_exec);
-   Ref_interp is the retained pre-refactor tree-walker.  These tests pin
-   the refactor's contract: both are observationally identical — return
-   value, final memory, profile, instruction count, and (under equal
-   seeds) the fault-injection stream — on the whole benchmark suite at
-   every opt level and on random programs.  Tsim rides the same core, so
-   its cycle counts are checked against Interp's dynamic count on
-   chain-free target programs. *)
+   Interp executes through the pre-compiled core (Asipfb_exec);
+   Verify.Semantics is the one reference TAC semantics, sharing no code
+   with it.  These tests pin the contract: both are observationally
+   identical — return value, final memory, profile, instruction count,
+   trap messages, and (under equal seeds) the fault-injection stream — on
+   the whole benchmark suite at every opt level and on random programs.
+   Tsim rides the same core, so its cycle counts are checked against
+   Interp's dynamic count on chain-free target programs. *)
 
 module Lower = Asipfb_frontend.Lower
 module Interp = Asipfb_sim.Interp
-module Ref_interp = Asipfb_sim.Ref_interp
+module Fallback = Asipfb_engine.Fallback
 module Value = Asipfb_exec.Value
 module Memory = Asipfb_exec.Memory
 module Profile = Asipfb_exec.Profile
@@ -31,15 +32,6 @@ let same a b = Stdlib.compare a b = 0
 
 let profile_alist (o : Interp.outcome) =
   List.sort compare (Profile.to_alist o.profile)
-
-let agree (a : Interp.outcome) (b : Interp.outcome) =
-  same a.return_value b.return_value
-  && a.instrs_executed = b.instrs_executed
-  && profile_alist a = profile_alist b
-  && Memory.regions a.memory = Memory.regions b.memory
-  && List.for_all
-       (fun r -> same (Memory.dump a.memory r) (Memory.dump b.memory r))
-       (Memory.regions a.memory)
 
 let check_agree what (a : Interp.outcome) (b : Interp.outcome) =
   Alcotest.(check bool)
@@ -76,7 +68,7 @@ let test_suite_differential () =
             Printf.sprintf "%s/%s" b.name (Opt_level.to_string level)
           in
           check_agree what (Interp.run ~inputs prog)
-            (Ref_interp.run ~inputs prog);
+            (Fallback.reference ~inputs prog);
           (* Equal seeds must give bit-identical fault streams: the core
              preserves the reference's PRNG draw order.  A corrupted index
              can legitimately crash the run (e.g. a load out of bounds) —
@@ -91,7 +83,7 @@ let test_suite_differential () =
                    Interp.run ~inputs ~faults p)
                  fa,
                outcome_of (fun ~inputs ~faults p ->
-                   Ref_interp.run ~inputs ~faults p)
+                   Fallback.reference ~inputs ~faults p)
                  fb )
            with
           | Ok a, Ok b -> check_agree (what ^ "+faults") a b
@@ -118,7 +110,7 @@ let prop_core_matches_reference =
       List.for_all
         (fun level ->
           let prog = (Schedule.optimize ~level p).prog in
-          agree (Interp.run prog) (Ref_interp.run prog))
+          Fallback.outcomes_agree (Interp.run prog) (Fallback.reference prog))
         Opt_level.all)
 
 let prop_traced_matches_plain =
@@ -131,7 +123,61 @@ let prop_traced_matches_plain =
       let events = ref 0 in
       let traced = Interp.run ~on_exec:(fun _ _ -> incr events) p in
       let plain = Interp.run p in
-      agree traced plain && !events = traced.instrs_executed)
+      Fallback.outcomes_agree traced plain && !events = traced.instrs_executed)
+
+(* --- trap messages --------------------------------------------------------- *)
+
+(* One program per trap kind, built directly in IR so each traps at a
+   known instruction; the core and the reference semantics must word every
+   trap identically. *)
+let trap_cases =
+  let module B = Asipfb_ir.Builder in
+  let module I = Asipfb_ir.Instr in
+  let module T = Asipfb_ir.Types in
+  let b = B.create () in
+  let int name = B.fresh_reg b ~ty:T.Int ~name
+  and float name = B.fresh_reg b ~ty:T.Float ~name in
+  let binop op ty a c =
+    let x = (if ty = T.Int then int else float) "x" in
+    [ B.binop b op x a c ]
+  in
+  let cases =
+    [
+      ("integer division by zero", binop T.Div T.Int (I.Imm_int 1) (I.Imm_int 0));
+      ("integer remainder by zero", binop T.Rem T.Int (I.Imm_int 1) (I.Imm_int 0));
+      ("float division by zero",
+       binop T.Fdiv T.Float (I.Imm_float 1.) (I.Imm_float 0.));
+      ("shift out of range", binop T.Shl T.Int (I.Imm_int 1) (I.Imm_int 63));
+      ("sqrt of a negative", [ B.unop b T.Sqrt (float "x") (I.Imm_float (-1.)) ]);
+      ("out-of-bounds load", [ B.load b T.Int (int "x") "m" (I.Imm_int 4) ]);
+      ("out-of-bounds store",
+       [ B.store b T.Int "m" (I.Imm_int (-1)) (I.Imm_int 0) ]);
+      ("uninitialized register", [ B.mov b (int "x") (I.Reg (int "y")) ]);
+    ]
+  in
+  let prog ?(ret = true) body =
+    Asipfb_ir.Prog.make ~entry:"main"
+      ~regions:[ { region_name = "m"; elt_ty = T.Int; size = 4 } ]
+      ~funcs:
+        [ Asipfb_ir.Func.make ~name:"main" ~params:[] ~ret_ty:None
+            ~body:(if ret then body @ [ B.ret b None ] else body) ]
+  in
+  List.map (fun (kind, body) -> (kind, prog body)) cases
+  @ [ ("fell off the end", prog ~ret:false [ B.mov b (int "x") (I.Imm_int 0) ]) ]
+
+let test_trap_messages_agree () =
+  List.iter
+    (fun (kind, prog) ->
+      let core =
+        match Interp.run prog with
+        | _ -> Alcotest.failf "%s: the core did not trap" kind
+        | exception Interp.Runtime_error m -> m
+      in
+      match (Asipfb_verify.Semantics.run prog).result with
+      | Trapped m -> Alcotest.(check string) kind core m
+      | Returned _ | Out_of_fuel ->
+          Alcotest.failf "%s: the semantics did not trap" kind)
+    trap_cases
 
 (* --- Tsim rides the same core ------------------------------------------- *)
 
@@ -222,6 +268,8 @@ let suite =
           test_suite_differential;
         Alcotest.test_case "tsim matches interp on chain-free code" `Quick
           test_tsim_matches_interp;
+        Alcotest.test_case "trap messages agree" `Quick
+          test_trap_messages_agree;
         Alcotest.test_case "regions sorted" `Quick test_regions_sorted;
         Alcotest.test_case "timeout classification" `Quick
           test_timeout_classification;

@@ -9,6 +9,7 @@ module Registry = Asipfb_bench_suite.Registry
 module Pipeline = Asipfb.Pipeline
 module Engine = Asipfb_engine.Engine
 module Cache = Asipfb_engine.Cache
+module Fallback = Asipfb_engine.Fallback
 module Supervise = Asipfb_supervise.Supervise
 module Chaos = Asipfb_supervise.Chaos
 module Diag = Asipfb_diag.Diag
@@ -221,7 +222,7 @@ let test_watchdog_aborts_core () =
   let a = Asipfb_sim.Interp.run prog ~inputs in
   let b = Asipfb_sim.Interp.run prog ~inputs ~watchdog:(fun () -> false) in
   Alcotest.(check bool) "unexpired watchdog is invisible" true
-    (Asipfb_sim.Fallback.outcomes_agree a b)
+    (Fallback.outcomes_agree a b)
 
 let test_wedged_task_killed_and_classified_timeout () =
   (* The acceptance scenario: a wedged simulation is killed by the
@@ -249,17 +250,17 @@ let test_wedged_task_killed_and_classified_timeout () =
 
 (* --- oracle fallback ladder --------------------------------------------- *)
 
-let test_core_crash_falls_back_to_ref_interp () =
+let test_core_crash_falls_back_to_semantics () =
   let b = fir () in
   let prog = Benchmark.compile b in
   let inputs = b.inputs () in
   let clean = Asipfb_sim.Interp.run prog ~inputs in
   let out, diags =
-    Asipfb_sim.Fallback.run prog ~inputs ~inject_core_crash:true
+    Fallback.run prog ~inputs ~inject_core_crash:true
       ~benchmark:b.name
   in
   Alcotest.(check bool) "reference result agrees with the core" true
-    (Asipfb_sim.Fallback.outcomes_agree clean out);
+    (Fallback.outcomes_agree clean out);
   (match diags with
   | [ d ] ->
       Alcotest.(check (option string)) "degraded diagnostic attached"
@@ -287,12 +288,12 @@ let test_core_crash_fallback_replays_faults () =
     f
   in
   let out, _ =
-    Asipfb_sim.Fallback.run prog ~inputs
+    Fallback.run prog ~inputs
       ~faults:(Asipfb_exec.Fault.create config) ~fresh_faults
       ~inject_core_crash:true ~benchmark:b.name
   in
   Alcotest.(check bool) "faulted reference result agrees with the core" true
-    (Asipfb_sim.Fallback.outcomes_agree expected out);
+    (Fallback.outcomes_agree expected out);
   match !fresh with
   | [ f ] ->
       Alcotest.(check bool) "faults were injected" true
@@ -308,7 +309,7 @@ let test_cross_check_clean_run_is_silent () =
   let b = fir () in
   let prog = Benchmark.compile b in
   let out, diags =
-    Asipfb_sim.Fallback.run prog ~inputs:(b.inputs ()) ~cross_check:true
+    Fallback.run prog ~inputs:(b.inputs ()) ~cross_check:true
       ~benchmark:b.name
   in
   Alcotest.(check int) "no diagnostics on agreement" 0 (List.length diags);
@@ -440,7 +441,7 @@ let analyses_equal (a : Pipeline.analysis) (b : Pipeline.analysis) =
   && Asipfb_exec.Profile.to_alist a.profile
      = Asipfb_exec.Profile.to_alist b.profile
   && a.scheds = b.scheds
-  && Asipfb_sim.Fallback.outcomes_agree a.outcome b.outcome
+  && Fallback.outcomes_agree a.outcome b.outcome
 
 let prop_chaos_run_matches_clean =
   QCheck.Test.make
@@ -508,7 +509,7 @@ let suite =
         Alcotest.test_case "wedged task classified timeout" `Quick
           test_wedged_task_killed_and_classified_timeout;
         Alcotest.test_case "core crash falls back to oracle" `Quick
-          test_core_crash_falls_back_to_ref_interp;
+          test_core_crash_falls_back_to_semantics;
         Alcotest.test_case "core crash fallback replays faults" `Quick
           test_core_crash_fallback_replays_faults;
         Alcotest.test_case "cross-check clean run silent" `Quick
