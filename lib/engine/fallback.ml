@@ -67,7 +67,9 @@ let run ?fuel ?inputs ?faults ?fresh_faults ?watchdog
   let fallback_faults () =
     match fresh_faults with Some f -> Some (f ()) | None -> faults
   in
-  let run_reference () = reference ?fuel ?inputs ?faults:(fallback_faults ()) p in
+  let run_reference () =
+    reference ?fuel ?inputs ?faults:(fallback_faults ()) p
+  in
   let primary =
     try
       if inject_core_crash then
@@ -85,7 +87,7 @@ let run ?fuel ?inputs ?faults ?fresh_faults ?watchdog
   | Error exn -> (
       let reason = Printexc.to_string exn in
       match run_reference () with
-      | reference -> (reference, [ degraded_diag ~benchmark ~reason ])
+      | recomputed -> (recomputed, [ degraded_diag ~benchmark ~reason ])
       | exception _ ->
           (* The oracle agrees something is wrong; surface the original
              core failure rather than the secondary one. *)
@@ -93,6 +95,6 @@ let run ?fuel ?inputs ?faults ?fresh_faults ?watchdog
   | Ok out ->
       if not cross_check then (out, [])
       else
-        let reference = run_reference () in
-        if outcomes_agree out reference then (out, [])
-        else (reference, [ mismatch_diag ~benchmark ])
+        let expected = run_reference () in
+        if outcomes_agree out expected then (out, [])
+        else (expected, [ mismatch_diag ~benchmark ])

@@ -125,7 +125,7 @@ let prop_traced_matches_plain =
       let plain = Interp.run p in
       Fallback.outcomes_agree traced plain && !events = traced.instrs_executed)
 
-(* --- trap messages --------------------------------------------------------- *)
+(* --- trap messages ------------------------------------------------------ *)
 
 (* One program per trap kind, built directly in IR so each traps at a
    known instruction; the core and the reference semantics must word every
@@ -143,12 +143,15 @@ let trap_cases =
   in
   let cases =
     [
-      ("integer division by zero", binop T.Div T.Int (I.Imm_int 1) (I.Imm_int 0));
-      ("integer remainder by zero", binop T.Rem T.Int (I.Imm_int 1) (I.Imm_int 0));
+      ("integer division by zero",
+       binop T.Div T.Int (I.Imm_int 1) (I.Imm_int 0));
+      ("integer remainder by zero",
+       binop T.Rem T.Int (I.Imm_int 1) (I.Imm_int 0));
       ("float division by zero",
        binop T.Fdiv T.Float (I.Imm_float 1.) (I.Imm_float 0.));
       ("shift out of range", binop T.Shl T.Int (I.Imm_int 1) (I.Imm_int 63));
-      ("sqrt of a negative", [ B.unop b T.Sqrt (float "x") (I.Imm_float (-1.)) ]);
+      ("sqrt of a negative",
+       [ B.unop b T.Sqrt (float "x") (I.Imm_float (-1.)) ]);
       ("out-of-bounds load", [ B.load b T.Int (int "x") "m" (I.Imm_int 4) ]);
       ("out-of-bounds store",
        [ B.store b T.Int "m" (I.Imm_int (-1)) (I.Imm_int 0) ]);
@@ -163,7 +166,8 @@ let trap_cases =
             ~body:(if ret then body @ [ B.ret b None ] else body) ]
   in
   List.map (fun (kind, body) -> (kind, prog body)) cases
-  @ [ ("fell off the end", prog ~ret:false [ B.mov b (int "x") (I.Imm_int 0) ]) ]
+  @ [ ("fell off the end",
+        prog ~ret:false [ B.mov b (int "x") (I.Imm_int 0) ]) ]
 
 let test_trap_messages_agree () =
   List.iter

@@ -272,24 +272,25 @@ let test_core_crash_falls_back_to_semantics () =
    fresh, identically seeded injector: it must reproduce the core's faulted
    run exactly, corruptions included. *)
 let test_core_crash_fallback_replays_faults () =
+  let module Fault = Asipfb_exec.Fault in
   let b = fir () in
   let prog = Benchmark.compile b in
   let inputs = b.inputs () in
   let config =
-    { Asipfb_exec.Fault.seed = 12; reg_corrupt_rate = 0.001;
+    { Fault.seed = 12; reg_corrupt_rate = 0.001;
       mem_fault_rate = 0.001; fuel_cap = None }
   in
-  let core_faults = Asipfb_exec.Fault.create config in
+  let core_faults = Fault.create config in
   let expected = Asipfb_sim.Interp.run prog ~inputs ~faults:core_faults in
   let fresh = ref [] in
   let fresh_faults () =
-    let f = Asipfb_exec.Fault.create config in
+    let f = Fault.create config in
     fresh := f :: !fresh;
     f
   in
   let out, _ =
     Fallback.run prog ~inputs
-      ~faults:(Asipfb_exec.Fault.create config) ~fresh_faults
+      ~faults:(Fault.create config) ~fresh_faults
       ~inject_core_crash:true ~benchmark:b.name
   in
   Alcotest.(check bool) "faulted reference result agrees with the core" true
@@ -297,10 +298,10 @@ let test_core_crash_fallback_replays_faults () =
   match !fresh with
   | [ f ] ->
       Alcotest.(check bool) "faults were injected" true
-        (Asipfb_exec.Fault.injected_total core_faults > 0);
+        (Fault.injected_total core_faults > 0);
       Alcotest.(check int) "same number of injected faults"
-        (Asipfb_exec.Fault.injected_total core_faults)
-        (Asipfb_exec.Fault.injected_total f)
+        (Fault.injected_total core_faults)
+        (Fault.injected_total f)
   | l ->
       Alcotest.fail
         (Printf.sprintf "expected 1 fresh injector, got %d" (List.length l))
