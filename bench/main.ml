@@ -32,45 +32,18 @@ open Toolkit
 module Engine = Asipfb_engine.Engine
 module Metrics = Asipfb_engine.Metrics
 
-let artifacts suite =
-  [
-    ("table1", fun () -> Asipfb.Experiments.table1 ());
-    ("figure3", fun () -> Asipfb.Experiments.figure_combined suite ~length:2);
-    ("figure4", fun () -> Asipfb.Experiments.figure_combined suite ~length:4);
-    ("figure_l3", fun () -> Asipfb.Experiments.figure_combined suite ~length:3);
-    ("figure_l5", fun () -> Asipfb.Experiments.figure_combined suite ~length:5);
-    ("table2", fun () -> Asipfb.Experiments.table2 suite);
-    ("figure5", fun () -> Asipfb.Experiments.figure_per_benchmark suite ~length:2);
-    ("figure6", fun () -> Asipfb.Experiments.figure_per_benchmark suite ~length:4);
-    ("table3", fun () -> Asipfb.Experiments.table3 suite);
-    ("ilp", fun () -> Asipfb.Experiments.ilp_report suite);
-    ("asip", fun () -> Asipfb.Experiments.asip_report suite);
-    ("vliw", fun () -> Asipfb.Experiments.vliw_report suite);
-    ("resched", fun () -> Asipfb.Experiments.resched_report suite);
-    ("ablation_pipelining",
-     fun () -> Asipfb.Experiments.ablation_pipelining suite);
-    ("ablation_cleanup", fun () -> Asipfb.Experiments.ablation_cleanup suite);
-    ("codegen", fun () -> Asipfb.Experiments.codegen_report suite);
-    ("timing", fun () -> Asipfb.Experiments.timing_report suite);
-    ("ablation_motion", fun () -> Asipfb.Experiments.ablation_motion suite);
-    ("opmix", fun () -> Asipfb.Experiments.opmix_report suite);
-    ("extra", fun () -> Asipfb.Experiments.extra_report suite);
-    ("validation_unroll",
-     fun () -> Asipfb.Experiments.validation_unroll suite);
-  ]
-
 let print_artifacts suite =
   List.iter
     (fun (name, produce) ->
       Printf.printf "==== %s ====\n%s\n" name (produce ()))
-    (artifacts suite)
+    (Asipfb.Experiments.artifacts suite)
 
 let time_artifacts suite =
   let tests =
     List.map
       (fun (name, produce) ->
         Test.make ~name (Staged.stage @@ fun () -> ignore (produce ())))
-      (artifacts suite)
+      (Asipfb.Experiments.artifacts suite)
     @ [
         (* Both suite runs recompute everything (no cache): [pipeline] is
            the sequential reference, [pipeline_par] the engine's domain

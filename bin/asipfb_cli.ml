@@ -300,13 +300,6 @@ let cmd_design name area uarch clock dot json =
           end)
         (find_benchmark name))
 
-let artifact_names =
-  [ "table1"; "figure3"; "figure4"; "figure_l3"; "figure_l5"; "table2";
-    "figure5"; "figure6";
-    "table3"; "ilp"; "asip"; "vliw"; "resched"; "ablation_pipelining";
-    "ablation_cleanup"; "codegen"; "timing"; "ablation_motion"; "opmix";
-    "extra"; "validation_unroll" ]
-
 (* Write the machine-readable error report — the Service.Api diagnostics
    envelope, so file reports, lint --json, and daemon error frames all
    speak the same schema (DESIGN §14). *)
@@ -376,8 +369,9 @@ let make_engine (o : engine_opts) =
 
 let jobs_arg =
   let doc =
-    "Number of analysis worker domains (0 = the runtime's recommended \
-     count).  Results are byte-identical for any value."
+    "Number of worker domains for analysis and artifact rendering (0 = \
+     the runtime's recommended count).  Results are byte-identical for \
+     any value."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -582,52 +576,23 @@ let cmd_report artifact keep_going diag_json verify opts timings =
       let finish r = if timings then print_timings engine; r in
       finish
       @@
-      let produce = function
-        | "table1" -> Ok (Asipfb.Experiments.table1 ())
-        | "figure3" -> Ok (Asipfb.Experiments.figure_combined suite ~length:2)
-        | "figure4" -> Ok (Asipfb.Experiments.figure_combined suite ~length:4)
-        | "figure_l3" ->
-            Ok (Asipfb.Experiments.figure_combined suite ~length:3)
-        | "figure_l5" ->
-            Ok (Asipfb.Experiments.figure_combined suite ~length:5)
-        | "table2" -> Ok (Asipfb.Experiments.table2 suite)
-        | "figure5" ->
-            Ok (Asipfb.Experiments.figure_per_benchmark suite ~length:2)
-        | "figure6" ->
-            Ok (Asipfb.Experiments.figure_per_benchmark suite ~length:4)
-        | "table3" -> Ok (Asipfb.Experiments.table3 suite)
-        | "ilp" -> Ok (Asipfb.Experiments.ilp_report suite)
-        | "asip" -> Ok (Asipfb.Experiments.asip_report ~uarch suite)
-        | "vliw" -> Ok (Asipfb.Experiments.vliw_report ~uarch suite)
-        | "resched" -> Ok (Asipfb.Experiments.resched_report ~uarch suite)
-        | "ablation_pipelining" ->
-            Ok (Asipfb.Experiments.ablation_pipelining suite)
-        | "ablation_cleanup" ->
-            Ok (Asipfb.Experiments.ablation_cleanup suite)
-        | "codegen" -> Ok (Asipfb.Experiments.codegen_report ~uarch suite)
-        | "timing" -> Ok (Asipfb.Experiments.timing_report ~uarch suite)
-        | "ablation_motion" ->
-            Ok (Asipfb.Experiments.ablation_motion suite)
-        | "opmix" -> Ok (Asipfb.Experiments.opmix_report suite)
-        | "extra" -> Ok (Asipfb.Experiments.extra_report suite)
-        | "validation_unroll" ->
-            Ok (Asipfb.Experiments.validation_unroll suite)
-        | other ->
-            Error
-              (Printf.sprintf "unknown artifact %S (one of: %s)" other
-                 (String.concat ", " artifact_names))
-      in
+      let table = Asipfb.Experiments.artifacts ~uarch suite in
       match artifact with
-      | Some name -> Result.map print_endline (produce name)
       | None ->
-          List.iter
-            (fun name ->
-              Printf.printf "==== %s ====\n" name;
-              match produce name with
-              | Ok text -> print_endline text
-              | Error _ -> ())
-            artifact_names;
-          Ok ())
+          (* Flushed per chunk: the artifacts printed before a failing
+             one reach stdout before the error line reaches stderr. *)
+          Asipfb.Experiments.render_report
+            ~jobs:(Asipfb_engine.Engine.jobs engine) table (fun chunk ->
+              print_string chunk;
+              flush stdout);
+          Ok ()
+      | Some name -> (
+          match List.assoc_opt name table with
+          | Some render -> Ok (print_endline (render ()))
+          | None ->
+              Error
+                (Printf.sprintf "unknown artifact %S (one of: %s)" name
+                   (String.concat ", " (List.map fst table)))))
 
 (* Static analysis as its own subcommand: run all three checkers of
    lib/verify (mini-C lint, IR dataflow checks, schedule-legality proof

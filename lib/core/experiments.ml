@@ -7,6 +7,7 @@ module Coverage = Asipfb_chain.Coverage
 module Chainop = Asipfb_chain.Chainop
 module Table = Asipfb_report.Table
 module Chart = Asipfb_report.Chart
+module Metrics = Asipfb_engine.Metrics
 
 type suite = Pipeline.analysis list
 
@@ -643,3 +644,52 @@ let validation_unroll suite =
     ~aligns:[ Table.Left; Table.Right; Table.Right ]
     ~headers:[ "Sequence"; "kernel analysis"; "physically unrolled" ]
     ~rows ()
+
+(* --- the report: one table, rendered on the engine's pool --------------- *)
+
+let artifacts ?uarch suite =
+  [ ("table1", fun () -> table1 ());
+    ("figure3", fun () -> figure_combined suite ~length:2);
+    ("figure4", fun () -> figure_combined suite ~length:4);
+    ("figure_l3", fun () -> figure_combined suite ~length:3);
+    ("figure_l5", fun () -> figure_combined suite ~length:5);
+    ("table2", fun () -> table2 suite);
+    ("figure5", fun () -> figure_per_benchmark suite ~length:2);
+    ("figure6", fun () -> figure_per_benchmark suite ~length:4);
+    ("table3", fun () -> table3 suite);
+    ("ilp", fun () -> ilp_report suite);
+    ("asip", fun () -> asip_report ?uarch suite);
+    ("vliw", fun () -> vliw_report ?uarch suite);
+    ("resched", fun () -> resched_report ?uarch suite);
+    ("ablation_pipelining", fun () -> ablation_pipelining suite);
+    ("ablation_cleanup", fun () -> ablation_cleanup suite);
+    ("codegen", fun () -> codegen_report ?uarch suite);
+    ("timing", fun () -> timing_report ?uarch suite);
+    ("ablation_motion", fun () -> ablation_motion suite);
+    ("opmix", fun () -> opmix_report suite);
+    ("extra", fun () -> extra_report suite);
+    ("validation_unroll", fun () -> validation_unroll suite) ]
+
+(* Every entry renders as one task of a single pool phase.  A task
+   returns its exception instead of raising, so a failure neither hides
+   the entries before it nor depends on which domain finished first:
+   printing walks the table in order and stops at the lowest-indexed
+   failure, exactly where a sequential loop would have stopped. *)
+let render_report ~jobs table print =
+  let tasks =
+    Array.of_list
+      (List.map
+         (fun (_, render) () ->
+           match Metrics.timed Metrics.global "artifact" render with
+           | text -> Ok text
+           | exception exn -> Error (exn, Printexc.get_raw_backtrace ()))
+         table)
+  in
+  let results = Asipfb_engine.Pool.run ~jobs tasks in
+  List.iteri
+    (fun i (name, _) ->
+      print (Printf.sprintf "==== %s ====\n" name);
+      match results.(i) with
+      | Ok text -> print (text ^ "\n")
+      | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)
+    table

@@ -120,3 +120,23 @@ val validation_unroll : suite -> string
     physically unrolling every pipelinable loop once (and re-profiling the
     unrolled program), the same chains must appear at similar frequencies.
     Reports the top combined length-2 sequences side by side. *)
+
+(** {1 The report} *)
+
+val artifacts :
+  ?uarch:Asipfb_asip.Uarch.t -> suite -> (string * (unit -> string)) list
+(** Every artifact of [asipfb report], as (name, render) in print order.
+    Rendering is deferred: building the table computes nothing.  Each
+    render is a pure function of the suite (and [?uarch], passed to the
+    uarch-aware artifacts), so entries may run concurrently. *)
+
+val render_report :
+  jobs:int -> (string * (unit -> string)) list -> (string -> unit) -> unit
+(** [render_report ~jobs table print] renders every entry of [table] as
+    one {!Asipfb_engine.Pool.run} phase on up to [jobs] domains (each
+    render charged to the ["artifact"] stage of
+    {!Asipfb_engine.Metrics.global}), then prints them in table order:
+    ["==== name ====\n"] followed by the text and a newline.  If entries
+    raise, the output stops after the header of the lowest-indexed
+    failing entry and its exception is re-raised with its backtrace —
+    the same bytes and exception for every [jobs]. *)

@@ -41,7 +41,7 @@ type stats = {
 (* Bump on any change to the analysis semantics or payload layout: the
    revision is part of every key, so old disk entries simply stop
    matching. *)
-let schema_revision = "asipfb-engine-4"
+let schema_revision = "asipfb-engine-5"
 
 let key parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 

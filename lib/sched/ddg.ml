@@ -17,8 +17,12 @@ type t = {
   edges : edge list;
   succ : edge list array;
   pred : edge list array;
-  (* Longest-path matrices keyed by unroll copy count. *)
-  mutable lp_cache : (int * int array array) list;
+  (* Longest-path matrices keyed by unroll copy count.  A DDG lives in a
+     cached schedule that concurrent readers share (report artifacts,
+     daemon requests), so the memo is published atomically: a reader
+     sees either no matrix or a complete one.  Two domains may both
+     compute a missing matrix; they agree, so the last write wins. *)
+  lp_cache : (int * int array array) list Atomic.t;
 }
 
 let ops t = t.ops
@@ -172,7 +176,7 @@ let build ?(carried = false) ?latency ops =
       succ.(e.src) <- e :: succ.(e.src);
       pred.(e.dst) <- e :: pred.(e.dst))
     edges;
-  { ops; edges; succ; pred; lp_cache = [] }
+  { ops; edges; succ; pred; lp_cache = Atomic.make [] }
 
 let flow_edges_from t i =
   List.filter (fun e -> e.kind = Flow && e.via_register) t.succ.(i)
@@ -182,7 +186,7 @@ let flow_edges_from t i =
    in (copy, position), so ids ascend along every edge and a single forward
    DP sweep computes all-pairs longest paths. *)
 let matrix t ~copies =
-  match List.assoc_opt copies t.lp_cache with
+  match List.assoc_opt copies (Atomic.get t.lp_cache) with
   | Some m -> m
   | None ->
       let n = Array.length t.ops in
@@ -210,7 +214,7 @@ let matrix t ~copies =
             done)
           expanded_succ.(src)
       done;
-      t.lp_cache <- (copies, dist) :: t.lp_cache;
+      Atomic.set t.lp_cache ((copies, dist) :: Atomic.get t.lp_cache);
       dist
 
 let longest_path t ~copies (i, ci) (j, cj) =

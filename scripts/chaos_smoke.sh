@@ -4,7 +4,9 @@
 # once clean and once under fault injection with retries enabled, and
 # require byte-identical artifacts on stdout plus exit 0.  A second chaos
 # pass reuses the (possibly chaos-corrupted) cache directory to exercise
-# checksum self-healing end-to-end.
+# checksum self-healing end-to-end.  The chaos passes run at -j 2 so the
+# parallel analysis and artifact-render phases run even on a 1-core host
+# (where the default -j is 1); the clean pass stays at the default -j.
 # Usage: sh scripts/chaos_smoke.sh [SEED] [RATE]   (default 42, 0.05)
 set -eu
 
@@ -20,7 +22,7 @@ run="dune exec bin/asipfb_cli.exe --"
 
 $run report > "$workdir/clean.out"
 
-$run report \
+$run report -j 2 \
   --chaos-seed "$seed" --chaos-rate "$rate" \
   --retries 3 --retry-backoff 0.01 \
   --cache-dir "$workdir/cache" \
@@ -35,7 +37,7 @@ fi
 
 # Warm pass over the chaos-mangled cache: corrupt entries must be
 # checksum-detected, deleted, and recomputed, never served.
-$run report \
+$run report -j 2 \
   --chaos-seed "$seed" --chaos-rate "$rate" \
   --retries 3 --retry-backoff 0.01 \
   --cache-dir "$workdir/cache" \

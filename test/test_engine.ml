@@ -191,28 +191,10 @@ let test_engine_disk_cache_across_instances () =
 
 (* --- determinism: parallel == sequential, for every experiment ---------- *)
 
-let artifacts suite =
-  [
-    ("table1", fun () -> Asipfb.Experiments.table1 ());
-    ("figure3", fun () -> Asipfb.Experiments.figure_combined suite ~length:2);
-    ("figure4", fun () -> Asipfb.Experiments.figure_combined suite ~length:4);
-    ("table2", fun () -> Asipfb.Experiments.table2 suite);
-    ("figure5", fun () -> Asipfb.Experiments.figure_per_benchmark suite ~length:2);
-    ("figure6", fun () -> Asipfb.Experiments.figure_per_benchmark suite ~length:4);
-    ("table3", fun () -> Asipfb.Experiments.table3 suite);
-    ("ilp", fun () -> Asipfb.Experiments.ilp_report suite);
-    ("asip", fun () -> Asipfb.Experiments.asip_report suite);
-    ("vliw", fun () -> Asipfb.Experiments.vliw_report suite);
-    ("resched", fun () -> Asipfb.Experiments.resched_report suite);
-    ("ablation_pipelining",
-     fun () -> Asipfb.Experiments.ablation_pipelining suite);
-    ("ablation_cleanup", fun () -> Asipfb.Experiments.ablation_cleanup suite);
-    ("codegen", fun () -> Asipfb.Experiments.codegen_report suite);
-    ("ablation_motion", fun () -> Asipfb.Experiments.ablation_motion suite);
-    ("opmix", fun () -> Asipfb.Experiments.opmix_report suite);
-    ("extra", fun () -> Asipfb.Experiments.extra_report suite);
-    ("validation_unroll", fun () -> Asipfb.Experiments.validation_unroll suite);
-  ]
+let render_report ~jobs table =
+  let buf = Buffer.create 65536 in
+  Asipfb.Experiments.render_report ~jobs table (Buffer.add_string buf);
+  Buffer.contents buf
 
 let test_parallel_byte_identical () =
   let seq =
@@ -225,12 +207,52 @@ let test_parallel_byte_identical () =
        ~on_error:`Raise ())
       .analyses
   in
+  (* The sequential reference renders in the calling domain; the parallel
+     side renders every artifact on the pool as well. *)
+  Alcotest.(check string)
+    "report byte-identical with analyses and renders at jobs:4"
+    (render_report ~jobs:1 (Asipfb.Experiments.artifacts seq))
+    (render_report ~jobs:4 (Asipfb.Experiments.artifacts par))
+
+let artifact_count () =
+  List.fold_left
+    (fun n (s : Metrics.stage_stat) ->
+      if s.stage = "artifact" then n + s.count else n)
+    0
+    (Metrics.snapshot Metrics.global)
+
+let test_render_report_failure_order () =
+  (* Two raising entries: output stops after the header of the lower one
+     and its exception surfaces, whichever domain finished first. *)
+  let table =
+    [ ("a", fun () -> "A");
+      ("b", fun () -> failwith "b broke");
+      ("c", fun () -> "C");
+      ("d", fun () -> failwith "d broke") ]
+  in
   List.iter
-    (fun ((name, produce_seq), (_, produce_par)) ->
+    (fun jobs ->
+      let buf = Buffer.create 64 in
+      let before = artifact_count () in
+      (match
+         Asipfb.Experiments.render_report ~jobs table (Buffer.add_string buf)
+       with
+      | () -> Alcotest.fail "render_report swallowed the failure"
+      | exception exn ->
+          Alcotest.(check string)
+            (Printf.sprintf "lowest-indexed exception at jobs:%d" jobs)
+            "Failure(\"b broke\")" (Printexc.to_string exn));
       Alcotest.(check string)
-        (name ^ " byte-identical under jobs:4")
-        (produce_seq ()) (produce_par ()))
-    (List.combine (artifacts seq) (artifacts par))
+        (Printf.sprintf "printed prefix at jobs:%d" jobs)
+        "==== a ====\nA\n==== b ====\n" (Buffer.contents buf);
+      Alcotest.(check int)
+        (Printf.sprintf "every entry timed at jobs:%d" jobs)
+        4
+        (artifact_count () - before))
+    [ 1; 2 ];
+  Alcotest.(check string) "clean table prints every entry"
+    "==== a ====\nA\n==== c ====\nC\n"
+    (render_report ~jobs:2 [ List.nth table 0; List.nth table 2 ])
 
 let test_parallel_isolation_matches_sequential () =
   let broken : Benchmark.t =
@@ -392,6 +414,8 @@ let suite =
           test_engine_disk_cache_across_instances;
         Alcotest.test_case "parallel byte-identical" `Slow
           test_parallel_byte_identical;
+        Alcotest.test_case "render_report failure order" `Quick
+          test_render_report_failure_order;
         Alcotest.test_case "parallel isolation" `Quick
           test_parallel_isolation_matches_sequential;
         QCheck_alcotest.to_alcotest prop_cache_roundtrip;
