@@ -5,8 +5,8 @@
     of facts — equality, a per-block merge of incoming facts, and a
     block transfer function — and {!Make.solve} iterates to the least
     fixpoint.  {!Liveness} (backward/may), {!Reaching} (forward/may)
-    and the verifier's definite-assignment analysis (forward/must) are
-    all instances.
+    and {!Defined} (forward/must definite assignment) are all
+    instances.
 
     Direction fixes which CFG edges propagate facts; may/must is
     entirely inside [merge] ([union] with an empty identity for may,

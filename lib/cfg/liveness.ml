@@ -19,6 +19,8 @@ let step i live =
   in
   List.fold_left (fun s r -> Reg.Set.add r s) live (Instr.uses i)
 
+let transfer (b : Cfg.block) out = List.fold_right step b.instrs out
+
 (* Backward/may instance of the generic solver: facts are live register
    sets, merged by union (empty at exit blocks). *)
 module Solver = Dataflow.Make (struct
@@ -27,7 +29,7 @@ module Solver = Dataflow.Make (struct
   let direction = `Backward
   let init = Reg.Set.empty
   let merge _ = List.fold_left Reg.Set.union Reg.Set.empty
-  let transfer (b : Cfg.block) out = List.fold_right step b.instrs out
+  let transfer = transfer
   let equal = Reg.Set.equal
 end)
 

@@ -4,6 +4,11 @@ type t
 
 val compute : Cfg.t -> t
 
+val transfer : Cfg.block -> Asipfb_ir.Reg.Set.t -> Asipfb_ir.Reg.Set.t
+(** [transfer block out]: the registers live at [block]'s entry when
+    [out] is live at its exit — the solver's block transfer, exposed so a
+    pass that changes one block can re-sweep just that block. *)
+
 val live_in : t -> int -> Asipfb_ir.Reg.Set.t
 (** Registers live at block entry. *)
 

@@ -5,6 +5,7 @@ module Func = Asipfb_ir.Func
 module Prog = Asipfb_ir.Prog
 module Cfg = Asipfb_cfg.Cfg
 module Liveness = Asipfb_cfg.Liveness
+module Defined = Asipfb_cfg.Defined
 
 let hoistable_past_branch i =
   match Instr.kind i with
@@ -77,71 +78,48 @@ let at_dependence_top earlier o =
       no_flow && no_anti && no_output && no_mem_read && no_mem_write)
     earlier
 
-(* Must-define analysis: registers definitely assigned at each block's end. *)
-let definitely_defined (cfg : Cfg.t) (f : Func.t) =
-  let universe =
-    Asipfb_ir.Reg.Set.union (Func.defined_regs f)
-      (List.fold_left
-         (fun s r -> Asipfb_ir.Reg.Set.add r s)
-         (Asipfb_ir.Reg.Set.of_list f.params)
-         [])
-  in
-  let n = Array.length cfg.blocks in
-  let def_out = Array.make n universe in
-  let block_defs b =
-    List.fold_left
-      (fun s i ->
-        match Instr.def i with
-        | Some d -> Asipfb_ir.Reg.Set.add d s
-        | None -> s)
-      Asipfb_ir.Reg.Set.empty cfg.blocks.(b).instrs
-  in
-  let params = Asipfb_ir.Reg.Set.of_list f.params in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = 0 to n - 1 do
-      let def_in =
-        if b = cfg.entry then params
-        else
-          match cfg.blocks.(b).preds with
-          | [] -> universe
-          | p :: rest ->
-              List.fold_left
-                (fun acc q -> Asipfb_ir.Reg.Set.inter acc def_out.(q))
-                def_out.(p) rest
-      in
-      let out = Asipfb_ir.Reg.Set.union def_in (block_defs b) in
-      if not (Asipfb_ir.Reg.Set.equal out def_out.(b)) then begin
-        def_out.(b) <- out;
-        changed := true
-      end
-    done
-  done;
-  def_out
-
 let terminator_of (block : Cfg.block) =
   match List.rev block.instrs with
   | last :: _ when Instr.is_control last -> Some last
   | _ -> None
 
-(* Attempt one legal move anywhere in the function; liveness and
-   definite-definition facts are recomputed from scratch for each attempt so
-   every legality check sees current code.  Returns the updated CFG on
-   success. *)
-let one_move (cfg : Cfg.t) (f : Func.t) ~skip : (Cfg.t * int) option =
-  let live = Liveness.compute cfg in
-  let def_out = definitely_defined cfg f in
+(* Liveness (live-in per block) and must-define facts for the current
+   CFG: solved once per function, then patched after each move. *)
+type facts = { live_in : Reg.Set.t array; defined : Defined.t }
+
+(* Facts for [cfg] after [o] moved from the top of block [bidx] to just
+   above the terminator of its sole predecessor.  The move's legality
+   checks leave live-in unchanged at the predecessor, and so everywhere
+   but [bidx]; must-define changes only for [o]'s destination
+   (DESIGN §10.1). *)
+let patch_facts facts (cfg : Cfg.t) ~bidx o =
+  let live_in = Array.copy facts.live_in in
+  let b = cfg.blocks.(bidx) in
+  live_in.(bidx) <-
+    Liveness.transfer b
+      (List.fold_left
+         (fun acc s -> Reg.Set.union acc live_in.(s))
+         Reg.Set.empty b.succs);
+  let defined =
+    match Instr.def o with
+    | Some d -> Defined.refresh facts.defined cfg d
+    | None -> facts.defined
+  in
+  { live_in; defined }
+
+(* Attempt one legal move anywhere in the function, reading [facts] for
+   [cfg].  Returns the updated CFG and its facts on success. *)
+let one_move (cfg : Cfg.t) facts : (Cfg.t * facts) option =
   let try_block bidx =
     let b = cfg.blocks.(bidx) in
     match b.preds with
     | [ p ] when p <> bidx && bidx <> cfg.entry ->
         let pred_term = terminator_of cfg.blocks.(p) in
         let speculative = List.length cfg.blocks.(p).succs > 1 in
-        (* Find the first movable op not already rejected this round.
-           Pure value-producing ops move freely (subject to the speculation
-           whitelist past branches); stores move only along unconditional
-           edges — executing a store speculatively would be observable. *)
+        (* Find the first movable op.  Pure value-producing ops move
+           freely (subject to the speculation whitelist past branches);
+           stores move only along unconditional edges — executing a store
+           speculatively would be observable. *)
         let rec split earlier = function
           | [] -> None
           | o :: rest ->
@@ -156,8 +134,7 @@ let one_move (cfg : Cfg.t) (f : Func.t) ~skip : (Cfg.t * int) option =
                     false
               in
               let candidate =
-                (not (List.mem (Instr.opid o) skip))
-                && movable_kind
+                movable_kind
                 && at_dependence_top (List.rev earlier) o
                 && ((not speculative) || hoistable_past_branch o)
               in
@@ -168,7 +145,7 @@ let one_move (cfg : Cfg.t) (f : Func.t) ~skip : (Cfg.t * int) option =
         | Some (before, o, after) ->
             let uses_defined =
               List.for_all
-                (fun u -> Asipfb_ir.Reg.Set.mem u def_out.(p))
+                (fun u -> Reg.Set.mem u (Defined.defined_out facts.defined p))
                 (Instr.uses o)
             in
             let term_ok =
@@ -182,10 +159,7 @@ let one_move (cfg : Cfg.t) (f : Func.t) ~skip : (Cfg.t * int) option =
               | None -> true
               | Some d ->
                   List.for_all
-                    (fun s ->
-                      s = bidx
-                      || not
-                           (Asipfb_ir.Reg.Set.mem d (Liveness.live_in live s)))
+                    (fun s -> s = bidx || not (Reg.Set.mem d facts.live_in.(s)))
                     cfg.blocks.(p).succs
             in
             if uses_defined && term_ok && other_succs_ok then begin
@@ -201,7 +175,7 @@ let one_move (cfg : Cfg.t) (f : Func.t) ~skip : (Cfg.t * int) option =
                     else blk.instrs)
                   cfg
               in
-              Some (updated, Instr.opid o)
+              Some (updated, patch_facts facts updated ~bidx o)
             end
             else None
         | None -> None)
@@ -213,21 +187,30 @@ let one_move (cfg : Cfg.t) (f : Func.t) ~skip : (Cfg.t * int) option =
   in
   first 0
 
-let run_func ?(max_passes = 8) (f : Func.t) : Func.t =
-  (* [max_passes] bounds how many blocks upward a single op may climb; the
-     move budget bounds total motion. *)
-  let budget = max 16 (max_passes * Func.instr_count f) in
-  let rec go cfg remaining skip =
+(* A guard on the total number of moves in one function.  Each move lifts
+   an op into its block's immediate dominator, so on reachable code the
+   motion settles long before the budget runs out. *)
+let move_budget (f : Func.t) = max 16 (8 * Func.instr_count f)
+
+let run_func (f : Func.t) : Func.t =
+  let rec go cfg facts remaining =
     if remaining = 0 then cfg
     else
-      match one_move cfg f ~skip with
-      | Some (cfg', _) -> go cfg' (remaining - 1) []
+      match one_move cfg facts with
+      | Some (cfg', facts') -> go cfg' facts' (remaining - 1)
       | None -> cfg
   in
-  let cfg = go (Cfg.build f) budget [] in
-  Func.with_body f (Cfg.linearize cfg)
+  let cfg = Cfg.build f in
+  let live = Liveness.compute cfg in
+  let facts =
+    {
+      live_in = Array.init (Array.length cfg.blocks) (Liveness.live_in live);
+      defined = Defined.solve f cfg;
+    }
+  in
+  Func.with_body f (Cfg.linearize (go cfg facts (move_budget f)))
 
-let run ?max_passes (p : Prog.t) : Prog.t =
-  let p' = Prog.map_funcs (run_func ?max_passes) p in
+let run (p : Prog.t) : Prog.t =
+  let p' = Prog.map_funcs run_func p in
   Asipfb_ir.Validate.check_exn p';
   p'

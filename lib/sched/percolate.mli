@@ -11,13 +11,20 @@
 
     Iterating the single-step motion to a fixpoint lets operations climb
     through several blocks, which is what exposes cross-basic-block data
-    flow to the sequence detector — the paper's central mechanism. *)
+    flow to the sequence detector — the paper's central mechanism.
 
-val run : ?max_passes:int -> Asipfb_ir.Prog.t -> Asipfb_ir.Prog.t
-(** [run p] applies motion passes until a fixpoint or [max_passes]
-    (default 8).  Result validates and is observationally equivalent. *)
+    Liveness and must-define ({!Asipfb_cfg.Defined}) are solved once per
+    function and patched exactly after each move, so the move sequence
+    is that of re-solving both before every move. *)
 
-val run_func : ?max_passes:int -> Asipfb_ir.Func.t -> Asipfb_ir.Func.t
+val run : Asipfb_ir.Prog.t -> Asipfb_ir.Prog.t
+(** [run p] applies single moves, first legal move first, until none is
+    legal or the function's total move budget (8 per instruction, at
+    least 16) is spent.  Result validates and is observationally
+    equivalent. *)
+
+val run_func : Asipfb_ir.Func.t -> Asipfb_ir.Func.t
+(** One function's motion, as in {!run} (without validation). *)
 
 val hoistable_past_branch : Asipfb_ir.Instr.t -> bool
 (** Trap-free test used for speculation (exposed for unit tests): ALU,

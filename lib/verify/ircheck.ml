@@ -2,7 +2,7 @@ module Reg = Asipfb_ir.Reg
 module Instr = Asipfb_ir.Instr
 module Func = Asipfb_ir.Func
 module Cfg = Asipfb_cfg.Cfg
-module Dataflow = Asipfb_cfg.Dataflow
+module Defined = Asipfb_cfg.Defined
 module Liveness = Asipfb_cfg.Liveness
 module Diag = Asipfb_diag.Diag
 
@@ -13,47 +13,14 @@ let warn ~func ~rule ?(context = []) message =
 
 (* --- maybe-uninitialized reads ------------------------------------------ *)
 
-(* Forward/must definite-assignment analysis: a register is definitely
-   assigned at a point iff every path from the entry defines it first.
-   Parameters hold at the entry; the merge is set intersection, seeded
-   from the register universe so unreachable blocks stay vacuous. *)
+(* A read is suspect when some path from the entry reaches it without
+   assigning the register (definite assignment, {!Asipfb_cfg.Defined}). *)
 let uninit_reads (f : Func.t) (cfg : Cfg.t) =
-  let universe =
-    Reg.Set.union (Func.defined_regs f)
-      (Reg.Set.union (Func.used_regs f) (Reg.Set.of_list f.params))
-  in
-  let params = Reg.Set.of_list f.params in
-  let module Solver = Dataflow.Make (struct
-    type fact = Reg.Set.t
-
-    let direction = `Forward
-    let init = universe
-
-    let merge (b : Cfg.block) facts =
-      let inflow =
-        match facts with
-        | [] -> universe
-        | first :: rest -> List.fold_left Reg.Set.inter first rest
-      in
-      (* The entry is also reached from outside, where only the
-         parameters are assigned — even when a back edge targets it. *)
-      if b.index = 0 then Reg.Set.inter params inflow else inflow
-
-    let transfer (b : Cfg.block) defined =
-      List.fold_left
-        (fun acc i ->
-          match Instr.def i with
-          | Some d -> Reg.Set.add d acc
-          | None -> acc)
-        defined b.instrs
-
-    let equal = Reg.Set.equal
-  end) in
-  let { Solver.input; _ } = Solver.solve cfg in
+  let defined_in = Defined.defined_in (Defined.solve f cfg) in
   let findings = ref [] in
   Array.iter
     (fun (b : Cfg.block) ->
-      let defined = ref input.(b.index) in
+      let defined = ref (defined_in b.index) in
       List.iter
         (fun i ->
           List.iter

@@ -19,12 +19,19 @@ let original_and_scheduled name (prog : Prog.t) =
         funcs (Opt_level.to_string level) (Schedule.optimize ~level prog).prog)
       Opt_level.all
 
+(* [(name, program)] for the 12 benchmarks, as compiled. *)
+let kernels =
+  lazy
+    (List.map
+       (fun (b : Asipfb_bench_suite.Benchmark.t) ->
+         (b.name, Asipfb_bench_suite.Benchmark.compile b))
+       Asipfb_bench_suite.Registry.all)
+
 let suite =
   lazy
     (List.concat_map
-       (fun (b : Asipfb_bench_suite.Benchmark.t) ->
-         original_and_scheduled b.name (Asipfb_bench_suite.Benchmark.compile b))
-       Asipfb_bench_suite.Registry.all)
+       (fun (name, prog) -> original_and_scheduled name prog)
+       (Lazy.force kernels))
 
 let of_source src =
   original_and_scheduled "generated"

@@ -225,6 +225,199 @@ let prop_rename_then_percolate_preserves =
       let p = compile src in
       Gen_minic.observe p = Gen_minic.observe (Percolate.run (Rename.run p)))
 
+(* --- percolation vs. the re-solving mover ---------------------------------- *)
+
+(* The reference mover: the same first-legal-move search as [Percolate],
+   but liveness and must-define are solved from scratch before every
+   move (must-define by its own round-robin loop over a universe of the
+   defined registers and parameters).  [Percolate] patches both facts
+   across moves instead; the output must be byte-identical. *)
+module Naive_percolate = struct
+  module Cfg = Asipfb_cfg.Cfg
+  module Liveness = Asipfb_cfg.Liveness
+
+  let is_call i =
+    match Instr.kind i with Instr.Call _ -> true | _ -> false
+
+  let at_dependence_top earlier o =
+    let d = Instr.def o and uses = Instr.uses o in
+    List.for_all
+      (fun e ->
+        let e_def = Instr.def e in
+        (match e_def with
+        | Some r -> not (List.exists (Reg.equal r) uses)
+        | None -> true)
+        && (match d with
+           | Some r -> not (List.exists (Reg.equal r) (Instr.uses e))
+           | None -> true)
+        && (match (d, e_def) with
+           | Some a, Some b -> not (Reg.equal a b)
+           | _ -> true)
+        && (match Instr.reads_memory o with
+           | Some region ->
+               Instr.writes_memory e <> Some region && not (is_call e)
+           | None -> true)
+        &&
+        match Instr.writes_memory o with
+        | Some region ->
+            Instr.writes_memory e <> Some region
+            && Instr.reads_memory e <> Some region
+            && not (is_call e)
+        | None -> true)
+      earlier
+
+  let definitely_defined (cfg : Cfg.t) (f : Func.t) =
+    let universe =
+      Reg.Set.union (Func.defined_regs f) (Reg.Set.of_list f.params)
+    in
+    let params = Reg.Set.of_list f.params in
+    let def_out = Array.make (Array.length cfg.blocks) universe in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      Array.iter
+        (fun (b : Cfg.block) ->
+          let def_in =
+            if b.index = cfg.entry then params
+            else
+              match b.preds with
+              | [] -> universe
+              | p :: rest ->
+                  List.fold_left
+                    (fun acc q -> Reg.Set.inter acc def_out.(q))
+                    def_out.(p) rest
+          in
+          let out =
+            List.fold_left
+              (fun s i ->
+                match Instr.def i with Some d -> Reg.Set.add d s | None -> s)
+              def_in b.instrs
+          in
+          if not (Reg.Set.equal out def_out.(b.index)) then begin
+            def_out.(b.index) <- out;
+            changed := true
+          end)
+        cfg.blocks
+    done;
+    def_out
+
+  let one_move (cfg : Cfg.t) (f : Func.t) =
+    let live = Liveness.compute cfg in
+    let def_out = definitely_defined cfg f in
+    let try_block (b : Cfg.block) =
+      match b.preds with
+      | [ p ] when p <> b.index && b.index <> cfg.entry -> (
+          let pred = cfg.blocks.(p) in
+          let speculative = List.length pred.succs > 1 in
+          let rec split earlier = function
+            | [] -> None
+            | o :: rest ->
+                let movable_kind =
+                  match Instr.kind o with
+                  | Instr.Store _ -> not speculative
+                  | Instr.Binop _ | Instr.Unop _ | Instr.Cmp _ | Instr.Mov _
+                  | Instr.Load _ ->
+                      true
+                  | _ -> false
+                in
+                if
+                  movable_kind
+                  && at_dependence_top (List.rev earlier) o
+                  && ((not speculative) || Percolate.hoistable_past_branch o)
+                then Some (List.rev earlier, o, rest)
+                else split (o :: earlier) rest
+          in
+          match split [] b.instrs with
+          | None -> None
+          | Some (before, o, after) ->
+              let term =
+                match List.rev pred.instrs with
+                | last :: _ when Instr.is_control last -> Some last
+                | _ -> None
+              in
+              let legal =
+                List.for_all (fun u -> Reg.Set.mem u def_out.(p)) (Instr.uses o)
+                &&
+                match Instr.def o with
+                | None -> true
+                | Some d ->
+                    (match term with
+                    | Some t -> not (List.exists (Reg.equal d) (Instr.uses t))
+                    | None -> true)
+                    && List.for_all
+                         (fun s ->
+                           s = b.index
+                           || not (Reg.Set.mem d (Liveness.live_in live s)))
+                         pred.succs
+              in
+              if not legal then None
+              else
+                Some
+                  (Cfg.map_blocks
+                     (fun (blk : Cfg.block) ->
+                       if blk.index = b.index then before @ after
+                       else if blk.index = p then
+                         match List.rev blk.instrs with
+                         | last :: rev_rest when Instr.is_control last ->
+                             List.rev rev_rest @ [ o; last ]
+                         | _ -> blk.instrs @ [ o ]
+                       else blk.instrs)
+                     cfg))
+      | _ -> None
+    in
+    Array.to_list cfg.blocks |> List.find_map try_block
+
+  let run_func (f : Func.t) =
+    let rec go cfg remaining =
+      if remaining = 0 then cfg
+      else
+        match one_move cfg f with
+        | Some cfg' -> go cfg' (remaining - 1)
+        | None -> cfg
+    in
+    let budget = max 16 (8 * Func.instr_count f) in
+    Func.with_body f (Cfg.linearize (go (Cfg.build f) budget))
+
+  let run p = Prog.map_funcs run_func p
+end
+
+(* Printed bodies (which omit opids) plus every instruction's opid in
+   body order. *)
+let percolate_fingerprint (p : Prog.t) =
+  ( Prog.to_string p,
+    List.concat_map
+      (fun (f : Func.t) -> List.map Instr.opid f.body)
+      p.Prog.funcs )
+
+let percolate_matches_naive (p : Prog.t) =
+  percolate_fingerprint (Percolate.run p)
+  = percolate_fingerprint (Naive_percolate.run p)
+
+let check_matches_naive label p =
+  Alcotest.(check bool) (label ^ " plain") true (percolate_matches_naive p);
+  Alcotest.(check bool)
+    (label ^ " renamed") true
+    (percolate_matches_naive (Rename.run p))
+
+let test_percolate_matches_naive_kernels () =
+  List.iter
+    (fun (name, p) -> check_matches_naive name p)
+    (Lazy.force Dataflow_programs.kernels)
+
+let test_percolate_matches_naive_corpus () =
+  for seed = 0 to 3 do
+    for index = 0 to 99 do
+      let b = Asipfb_corpus.Gen.benchmark ~seed ~index () in
+      check_matches_naive b.name (Asipfb_bench_suite.Benchmark.compile b)
+    done
+  done
+
+let prop_percolate_matches_naive =
+  QCheck2.Test.make ~name:"percolation matches the re-solving mover"
+    ~count:60 Gen_minic.gen_program (fun src ->
+      let p = compile src in
+      percolate_matches_naive p && percolate_matches_naive (Rename.run p))
+
 (* --- schedule / kernels -------------------------------------------------- *)
 
 let test_kernels_for_while_loop () =
@@ -326,6 +519,11 @@ let suite =
           test_percolate_keeps_opids;
         QCheck_alcotest.to_alcotest prop_percolate_preserves_semantics;
         QCheck_alcotest.to_alcotest prop_rename_then_percolate_preserves;
+        Alcotest.test_case "matches the re-solving mover on kernels" `Quick
+          test_percolate_matches_naive_kernels;
+        Alcotest.test_case "matches the re-solving mover on the corpus" `Quick
+          test_percolate_matches_naive_corpus;
+        QCheck_alcotest.to_alcotest prop_percolate_matches_naive;
       ] );
     ( "sched.schedule",
       [
