@@ -144,7 +144,7 @@ let sim_throughput () =
    counters are the observable proof that a warm run skipped every
    analyze task (12 base + 36 sched).  A final verify-enabled pass on
    the warm cache isolates the cost of the static verifier (12 IR-check
-   + 36 legality tasks) — everything else is a cache hit, so [verify_s]
+   + 36 schedule IR-check tasks) — everything else is a cache hit, so [verify_s]
    is dominated by the verify stage itself.  A 64-program generated
    corpus at the recommended job count records the scale-out
    throughput. *)

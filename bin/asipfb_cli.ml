@@ -485,8 +485,8 @@ let print_timings engine =
 let verify_arg =
   let doc =
     "Run the static verifier during analysis: $(b,off), $(b,ir) (mini-C \
-     lint + IR dataflow checks), $(b,full) (adds the per-level \
-     schedule-legality proof), or $(b,tv) (adds the per-level semantic \
+     lint + IR dataflow checks), $(b,full) (adds the IR dataflow checks \
+     on every schedule), or $(b,tv) (adds the per-level semantic \
      refinement proof with counterexample search).  Findings go to \
      stderr and to the $(b,--diag-json) report."
   in
@@ -595,8 +595,8 @@ let cmd_report artifact keep_going diag_json verify opts timings =
                    (String.concat ", " (List.map fst table)))))
 
 (* Static analysis as its own subcommand: run all three checkers of
-   lib/verify (mini-C lint, IR dataflow checks, schedule-legality proof
-   at every opt level) over one benchmark or the whole suite. *)
+   lib/verify (mini-C lint, IR dataflow checks, refinement proof at
+   every opt level) over one benchmark or the whole suite. *)
 let cmd_lint name json strict opts timings =
   wrap (fun () ->
       let* benchmarks =
@@ -606,7 +606,7 @@ let cmd_lint name json strict opts timings =
       in
       let* engine = make_engine opts in
       let r =
-        Asipfb.Pipeline.run_suite ~engine ~verify:`Full ~benchmarks
+        Asipfb.Pipeline.run_suite ~engine ~verify:`Tv ~benchmarks
           ~on_error:`Raise ()
       in
       let findings =
@@ -804,7 +804,7 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Run the static verifier: mini-C lint, IR dataflow checks, and \
-          the schedule-legality proof at every optimization level.")
+          the semantic refinement proof at every optimization level.")
     Term.(const cmd_lint $ benchmark $ json $ strict $ engine_opts_term
           $ timings_arg)
 

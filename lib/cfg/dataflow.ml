@@ -1,7 +1,7 @@
 (* Generic iterative dataflow: one round-robin worklist solver
    parameterized over direction and a join semilattice of facts.
-   Liveness, reaching definitions, and definite assignment (Defined) are
-   instances; see dataflow.mli for the quadrant mapping. *)
+   Liveness and definite assignment (Defined) are instances; see
+   dataflow.mli for the quadrant mapping. *)
 
 module type DOMAIN = sig
   type fact

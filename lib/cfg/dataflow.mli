@@ -4,9 +4,8 @@
     (forward/backward × may/must): a client supplies a join semilattice
     of facts — equality, a per-block merge of incoming facts, and a
     block transfer function — and {!Make.solve} iterates to the least
-    fixpoint.  {!Liveness} (backward/may), {!Reaching} (forward/may)
-    and {!Defined} (forward/must definite assignment) are all
-    instances.
+    fixpoint.  {!Liveness} (backward/may) and {!Defined} (forward/must
+    definite assignment) are its instances.
 
     Direction fixes which CFG edges propagate facts; may/must is
     entirely inside [merge] ([union] with an empty identity for may,

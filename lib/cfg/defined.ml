@@ -78,3 +78,25 @@ let refresh t (cfg : Cfg.t) r =
         if bits.(b) then Reg.Set.add r s else Reg.Set.remove r s)
   in
   { t with input = set input t.input; output = set output t.output }
+
+(* Walk each block forward from its entry fact, adding each definition
+   after the instruction's own reads. *)
+let uninit_reads (f : Func.t) (cfg : Cfg.t) =
+  let t = solve f cfg in
+  let reads = ref [] in
+  Array.iter
+    (fun (b : Cfg.block) ->
+      let defined = ref (defined_in t b.index) in
+      List.iter
+        (fun i ->
+          List.iter
+            (fun r ->
+              if not (Reg.Set.mem r !defined) then
+                reads := (b.index, i, r) :: !reads)
+            (Asipfb_util.Listx.dedup Reg.equal (Instr.uses i));
+          Option.iter
+            (fun d -> defined := Reg.Set.add d !defined)
+            (Instr.def i))
+        b.instrs)
+    cfg.blocks;
+  List.rev !reads

@@ -19,3 +19,10 @@ val refresh : t -> Cfg.t -> Asipfb_ir.Reg.t -> t
 (** [refresh t cfg r] equals [solve f cfg] when [t] was solved for a CFG
     with the same graph and the same definition sites of every register
     but [r].  Only [r]'s fixpoint is re-solved. *)
+
+val uninit_reads :
+  Asipfb_ir.Func.t -> Cfg.t -> (int * Asipfb_ir.Instr.t * Asipfb_ir.Reg.t) list
+(** [uninit_reads f cfg] lists every [(block, instr, register)] where
+    [instr] reads [register] while some path from the entry reaches it
+    without assigning it — in block order, then position, then operand
+    order (each register once per instruction). *)

@@ -15,7 +15,7 @@ type stage =
   | Scheduling   (* percolation / pipelining / renaming transforms *)
   | Detection    (* branch-and-bound sequence analyzer *)
   | Coverage     (* iterative greedy coverage *)
-  | Verification (* static checkers: dataflow, schedule legality, lint *)
+  | Verification (* static checkers: dataflow, refinement proof, lint *)
   | Selection    (* ASIP instruction selection / netlists *)
   | Reporting    (* tables, figures, CSV export *)
   | Driver       (* CLI / pipeline orchestration *)

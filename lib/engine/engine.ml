@@ -187,10 +187,10 @@ let sched_for t (b : Benchmark.t) prog level =
           Schedule.optimize ~level prog))
 
 (* Verify tasks are cached like sched tasks: findings depend only on the
-   source (IR checks) or on (source, level) (legality), both covered by
-   the content key.  Each checker family has its own metrics stage
-   ("verify-ir", "verify-sched", "verify-tv"), named like its cache key
-   family, so --timings shows where verification time goes. *)
+   source (IR checks) or on (source, level) (schedule checks), both
+   covered by the content key.  Each checker family has its own metrics
+   stage ("verify-ir", "verify-sched", "verify-tv"), named like its cache
+   key family, so --timings shows where verification time goes. *)
 let verify_ir_for t (b : Benchmark.t) prog =
   Cache.find_or_compute t.verify_cache ~key:(verify_ir_key ~uarch:t.uarch b)
     (fun () ->
@@ -259,9 +259,9 @@ let analyze_all t ?(verify = `Off) ?faults benchmarks =
                  (fun _ctx -> sched_for t b base.prog levels.(li))))
   in
   (* Phase 3 (optional): verify tasks — per benchmark for the IR checks,
-     plus per (benchmark, level) for the legality proof under [`Full],
+     plus per (benchmark, level) for the schedule IR checks under [`Full],
      plus per (benchmark, level) for translation validation under [`Tv].
-     Laid out as [nb] IR slots, then [nb × nl] legality slots, then
+     Laid out as [nb] IR slots, then [nb × nl] schedule slots, then
      [nb × nl] refinement slots. *)
   let nb = Array.length bs in
   let verify_results =
@@ -310,8 +310,9 @@ let analyze_all t ?(verify = `Off) ?faults benchmarks =
       match verify_results.(bi) with
       | Error exn -> Error exn
       | Ok ir ->
-          (* Per-level findings of one segment (legality at offset [nb],
-             refinement at [nb + nb·nl]), concatenated in level order. *)
+          (* Per-level findings of one segment (schedule checks at offset
+             [nb], refinement at [nb + nb·nl]), concatenated in level
+             order. *)
           let segment off =
             let rec go li acc =
               if li = nl then Ok (List.concat (List.rev acc))

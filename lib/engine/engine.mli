@@ -26,23 +26,24 @@
     depend only on the compiled program and stay cacheable.
 
     Stage wall-clock is charged to {!Metrics.global} under ["frontend"],
-    ["sim"], ["sched"], ["verify-ir"], ["verify-sched"] (legality) and
-    ["verify-tv"].
+    ["sim"], ["sched"], ["verify-ir"], ["verify-sched"] (IR checks on a
+    schedule) and ["verify-tv"].
 
     {2 Verify checkpoint}
 
     With [~verify:`Ir], a third task phase runs the static checkers of
     {!Asipfb_verify} over each benchmark: the mini-C lint on the source
     and the IR dataflow/structural checks on the compiled program.
-    [`Full] adds one legality-proof task per (benchmark, level),
-    verifying the optimized graph preserves the original dependence
-    structure.  [`Tv] adds, on top of [`Full], one translation-validation
-    task per (benchmark, level) — {!Asipfb_verify.Equiv}'s semantic
-    refinement proof, with counterexample search on failure — charged to
-    the ["verify-tv"] metrics stage.  Findings land in
-    {!analysis.verify} (IR findings first, then per-level legality, then
-    per-level refinement, each in {!Asipfb_sched.Opt_level.all} order)
-    and are cached under their own content keys. *)
+    [`Full] adds one task per (benchmark, level) running the IR dataflow
+    checks on the optimized program.  [`Tv] adds, on top of [`Full], one
+    translation-validation task per (benchmark, level) —
+    {!Asipfb_verify.Equiv}'s semantic refinement proof, the only
+    schedule verifier, with counterexample search on failure — charged
+    to the ["verify-tv"] metrics stage.  Findings land in
+    {!analysis.verify} (IR findings first, then per-level schedule IR
+    checks, then per-level refinement, each in
+    {!Asipfb_sched.Opt_level.all} order) and are cached under their own
+    content keys. *)
 
 type analysis = {
   benchmark : Asipfb_bench_suite.Benchmark.t;
@@ -106,8 +107,8 @@ type stats = {
   base : Cache.stats;  (** Compile+profile payloads (12 per suite run). *)
   sched : Cache.stats;  (** Per-level schedules (36 per suite run). *)
   verify : Cache.stats;
-      (** Verify findings (12 IR + 36 legality per [`Full] suite run;
-          [`Tv] adds 36 refinement payloads). *)
+      (** Verify findings (12 IR + 36 schedule IR checks per [`Full]
+          suite run; [`Tv] adds 36 refinement payloads). *)
   supervise : Asipfb_supervise.Supervise.stats;
       (** Retry/quarantine/degradation accounting. *)
 }
@@ -136,7 +137,7 @@ val verify_ir_key :
 val verify_sched_key :
   ?uarch:string ->
   Asipfb_bench_suite.Benchmark.t -> Asipfb_sched.Opt_level.t -> string
-(** Content key of one (benchmark, level) legality-proof result. *)
+(** Content key of one (benchmark, level) schedule IR-check result. *)
 
 val verify_tv_key :
   ?uarch:string ->

@@ -95,7 +95,7 @@ type equiv_verdict = {
   ev_counterexamples : int;
       (** Findings tagged [check=counterexample] — concrete divergences. *)
   ev_findings : Asipfb_diag.Diag.t list;
-      (** The full finding list (IR + legality + refinement). *)
+      (** The full finding list (IR checks + refinement). *)
 }
 (** The wire verdict of a [`Tv] verify: a zero
     [ev_refinement_failures] with empty [ev_findings] is a proof that

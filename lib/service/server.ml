@@ -220,7 +220,7 @@ let dispatch t req : Api.cache_status * (Api.payload, Diag.t) result =
       | Ok benchmarks ->
           serve_cached t ~key:(lint_key benchmarks) (fun () ->
               let r =
-                Pipeline.run_suite ~engine:t.engine ~verify:`Full ~benchmarks
+                Pipeline.run_suite ~engine:t.engine ~verify:`Tv ~benchmarks
                   ~on_error:`Raise ()
               in
               Api.Findings

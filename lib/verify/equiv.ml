@@ -22,6 +22,7 @@ module Memory = Asipfb_exec.Memory
 module Ops = Asipfb_exec.Ops
 module Cfg = Asipfb_cfg.Cfg
 module Liveness = Asipfb_cfg.Liveness
+module Defined = Asipfb_cfg.Defined
 module Diag = Asipfb_diag.Diag
 module Prng = Asipfb_util.Prng
 
@@ -645,6 +646,25 @@ let check_func ~(original : Func.t) ~(transformed : Func.t) : failure list =
                               live)
                       c.preds)
                 co.blocks;
+              (* 5. definedness: the transformed side may read a
+                 maybe-uninitialized register only at an opid where the
+                 original does.  Such a read traps on the core, and when
+                 its result is dead no cut-edge obligation above ever
+                 looks at it. *)
+              let original_reads =
+                List.map
+                  (fun (_, i, _) -> Instr.opid i)
+                  (Defined.uninit_reads original co)
+              in
+              List.iter
+                (fun (j, i, r) ->
+                  if not (List.mem (Instr.opid i) original_reads) then
+                    add
+                      (fail ~block:inv.(j) "definedness"
+                         (Format.asprintf
+                            "%s may be read uninitialized at opid %d [%a]"
+                            (Reg.to_string r) (Instr.opid i) Instr.pp i)))
+                (Defined.uninit_reads transformed ct);
               List.rev !failures))
 
 (* --- concrete counterexample search -------------------------------------- *)

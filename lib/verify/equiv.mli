@@ -1,21 +1,25 @@
 (** Translation validation: a per-function refinement checker for
     scheduled code.
 
-    {!Legality} proves the *syntactic* obligations — dependence ordering
-    witnesses and reaching-definition value flow.  This module proves the
-    *semantic* one: the transformed program refines the original under
-    the small-step {!Semantics} — on every input where the original runs
-    to completion without trapping, the transformed program produces the
-    same observation trace, return value, and final memory.  (Inputs on
-    which the original traps are treated as outside the contract, the
-    usual source-trap-as-undefined-behavior refinement.)
+    This is the only schedule verifier.  It proves that the transformed
+    program refines the original under the small-step {!Semantics} — on
+    every input where the original runs to completion without trapping,
+    the transformed program produces the same observation trace, return
+    value, and final memory.  (Inputs on which the original traps are
+    treated as outside the contract, the usual
+    source-trap-as-undefined-behavior refinement.)
 
     The argument is a block-level simulation over {e cut points} — the
     entry block and every join (a block with zero or several
     predecessors).  Both sides are executed symbolically from shared cut
     variables; obligations are discharged by a normalizing expression
     simplifier whose constant folding delegates to {!Asipfb_exec.Ops}, so
-    compile-time and run-time arithmetic agree by construction.  The
+    compile-time and run-time arithmetic agree by construction.  One
+    more obligation, [definedness], is dataflow rather than symbolic: the
+    transformed function may read a maybe-uninitialized register
+    ({!Asipfb_cfg.Defined.uninit_reads}) only at an opid where the
+    original does — such a read traps on the core even when its result
+    is dead, so no value obligation would see it.  The
     checker is conservative: [Refines] is a proof, a failure is only a
     *suspicion* — which is why every failure is accompanied, when one can
     be found, by a concrete counterexample replayed on {!Semantics} and
@@ -29,7 +33,7 @@ type failure = {
   fl_block : int option;  (** [None] for whole-function obligations. *)
   fl_check : string;
       (** Obligation family: ["cfg-shape"], ["terminator"], ["calls"],
-          ["events"], ["cut-edge"], ["structure"]. *)
+          ["events"], ["cut-edge"], ["definedness"], ["structure"]. *)
   fl_detail : string;  (** Human explanation with symbolic values. *)
 }
 

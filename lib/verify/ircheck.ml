@@ -16,32 +16,15 @@ let warn ~func ~rule ?(context = []) message =
 (* A read is suspect when some path from the entry reaches it without
    assigning the register (definite assignment, {!Asipfb_cfg.Defined}). *)
 let uninit_reads (f : Func.t) (cfg : Cfg.t) =
-  let defined_in = Defined.defined_in (Defined.solve f cfg) in
-  let findings = ref [] in
-  Array.iter
-    (fun (b : Cfg.block) ->
-      let defined = ref (defined_in b.index) in
-      List.iter
-        (fun i ->
-          List.iter
-            (fun r ->
-              if not (Reg.Set.mem r !defined) then
-                findings :=
-                  warn ~func:f.name ~rule:"maybe-uninitialized"
-                    ~context:
-                      [ ("opid", string_of_int (Instr.opid i));
-                        ("register", Reg.to_string r) ]
-                    (Format.asprintf
-                       "register %a may be read uninitialized in [%a]" Reg.pp
-                       r Instr.pp i)
-                  :: !findings)
-            (Asipfb_util.Listx.dedup Reg.equal (Instr.uses i));
-          match Instr.def i with
-          | Some d -> defined := Reg.Set.add d !defined
-          | None -> ())
-        b.instrs)
-    cfg.blocks;
-  List.rev !findings
+  List.map
+    (fun (_, i, r) ->
+      warn ~func:f.name ~rule:"maybe-uninitialized"
+        ~context:
+          [ ("opid", string_of_int (Instr.opid i));
+            ("register", Reg.to_string r) ]
+        (Format.asprintf "register %a may be read uninitialized in [%a]"
+           Reg.pp r Instr.pp i))
+    (Defined.uninit_reads f cfg)
 
 (* --- dead stores --------------------------------------------------------- *)
 

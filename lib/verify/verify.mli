@@ -1,19 +1,18 @@
 (** Static-analysis umbrella: one entry point per checker family, plus
     the [mode] knob the engine and CLI share.
 
-    Four checkers, all reporting {!Asipfb_diag.Diag.t}:
+    Three checkers, all reporting {!Asipfb_diag.Diag.t}:
     - {!Lint} — mini-C source lint over the typed AST;
     - {!Ircheck} — dataflow checks over the 3-address IR
       (with {!Asipfb_ir.Validate}'s structural checks folded in);
-    - {!Legality} — schedule legality proof per optimization level;
     - {!Equiv} — translation validation: a semantic refinement proof
       per optimization level, with concrete counterexamples on failure.
+      It is the only schedule verifier.
 
     [`Ir] runs the first two on the unoptimized program; [`Full] adds
-    the legality proof (and the IR dataflow checks) for every schedule;
-    [`Tv] adds the refinement proof on top of [`Full].  Lint/IR findings
-    are warnings; legality violations and refinement failures are
-    errors. *)
+    the IR dataflow checks on every schedule; [`Tv] adds the refinement
+    proof on top of [`Full].  Lint/IR findings are warnings; refinement
+    failures are errors. *)
 
 type mode = [ `Off | `Ir | `Full | `Tv ]
 
@@ -31,10 +30,10 @@ val check_schedule :
   original:Asipfb_ir.Prog.t ->
   Asipfb_sched.Schedule.t ->
   Asipfb_diag.Diag.t list
-(** Legality verdict of one opt-level output against its source program
-    ({!Legality.check}), plus the IR dataflow checks on the transformed
-    program — a transformation must not introduce uninitialized reads
-    or unreachable blocks either. *)
+(** The IR dataflow checks ({!Ircheck.check}) on one opt-level output —
+    a transformation must not introduce uninitialized reads or
+    unreachable blocks.  [original] is unused: whether the schedule
+    preserves the source's meaning is {!check_refinement}'s question. *)
 
 val check_refinement :
   original:Asipfb_ir.Prog.t ->

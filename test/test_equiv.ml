@@ -1,6 +1,11 @@
 (* Translation validation: the reference semantics vs the execution core,
    clean schedules proving Refines, and the seeded-mutation adversary. *)
 
+module Instr = Asipfb_ir.Instr
+module Reg = Asipfb_ir.Reg
+module Func = Asipfb_ir.Func
+module Prog = Asipfb_ir.Prog
+module Gen = Asipfb_corpus.Gen
 module Registry = Asipfb_bench_suite.Registry
 module Benchmark = Asipfb_bench_suite.Benchmark
 module Schedule = Asipfb_sched.Schedule
@@ -255,6 +260,189 @@ let test_diag_context () =
             (List.assoc_opt "level" d.context = Some "O1"))
         diags
 
+(* A swap that moves a definition below its only use, whose result is
+   dead: no value obligation reads the now-uninitialized register, yet
+   the core traps on it.  The definedness obligation rejects it. *)
+let test_uninit_read_rejected () =
+  let original = Benchmark.compile (Gen.benchmark ~seed:7 ~index:2 ()) in
+  let sched = Schedule.optimize ~level:Opt_level.O0 original in
+  let mutant =
+    match Mutate.apply ~seed:19 Mutate.Swap_deps sched.prog with
+    | Some p -> p
+    | None -> Alcotest.fail "no swap-deps site"
+  in
+  match Equiv.check ~original ~transformed:mutant () with
+  | Equiv.Refines -> Alcotest.fail "uninitialized read proved Refines"
+  | Equiv.Fails { failures; counterexample } -> (
+      Alcotest.(check (list string))
+        "failures"
+        [ "main.b5: [definedness] t.40 may be read uninitialized at opid 58 \
+           [a.0 = and t.39, t.40]" ]
+        (List.map Equiv.failure_to_string failures);
+      match counterexample with
+      | None -> Alcotest.fail "no counterexample"
+      | Some cx ->
+          Alcotest.(check bool) "ref-confirmed" true cx.Equiv.cx_ref_confirmed;
+          Alcotest.(check string)
+            "divergence"
+            "trace index 10: store m[4] = 0 vs trap: read of uninitialized \
+             register t.40"
+            cx.Equiv.cx_divergence)
+
+(* Every swap-deps mutant of the first 20 corpus programs whose core run
+   differs from the original's is rejected, with a counterexample the
+   core confirms. *)
+let test_corpus_swap_deps_caught () =
+  let run p =
+    match Interp.run ~fuel:1_000_000 p with
+    | o -> Ok (o.Interp.return_value, dump o.Interp.memory)
+    | exception (Interp.Runtime_error _ | Interp.Fuel_exhausted _) -> Error ()
+  in
+  let differs a b =
+    match (a, b) with
+    | Ok (ra, ma), Ok (rb, mb) ->
+        (not (Option.equal Value.equal ra rb)) || not (dumps_equal ma mb)
+    | Ok _, Error () -> true
+    | Error (), _ -> false
+  in
+  List.iter
+    (fun index ->
+      let b = Gen.benchmark ~seed:7 ~index () in
+      let original = Benchmark.compile b in
+      let reference = run original in
+      List.iter
+        (fun level ->
+          let sched = Schedule.optimize ~level original in
+          for seed = 0 to 19 do
+            match Mutate.apply ~seed Mutate.Swap_deps sched.prog with
+            | Some mutant when differs reference (run mutant) -> (
+                let where =
+                  Printf.sprintf "%s %s seed=%d" b.name
+                    (Opt_level.to_string level) seed
+                in
+                match Equiv.check ~original ~transformed:mutant () with
+                | Equiv.Fails { counterexample = Some cx; _ }
+                  when cx.Equiv.cx_ref_confirmed ->
+                    ()
+                | Equiv.Fails _ ->
+                    Alcotest.failf "%s: no confirmed counterexample" where
+                | Equiv.Refines ->
+                    Alcotest.failf "%s: observable mutant proved Refines" where
+                )
+            | Some _ | None -> ()
+          done)
+        levels)
+    (List.init 20 Fun.id)
+
+(* Swap the first adjacent flow-dependent pair of the first benchmark,
+   schedule the corrupted program, and check it against the clean
+   original: the sink now reads its operand before the definition. *)
+let test_corrupted_schedule_flagged () =
+  let prog = Benchmark.compile (List.hd Registry.all) in
+  let swapped = ref None in
+  let rec swap_first = function
+    | a :: y :: rest
+      when !swapped = None
+           && (match Instr.def a with
+              | Some d -> List.exists (Reg.equal d) (Instr.uses y)
+              | None -> false)
+           && (not (Instr.is_control a))
+           && not (Instr.is_control y) ->
+        swapped := Some (Instr.opid y);
+        y :: a :: rest
+    | x :: rest -> x :: swap_first rest
+    | [] -> []
+  in
+  let funcs =
+    List.map
+      (fun (g : Func.t) ->
+        if !swapped = None then Func.with_body g (swap_first g.body) else g)
+      prog.funcs
+  in
+  let sink =
+    match !swapped with
+    | Some opid -> opid
+    | None -> Alcotest.fail "no dependent pair to corrupt"
+  in
+  let corrupted = { prog with Prog.funcs = funcs } in
+  let sched = Schedule.optimize ~level:Opt_level.O0 corrupted in
+  match Equiv.check ~original:prog ~transformed:sched.prog () with
+  | Equiv.Refines -> Alcotest.fail "corrupted schedule proved Refines"
+  | Equiv.Fails { failures; _ } as verdict ->
+      let needle = Printf.sprintf "at opid %d [" sink in
+      let contains s =
+        let n = String.length needle in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = needle || go (i + 1))
+        in
+        go 0
+      in
+      let names_sink (f : Equiv.failure) =
+        f.fl_check = "definedness" && contains f.fl_detail
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "names the read at opid %d" sink)
+        true
+        (List.exists names_sink failures);
+      List.iter
+        (fun d ->
+          Alcotest.(check bool) "error severity" true
+            (Asipfb_diag.Diag.is_error d))
+        (Equiv.to_diags verdict)
+
+(* Equiv's failing obligations for seeded corruptions of the fir
+   schedule, pinned as (function, block, obligation).  Swap-deps trips
+   the definedness obligation beside a value one; drop-copy a cut-edge
+   value, retarget-jump the CFG shape. *)
+let test_mutated_fir_failures () =
+  let prog = Benchmark.compile (Registry.find "fir") in
+  let failures level kind seed =
+    let sched = Schedule.optimize ~level prog in
+    match Mutate.apply ~seed kind sched.prog with
+    | None -> Alcotest.fail "no mutation site"
+    | Some p -> (
+        match Equiv.check ~attempts:0 ~original:prog ~transformed:p () with
+        | Equiv.Refines -> []
+        | Equiv.Fails { failures; _ } ->
+            List.map
+              (fun (f : Equiv.failure) ->
+                Printf.sprintf "%s.b%s %s" f.fl_func
+                  (match f.fl_block with
+                  | Some b -> string_of_int b
+                  | None -> "-")
+                  f.fl_check)
+              failures)
+  in
+  let pin name want got = Alcotest.(check (list string)) name want got in
+  pin "O0 swap-deps" [ "design.b5 events"; "design.b5 definedness" ]
+    (failures Opt_level.O0 Mutate.Swap_deps 3);
+  pin "O1 swap-deps" [ "filter.b5 cut-edge"; "filter.b5 definedness" ]
+    (failures Opt_level.O1 Mutate.Swap_deps 3);
+  pin "O2 swap-deps" [ "design.b2 terminator"; "design.b1 definedness" ]
+    (failures Opt_level.O2 Mutate.Swap_deps 3);
+  pin "O2 drop-copy" [ "filter.b7 cut-edge" ]
+    (failures Opt_level.O2 Mutate.Drop_copy 3);
+  pin "O2 retarget-jump" [ "filter.b6 cfg-shape" ]
+    (failures Opt_level.O2 Mutate.Retarget_jump 1);
+  pin "O1 retarget-jump" [ "design.b3 cfg-shape" ]
+    (failures Opt_level.O1 Mutate.Retarget_jump 3)
+
+let prop_random_programs_refine =
+  QCheck2.Test.make ~name:"optimized random programs refine" ~count:30
+    Gen_minic.gen_program (fun src ->
+      let original = Asipfb_frontend.Lower.compile src ~entry:"main" in
+      List.for_all
+        (fun level ->
+          let sched = Schedule.optimize ~level original in
+          match Equiv.check ~original ~transformed:sched.prog () with
+          | Equiv.Refines -> true
+          | Equiv.Fails { failures; _ } ->
+              QCheck2.Test.fail_reportf "%s: %s"
+                (Opt_level.to_string level)
+                (String.concat "; "
+                   (List.map Equiv.failure_to_string failures)))
+        levels)
+
 let suite =
   [
     ( "equiv",
@@ -269,5 +457,14 @@ let suite =
           test_pinned_counterexample;
         Alcotest.test_case "diag context" `Quick test_diag_context;
         mutation_test;
+        Alcotest.test_case "swap-deps uninitialized read rejected" `Quick
+          test_uninit_read_rejected;
+        Alcotest.test_case "corpus swap-deps mutants caught" `Quick
+          test_corpus_swap_deps_caught;
+        Alcotest.test_case "corrupted schedule flagged" `Quick
+          test_corrupted_schedule_flagged;
+        Alcotest.test_case "mutated fir failures pinned" `Quick
+          test_mutated_fir_failures;
+        QCheck_alcotest.to_alcotest prop_random_programs_refine;
       ] );
   ]

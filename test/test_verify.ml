@@ -1,19 +1,12 @@
 (* Static-analysis subsystem: IR dataflow checks, mini-C lint, and the
-   schedule-legality prover. *)
+   verify checkpoint on the engine. *)
 
 module Builder = Asipfb_ir.Builder
 module Instr = Asipfb_ir.Instr
 module Func = Asipfb_ir.Func
-module Prog = Asipfb_ir.Prog
 module Types = Asipfb_ir.Types
-module Reg = Asipfb_ir.Reg
-module Lower = Asipfb_frontend.Lower
-module Schedule = Asipfb_sched.Schedule
-module Opt_level = Asipfb_sched.Opt_level
-module Ddg = Asipfb_sched.Ddg
 module Ircheck = Asipfb_verify.Ircheck
 module Lint = Asipfb_verify.Lint
-module Legality = Asipfb_verify.Legality
 module Verify = Asipfb_verify.Verify
 module Diag = Asipfb_diag.Diag
 
@@ -237,127 +230,6 @@ let test_suite_lint_clean () =
         (b.name ^ " lint clean") [] (lint_rules b.source))
     Asipfb_bench_suite.Registry.all
 
-(* --- schedule legality ---------------------------------------------------- *)
-
-let test_all_schedules_legal () =
-  List.iter
-    (fun (b : Asipfb_bench_suite.Benchmark.t) ->
-      let prog = Asipfb_bench_suite.Benchmark.compile b in
-      List.iter
-        (fun level ->
-          let sched = Schedule.optimize ~level prog in
-          match Legality.check ~original:prog sched with
-          | Legality.Legal -> ()
-          | Legality.Violation (v :: _) ->
-              Alcotest.failf "%s at %s: (%d, %d, %s): %s" b.name
-                (Opt_level.to_string level) v.before v.after
-                (Legality.string_of_kind v.vkind)
-                v.reason
-          | Legality.Violation [] -> assert false)
-        Opt_level.all)
-    Asipfb_bench_suite.Registry.all
-
-(* Swap the first adjacent flow-dependent instruction pair in main, then
-   check the prover names exactly that pair. *)
-let test_corrupted_schedule_flagged () =
-  let b = List.hd Asipfb_bench_suite.Registry.all in
-  let prog = Asipfb_bench_suite.Benchmark.compile b in
-  let swapped = ref None in
-  let rec swap_first = function
-    | a :: y :: rest
-      when !swapped = None
-           && (match Instr.def a with
-              | Some d -> List.exists (Reg.equal d) (Instr.uses y)
-              | None -> false)
-           && (not (Instr.is_control a))
-           && not (Instr.is_control y) ->
-        swapped := Some (Instr.opid a, Instr.opid y);
-        y :: a :: rest
-    | x :: rest -> x :: swap_first rest
-    | [] -> []
-  in
-  (* Corrupt the first function that has an adjacent dependent pair. *)
-  let funcs =
-    List.map
-      (fun (g : Func.t) ->
-        if !swapped = None then Func.with_body g (swap_first g.body) else g)
-      prog.funcs
-  in
-  let before, after =
-    match !swapped with
-    | Some pair -> pair
-    | None -> Alcotest.fail "no dependent pair to corrupt"
-  in
-  let corrupted = { prog with Prog.funcs = funcs } in
-  let sched = Schedule.optimize ~level:Opt_level.O0 corrupted in
-  match Legality.check ~original:prog sched with
-  | Legality.Legal -> Alcotest.fail "corrupted schedule accepted as legal"
-  | Legality.Violation vs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "names the swapped pair (%d, %d, flow)" before after)
-        true
-        (List.exists
-           (fun (v : Legality.violation) ->
-             v.before = before && v.after = after && v.vkind = Ddg.Flow)
-           vs);
-      (* Violations render as error diagnostics. *)
-      List.iter
-        (fun d -> Alcotest.(check bool) "error severity" true (Diag.is_error d))
-        (Legality.to_diags (Legality.Violation vs))
-
-(* The prover's named witnesses for seeded corruptions of the fir
-   schedule, pinned: a dataflow change that moves which definition reaches
-   which use shows up here as a different (before, after) pair.  Drop-copy
-   and retarget-jump exercise the value-flow obligations (a deleted
-   restore copy, a new path into a use), swap-deps the ordering ones. *)
-let test_mutated_fir_witnesses () =
-  let module Mutate = Asipfb_verify.Mutate in
-  let prog =
-    Asipfb_bench_suite.Benchmark.compile
-      (Asipfb_bench_suite.Registry.find "fir")
-  in
-  let witnesses level kind seed =
-    let sched = Schedule.optimize ~level prog in
-    match Mutate.apply ~seed kind sched.prog with
-    | None -> Alcotest.fail "no mutation site"
-    | Some p -> (
-        match Legality.check ~original:prog { sched with prog = p } with
-        | Legality.Legal -> []
-        | Legality.Violation vs ->
-            List.map
-              (fun (v : Legality.violation) ->
-                Printf.sprintf "(%d, %d, %s)" v.before v.after
-                  (Legality.string_of_kind v.vkind))
-              vs)
-  in
-  let pin name want got = Alcotest.(check (list string)) name want got in
-  pin "O0 swap-deps" [ "(27, 28, flow)" ]
-    (witnesses Opt_level.O0 Mutate.Swap_deps 3);
-  pin "O1 swap-deps" [ "(48, 49, flow)" ]
-    (witnesses Opt_level.O1 Mutate.Swap_deps 3);
-  pin "O2 swap-deps" [ "(7, 8, flow)" ]
-    (witnesses Opt_level.O2 Mutate.Swap_deps 3);
-  pin "O2 drop-copy"
-    [ "(55, 35, flow)"; "(55, 42, flow)"; "(55, 46, flow)"; "(55, 54, flow)";
-      "(55, 55, flow)" ]
-    (witnesses Opt_level.O2 Mutate.Drop_copy 3);
-  pin "O2 retarget-jump"
-    [ "(49, 49, flow)"; "(49, 54, flow)"; "(51, 40, flow)"; "(51, 42, flow)";
-      "(51, 45, flow)"; "(51, 46, flow)"; "(51, 51, flow)" ]
-    (witnesses Opt_level.O2 Mutate.Retarget_jump 1);
-  pin "O1 retarget-jump" [ "(10, 27, flow)" ]
-    (witnesses Opt_level.O1 Mutate.Retarget_jump 3)
-
-let prop_random_schedules_legal =
-  QCheck2.Test.make ~name:"optimized random programs verify legal" ~count:30
-    Gen_minic.gen_program (fun src ->
-      let prog = Lower.compile src ~entry:"main" in
-      List.for_all
-        (fun level ->
-          Legality.check ~original:prog (Schedule.optimize ~level prog)
-          = Legality.Legal)
-        Opt_level.all)
-
 (* --- engine integration --------------------------------------------------- *)
 
 let test_pipeline_verify_checkpoint () =
@@ -380,7 +252,7 @@ let test_engine_verify_cached () =
   Alcotest.(check int) "warm run hits" (cold.hits + 4) warm.hits
 
 (* `Tv adds one refinement payload per level on top of `Full's 1 IR +
-   3 legality payloads: 7 misses cold, 7 hits warm. *)
+   3 schedule IR-check payloads: 7 misses cold, 7 hits warm. *)
 let test_engine_tv_cached () =
   let engine = Asipfb_engine.Engine.create ~jobs:1 ~cache:true () in
   let bs = [ List.hd Asipfb_bench_suite.Registry.all ] in
@@ -428,16 +300,6 @@ let suite =
         Alcotest.test_case "frontend error as diag" `Quick
           test_lint_frontend_error_is_diag;
         Alcotest.test_case "suite lint clean" `Quick test_suite_lint_clean;
-      ] );
-    ( "verify.legality",
-      [
-        Alcotest.test_case "all schedules legal" `Quick
-          test_all_schedules_legal;
-        Alcotest.test_case "corrupted schedule flagged" `Quick
-          test_corrupted_schedule_flagged;
-        Alcotest.test_case "mutated fir witnesses pinned" `Quick
-          test_mutated_fir_witnesses;
-        QCheck_alcotest.to_alcotest prop_random_schedules_legal;
       ] );
     ( "verify.engine",
       [
