@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (plus the two extension studies), printing each artifact and
-   then timing its regeneration with one Bechamel test per artifact.
+   evaluation (plus the two extension studies), printing each artifact,
+   and measures the engine baseline.
 
    Artifacts (see DESIGN.md experiment index):
      table1   - benchmark descriptions
@@ -17,18 +17,13 @@
      timing   - extension X6: per-benchmark timing-closure reports
      ablation_pipelining - A1: loop-carried search on/off
      ablation_cleanup    - A2: scalar cleanup passes on/off
-     pipeline     - full compile+profile+optimize of the suite (1 domain)
-     pipeline_par - the same suite on the parallel engine's domain pool
 
    Flags:
-     --no-timing          skip the Bechamel timing pass
      --engine-json FILE   also measure sequential vs parallel vs warm-cache
                           suite wall time and write the JSON baseline
      --engine-only        only the engine baseline (implies a default
                           BENCH_engine.json unless --engine-json is given) *)
 
-open Bechamel
-open Toolkit
 module Engine = Asipfb_engine.Engine
 module Metrics = Asipfb_engine.Metrics
 
@@ -37,55 +32,6 @@ let print_artifacts suite =
     (fun (name, produce) ->
       Printf.printf "==== %s ====\n%s\n" name (produce ()))
     (Asipfb.Experiments.artifacts suite)
-
-let time_artifacts suite =
-  let tests =
-    List.map
-      (fun (name, produce) ->
-        Test.make ~name (Staged.stage @@ fun () -> ignore (produce ())))
-      (Asipfb.Experiments.artifacts suite)
-    @ [
-        (* Both suite runs recompute everything (no cache): [pipeline] is
-           the sequential reference, [pipeline_par] the engine's domain
-           pool — the pair whose ratio is the engine speedup. *)
-        Test.make ~name:"pipeline"
-          (Staged.stage @@ fun () ->
-           ignore
-             (Asipfb.Pipeline.run_suite ~engine:(Engine.sequential ())
-                ~on_error:`Raise ()));
-        Test.make ~name:"pipeline_par"
-          (Staged.stage @@ fun () ->
-           ignore
-             (Asipfb.Pipeline.run_suite
-                ~engine:(Engine.create ~cache:false ())
-                ~on_error:`Raise ()));
-      ]
-  in
-  let grouped = Test.make_grouped ~name:"paper" ~fmt:"%s/%s" tests in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name est acc -> (name, est) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  print_endline "==== regeneration cost (monotonic clock) ====";
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some (ns :: _) ->
-          Printf.printf "%-22s %12.0f ns/run (r²=%s)\n" name ns
-            (match Analyze.OLS.r_square est with
-            | Some r -> Printf.sprintf "%.4f" r
-            | None -> "n/a")
-      | Some [] | None -> Printf.printf "%-22s (no estimate)\n" name)
-    rows
 
 (* --- engine baseline: the start of the perf trajectory ------------------ *)
 
@@ -307,7 +253,6 @@ let flag_value name =
   go 1
 
 let () =
-  let timing = not (Array.mem "--no-timing" Sys.argv) in
   let engine_only = Array.mem "--engine-only" Sys.argv in
   let engine_json =
     match flag_value "--engine-json" with
@@ -320,7 +265,6 @@ let () =
          ())
         .analyses
     in
-    print_artifacts suite;
-    if timing then time_artifacts suite
+    print_artifacts suite
   end;
   Option.iter (fun path -> engine_baseline ~path) engine_json

@@ -262,25 +262,16 @@ let cmd_design name area uarch clock dot json =
                     (Asipfb.Timing.of_analysis ~uarch:u ~area a
                        Asipfb_sched.Opt_level.O1)))
           else begin
-            let sched = Asipfb.Pipeline.sched a Asipfb_sched.Opt_level.O1 in
-            let config =
-              { Asipfb_asip.Select.default_config with area_budget = area;
-                uarch = u }
+            let d =
+              Asipfb.Timing.design ~uarch:u ~area a Asipfb_sched.Opt_level.O1
             in
-            let choices, rejected =
-              Asipfb_asip.Select.choose_report config sched
-                ~profile:a.profile
-            in
-            let est =
-              Asipfb_asip.Speedup.estimate ~uarch:u ~prog:a.prog choices
-                ~profile:a.profile
-            in
+            let est = d.estimate in
             List.iter
-              (fun d ->
-                prerr_endline ("asipfb: " ^ Asipfb_diag.Diag.to_string d))
-              rejected;
-            print_string (Asipfb_asip.Isa.render choices);
-            let nets = List.map Asipfb_asip.Netlist.of_choice choices in
+              (fun diag ->
+                prerr_endline ("asipfb: " ^ Asipfb_diag.Diag.to_string diag))
+              d.rejected;
+            print_string (Asipfb_asip.Isa.render d.choices);
+            let nets = List.map Asipfb_asip.Netlist.of_choice d.choices in
             print_string (Asipfb_asip.Netlist.summary nets);
             (* The per-instruction timing-closure lines only appear when a
                machine description was asked for, keeping the flat default
@@ -428,7 +419,7 @@ let uarch_arg =
   let doc =
     Printf.sprintf
       "Microarchitecture preset for the timing model (one of: %s).  \
-       $(b,flat) is the legacy single-cycle model; $(b,risc5) pipelines \
+       $(b,flat) is the default single-cycle model; $(b,risc5) pipelines \
        multi-cycle multiply/divide/load/float units behind a tighter \
        clock."
       (String.concat ", " Asipfb_asip.Uarch.names)
@@ -829,7 +820,7 @@ let cmd_equiv name level corrupt seed uarch clock =
       (* With a machine description the run also validates timing
          closure: every selected chain must fit the clock and the
          measured speedup must agree with the estimate.  Without the
-         flags the output is byte-identical to the legacy behavior. *)
+         flags it checks refinement only. *)
       let* timing_uarch =
         match (uarch, clock) with
         | None, None -> Ok None

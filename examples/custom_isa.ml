@@ -10,7 +10,7 @@
 
 module Opt_level = Asipfb_sched.Opt_level
 module Select = Asipfb_asip.Select
-module Speedup = Asipfb_asip.Speedup
+module Timing = Asipfb.Timing
 
 let application_mix = [ "smooth"; "edge"; "flatten" ]
 
@@ -30,19 +30,14 @@ let () =
       Printf.printf "=== area budget %.0f adder-equivalents ===\n" budget;
       let per_app =
         List.map
-          (fun (a : Asipfb.Pipeline.analysis) ->
-            let sched = Asipfb.Pipeline.sched a Opt_level.O1 in
-            let config =
-              { Select.default_config with area_budget = budget }
-            in
-            (a, Select.choose config sched ~profile:a.profile))
+          (fun a -> (a, Timing.design ~area:budget a Opt_level.O1))
           analyses
       in
       (* Shared chained units across the mix. *)
       let shapes =
         List.concat_map
-          (fun (_, choices) ->
-            List.map (fun (c : Select.choice) -> c.classes) choices)
+          (fun (_, (d : Timing.design)) ->
+            List.map (fun (c : Select.choice) -> c.classes) d.choices)
           per_app
         |> Asipfb_util.Listx.dedup (fun a b -> a = b)
       in
@@ -50,8 +45,8 @@ let () =
         (String.concat ", "
            (List.map Asipfb_asip.Isa.mnemonic shapes));
       List.iter
-        (fun ((a : Asipfb.Pipeline.analysis), choices) ->
-          let est = Speedup.estimate choices ~profile:a.profile in
+        (fun ((a : Asipfb.Pipeline.analysis), (d : Timing.design)) ->
+          let est = d.estimate in
           Printf.printf "  %-8s %8d -> %8d cycles  speedup %.2fx\n"
             a.benchmark.name est.baseline_cycles est.asip_cycles est.speedup)
         per_app;

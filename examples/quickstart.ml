@@ -66,7 +66,7 @@ let () =
       ~profile:outcome.profile
   in
   let estimate =
-    Asipfb_asip.Speedup.estimate choices ~profile:outcome.profile
+    Asipfb_asip.Speedup.estimate ~prog choices ~profile:outcome.profile
   in
   print_string (Asipfb_asip.Isa.render choices);
   Printf.printf "estimated speedup: %.2fx for %.1f adder-equivalents\n"

@@ -8,8 +8,7 @@
     chaining, section 4).
 
     Areas live here; delays are owned by the machine description
-    ({!Uarch}) and default to the legacy {!Uarch.flat} preset, so callers
-    that never mention a uarch see the historical numbers unchanged. *)
+    ({!Uarch}) and default to the {!Uarch.flat} preset. *)
 
 val unit_area : string -> float
 (** Area of one functional unit by chain class.
@@ -30,6 +29,6 @@ val chain_delay : ?uarch:Uarch.t -> string list -> float
 
 val chain_feasible : ?uarch:Uarch.t -> ?max_delay:float -> string list -> bool
 (** Whether the cascade fits the clock.  [max_delay] defaults to the
-    uarch's clock period — 1.8 under the default {!Uarch.flat}, the
-    historical budget: chained cycles may stretch the critical path
-    noticeably before the single-cycle abstraction breaks down. *)
+    uarch's clock period — 1.8 under the default {!Uarch.flat}: chained
+    cycles may stretch the critical path noticeably before the
+    single-cycle abstraction breaks down. *)

@@ -22,18 +22,13 @@ let fused_pairs (choices : Select.choice list)
 
 (* ASAP length of a block where fused flow edges cost 0 cycles and every
    other edge carries the uarch's per-opcode latency (1 everywhere under
-   flat, reproducing the legacy lengths exactly). *)
-let block_length ?uarch ~pairs ops =
+   flat). *)
+let block_length ~uarch ~pairs ops =
   let n = Array.length ops in
   if n = 0 then 0
   else begin
-    let latency = Option.map (fun u i -> Uarch.instr_latency u i) uarch in
-    let op_latency =
-      match uarch with
-      | None -> fun _ -> 1
-      | Some u -> fun i -> Uarch.instr_latency u i
-    in
-    let ddg = Ddg.build ~carried:false ?latency ops in
+    let latency = Uarch.instr_latency uarch in
+    let ddg = Ddg.build ~carried:false ~latency ops in
     let cycle = Array.make n 0 in
     for j = 0 to n - 1 do
       List.iter
@@ -54,7 +49,7 @@ let block_length ?uarch ~pairs ops =
     done;
     let len = ref 0 in
     for j = 0 to n - 1 do
-      len := max !len (cycle.(j) + op_latency ops.(j))
+      len := max !len (cycle.(j) + latency ops.(j))
     done;
     !len
   end
@@ -65,20 +60,20 @@ let block_exec_count profile ops =
       max acc (Asipfb_exec.Profile.count profile ~opid:(Instr.opid i)))
     0 ops
 
-let dynamic_cycles ?uarch ~pairs (sched : Schedule.t) ~profile =
+let dynamic_cycles ~uarch ~pairs (sched : Schedule.t) ~profile =
   List.fold_left
     (fun acc (_, (fs : Schedule.func_sched)) ->
       Array.fold_left
         (fun acc (b : Asipfb_cfg.Cfg.block) ->
           let ops = Array.of_list b.instrs in
-          acc + (block_length ?uarch ~pairs ops * block_exec_count profile ops))
+          acc + (block_length ~uarch ~pairs ops * block_exec_count profile ops))
         acc fs.cfg.blocks)
     0 sched.funcs
 
-let estimate ?uarch sched ~profile ~choices ~detections =
+let estimate ?(uarch = Uarch.flat) sched ~profile ~choices ~detections =
   let pairs = fused_pairs choices detections in
-  let base_cycles = dynamic_cycles ?uarch ~pairs:[] sched ~profile in
-  let chained_cycles = dynamic_cycles ?uarch ~pairs sched ~profile in
+  let base_cycles = dynamic_cycles ~uarch ~pairs:[] sched ~profile in
+  let chained_cycles = dynamic_cycles ~uarch ~pairs sched ~profile in
   {
     base_cycles;
     chained_cycles;

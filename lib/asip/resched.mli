@@ -29,6 +29,6 @@ val estimate :
   estimate
 (** [estimate sched ~profile ~choices ~detections] — [detections] must be
     the detector output the [choices] were made from (it carries the
-    static occurrences whose edges are collapsed).  With [?uarch], flow
-    edges and issue costs carry per-opcode latencies (the default
-    reproduces the legacy single-cycle lengths). *)
+    static occurrences whose edges are collapsed).  Flow edges and issue
+    costs carry [uarch]'s per-opcode latencies (default {!Uarch.flat},
+    where every op costs one cycle). *)

@@ -39,13 +39,9 @@ let weighted_baseline uarch (prog : Asipfb_ir.Prog.t) ~profile =
         acc f.body)
     0 prog.funcs
 
-let estimate ?(uarch = Uarch.flat) ?prog (choices : Select.choice list)
+let estimate ?(uarch = Uarch.flat) ~prog (choices : Select.choice list)
     ~profile =
-  let baseline_cycles =
-    match prog with
-    | None -> Asipfb_exec.Profile.total profile
-    | Some p -> weighted_baseline uarch p ~profile
-  in
+  let baseline_cycles = weighted_baseline uarch prog ~profile in
   let saved_cycles =
     List.fold_left (fun acc (c : Select.choice) -> acc + c.saved_cycles) 0
       choices

@@ -33,10 +33,10 @@ val agreement_tolerance : float
 
 val estimate :
   ?uarch:Uarch.t ->
-  ?prog:Asipfb_ir.Prog.t ->
+  prog:Asipfb_ir.Prog.t ->
   Select.choice list ->
   profile:Asipfb_exec.Profile.t ->
   estimate
-(** [uarch] defaults to {!Uarch.flat}.  With [prog], baseline cycles are
-    latency-weighted over the program's instructions; without it they
-    fall back to the profile total (exact for [flat]). *)
+(** [uarch] defaults to {!Uarch.flat}.  Baseline cycles are
+    latency-weighted over [prog]'s instructions, whose [profile] is the
+    run the choices were selected from. *)

@@ -99,8 +99,8 @@ let weighted_cycles uarch (code : Code.t) (out : Core.outcome) =
     seen;
   (out.cycles + !single_extra + !fused_extra, !baseline)
 
-let run ?(fuel = 50_000_000) ?(inputs = []) ?uarch (tp : Target.tprog) :
-    outcome =
+let run ?(fuel = 50_000_000) ?(inputs = []) ?(uarch = Uarch.flat)
+    (tp : Target.tprog) : outcome =
   if
     not
       (List.exists (fun (f : Target.tfunc) -> f.t_name = tp.t_entry) tp.t_funcs)
@@ -108,11 +108,7 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?uarch (tp : Target.tprog) :
   try
     let code = compile tp in
     let out = Core.Plain.run ~fuel ~inputs ~hooks:() code in
-    let cycles, baseline_cycles =
-      match uarch with
-      | None -> (out.cycles, out.ops)
-      | Some u -> weighted_cycles u code out
-    in
+    let cycles, baseline_cycles = weighted_cycles uarch code out in
     {
       return_value = out.return_value;
       memory = out.memory;

@@ -9,12 +9,17 @@
     stage's *estimated* speedup into a *measured* one, with output
     equality against the base program checked by the test suite.
 
-    With a machine description ([?uarch]), the cycle model charges real
-    latencies: a base op costs its class latency, a chained instruction
-    its critical-path cycles, and [baseline_cycles] prices the same
-    execution with every op at its own latency and no chaining.  Without
-    one, the legacy flat model applies (every slot one cycle, baseline =
-    dynamic op count) — bit-identical to the pre-uarch simulator. *)
+    The cycle model charges the machine description's latencies: a base
+    op costs its class latency, a chained instruction its critical-path
+    cycles, and [baseline_cycles] prices the same execution with every op
+    at its own latency and no chaining.
+
+    Under {!Uarch.flat} every class latency is one cycle, so a base slot
+    costs one cycle and [baseline_cycles] equals [ops_executed].  A fused
+    slot costs one cycle too whenever its chain fits the clock, and
+    {!Select} vetoes every chain whose delay exceeds the clock — so on
+    selected code the flat cycle count is exactly the number of executed
+    slots. *)
 
 exception Runtime_error of string
 
@@ -23,10 +28,10 @@ type outcome = {
   memory : Asipfb_exec.Memory.t;
   cycles : int;
       (** Executed cycles under the cycle model (labels free); equals
-          executed target instructions on the flat model. *)
+          executed target slots under {!Uarch.flat} on selected code. *)
   baseline_cycles : int;
       (** Latency-weighted cycles of the same execution without chaining;
-          equals [ops_executed] on the flat model. *)
+          equals [ops_executed] under {!Uarch.flat}. *)
   chained_executed : int;  (** How many executed slots were chained. *)
   ops_executed : int;
       (** Underlying operations, including those inside chains — equals the
@@ -39,7 +44,8 @@ val run :
   ?uarch:Uarch.t ->
   Target.tprog ->
   outcome
-(** @raise Runtime_error on traps, unknown labels, or fuel exhaustion. *)
+(** [uarch] defaults to {!Uarch.flat}.
+    @raise Runtime_error on traps, unknown labels, or fuel exhaustion. *)
 
 val measured_speedup : outcome -> float
 (** baseline_cycles / cycles — the cycle-count win the chained ISA

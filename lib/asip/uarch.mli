@@ -7,9 +7,8 @@
     op may issue), an initiation interval (cycles until the unit accepts
     the next op), and the unit's combinational delay as a fraction of the
     baseline cycle.  {!Cost}, {!Select}, {!Speedup}, {!Tsim} and
-    {!Resched} all derive their timing numbers from here; the legacy flat
-    model (every op one cycle, clock budget 1.8) survives as the {!flat}
-    preset so existing goldens are reproduced byte-for-byte. *)
+    {!Resched} all derive their timing numbers from here, and all default
+    to the {!flat} preset (every op one cycle, clock budget 1.8). *)
 
 type op_timing = {
   latency : int;  (** Result latency in cycles (>= 1). *)
@@ -21,9 +20,9 @@ type t
 (** A named machine description. *)
 
 val flat : t
-(** The legacy model: clock period 1.8, every class single-cycle, delays
-    equal to the historical {!Cost} table — selection, estimation and
-    simulation under [flat] match the pre-uarch pipeline exactly. *)
+(** The default machine: clock period 1.8, every class single-cycle
+    (latency 1, ii 1), delays equal to the {!Cost} table.  Baseline cycles
+    under [flat] are dynamic op counts. *)
 
 val risc5 : t
 (** A pipelined five-stage RISC-style core: clock period 1.5, multi-cycle

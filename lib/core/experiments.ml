@@ -11,6 +11,20 @@ module Metrics = Asipfb_engine.Metrics
 
 type suite = Pipeline.analysis list
 
+(* Family-merge each benchmark's detections and combine them with equal
+   weights: the one loop behind every combined variant of the study. *)
+let combine suite detections =
+  Combine.equal_weight
+    (List.map
+       (fun (a : Pipeline.analysis) ->
+         (a.benchmark.name, Combine.merge_families (detections a)))
+       suite)
+
+let freq_in entries classes =
+  match Combine.find entries classes with
+  | Some e -> e.Combine.combined_freq
+  | None -> 0.0
+
 let table1 () =
   let rows =
     List.map
@@ -27,15 +41,8 @@ let table1 () =
     ~rows ()
 
 let combined suite ~level ~length =
-  let per_bench =
-    List.map
-      (fun (a : Pipeline.analysis) ->
-        ( a.benchmark.name,
-          Combine.merge_families
-            (Pipeline.detect a (Pipeline.Query.make ~length ~min_freq:0.5 level)) ))
-      suite
-  in
-  Combine.equal_weight per_bench
+  combine suite (fun a ->
+      Pipeline.detect a (Pipeline.Query.make ~length ~min_freq:0.5 level))
 
 let figure_combined suite ~length =
   let curves =
@@ -81,10 +88,7 @@ let table2_sequences =
 
 let table2_rows suite =
   let freq_at level classes =
-    let entries = combined suite ~level ~length:(List.length classes) in
-    match Combine.find entries classes with
-    | Some e -> e.combined_freq
-    | None -> 0.0
+    freq_in (combined suite ~level ~length:(List.length classes)) classes
   in
   List.map
     (fun classes ->
@@ -177,28 +181,27 @@ let table3 suite =
     ~headers:[ "Benchmark"; "Opt."; "Sequences"; "Frequency"; "Coverage" ]
     ~rows ()
 
+(* Mean ops/cycle over the functions of one level's schedule. *)
+let mean_ilp (a : Pipeline.analysis) level =
+  let sched = Pipeline.sched a level in
+  match
+    List.map
+      (fun (f : Asipfb_ir.Func.t) -> Asipfb_sched.Schedule.ilp sched f.name)
+      sched.prog.funcs
+  with
+  | [] -> 1.0
+  | values ->
+      Asipfb_util.Listx.sum_by Fun.id values
+      /. float_of_int (List.length values)
+
 let ilp_report suite =
   let rows =
     List.map
       (fun (a : Pipeline.analysis) ->
-        let per_level level =
-          let sched = Pipeline.sched a level in
-          let values =
-            List.map
-              (fun (f : Asipfb_ir.Func.t) ->
-                Asipfb_sched.Schedule.ilp sched f.name)
-              sched.prog.funcs
-          in
-          match values with
-          | [] -> 1.0
-          | _ ->
-              Asipfb_util.Listx.sum_by Fun.id values
-              /. float_of_int (List.length values)
-        in
-        [ a.benchmark.name;
-          Table.fmt_float (per_level Opt_level.O0);
-          Table.fmt_float (per_level Opt_level.O1);
-          Table.fmt_float (per_level Opt_level.O2) ])
+        a.benchmark.name
+        :: List.map
+             (fun level -> Table.fmt_float (mean_ilp a level))
+             Opt_level.all)
       suite
   in
   Table.render
@@ -206,36 +209,18 @@ let ilp_report suite =
     ~headers:[ "Benchmark"; "ILP O0"; "ILP O1"; "ILP O2" ]
     ~rows ()
 
-(* The selection config for an optional machine description: [None]
-   reproduces the legacy flat-model choices (and output bytes) exactly. *)
-let select_config uarch =
-  match uarch with
-  | None -> Asipfb_asip.Select.default_config
-  | Some u -> { Asipfb_asip.Select.default_config with uarch = u }
-
-let uarch_estimate uarch (a : Pipeline.analysis) choices =
-  match uarch with
-  | None -> Asipfb_asip.Speedup.estimate choices ~profile:a.profile
-  | Some u ->
-      Asipfb_asip.Speedup.estimate ~uarch:u ~prog:a.prog choices
-        ~profile:a.profile
-
 let asip_report ?uarch suite =
   let buf = Buffer.create 2048 in
   List.iter
     (fun (a : Pipeline.analysis) ->
-      let sched = Pipeline.sched a Opt_level.O1 in
-      let choices =
-        Asipfb_asip.Select.choose (select_config uarch) sched
-          ~profile:a.profile
-      in
-      let est = uarch_estimate uarch a choices in
+      let d = Timing.design ?uarch a Opt_level.O1 in
       Buffer.add_string buf
         (Printf.sprintf
            "%s: %d chained instructions, area %.1f, cycles %d -> %d (speedup %.2fx)\n"
-           a.benchmark.name (List.length choices) est.total_area
-           est.baseline_cycles est.asip_cycles est.speedup);
-      Buffer.add_string buf (Asipfb_asip.Isa.render choices))
+           a.benchmark.name (List.length d.choices) d.estimate.total_area
+           d.estimate.baseline_cycles d.estimate.asip_cycles
+           d.estimate.speedup);
+      Buffer.add_string buf (Asipfb_asip.Isa.render d.choices))
     suite;
   Buffer.contents buf
 
@@ -243,20 +228,16 @@ let total_detection suite_rows =
   Asipfb_util.Listx.sum_by (fun (e : Combine.entry) -> e.combined_freq)
     suite_rows
 
-let vliw_report ?uarch suite =
+let vliw_report ?(uarch = Asipfb_asip.Uarch.flat) suite =
   let widths = [ 1; 2; 4; 8 ] in
-  let latency =
-    Option.map
-      (fun u i -> Asipfb_asip.Uarch.instr_latency u i)
-      uarch
-  in
   let rows =
     List.map
       (fun (a : Pipeline.analysis) ->
         let sched = Pipeline.sched a Opt_level.O1 in
         let est =
-          Asipfb_sched.Vliw.characterize ~widths ?latency sched.prog
-            ~profile:a.profile
+          Asipfb_sched.Vliw.characterize ~widths
+            ~latency:(Asipfb_asip.Uarch.instr_latency uarch)
+            sched.prog ~profile:a.profile
         in
         a.benchmark.name
         :: List.map
@@ -271,14 +252,12 @@ let vliw_report ?uarch suite =
     ~rows ()
 
 let resched_report ?uarch suite =
+  let config = Asipfb_asip.Select.default_config in
   let rows =
     List.map
       (fun (a : Pipeline.analysis) ->
+        let d = Timing.design ?uarch a Opt_level.O1 in
         let sched = Pipeline.sched a Opt_level.O1 in
-        let config = select_config uarch in
-        let choices =
-          Asipfb_asip.Select.choose config sched ~profile:a.profile
-        in
         let detections =
           List.concat_map
             (fun length ->
@@ -288,13 +267,12 @@ let resched_report ?uarch suite =
                 sched ~profile:a.profile)
             config.lengths
         in
-        let counting = uarch_estimate uarch a choices in
         let schedule_level =
-          Asipfb_asip.Resched.estimate ?uarch sched ~profile:a.profile
-            ~choices ~detections
+          Asipfb_asip.Resched.estimate ~uarch:d.uarch sched ~profile:a.profile
+            ~choices:d.choices ~detections
         in
         [ a.benchmark.name;
-          Printf.sprintf "%.2fx" counting.speedup;
+          Printf.sprintf "%.2fx" d.estimate.speedup;
           Printf.sprintf "%.2fx" schedule_level.speedup ])
       suite
   in
@@ -303,70 +281,58 @@ let resched_report ?uarch suite =
     ~headers:[ "Benchmark"; "counting (1-issue)"; "schedule-level (VLIW)" ]
     ~rows ()
 
+(* The top [n] sequences of [primary] next to their frequency in [other]. *)
+let side_by_side ~n ~headers primary other =
+  let rows =
+    Asipfb_util.Listx.take n primary
+    |> List.map (fun (e : Combine.entry) ->
+           [ Chainop.sequence_name e.classes;
+             Table.fmt_pct e.combined_freq;
+             Table.fmt_pct (freq_in other e.classes) ])
+  in
+  Table.render ~aligns:[ Table.Left; Table.Right; Table.Right ] ~headers ~rows
+    ()
+
+(* An ablation: the top ten with the feature on next to off, then both
+   totals. *)
+let ablation ~headers on off =
+  side_by_side ~n:10 ~headers on off
+  ^ Printf.sprintf "\ntotal detected: %.2f%% with, %.2f%% without\n"
+      (total_detection on) (total_detection off)
+
+let pairs sched ~profile =
+  Detect.run (Detect.default_config ~length:2) sched ~profile
+
+(* Length-2 detections of a transformed program, re-profiled on the
+   benchmark's inputs and scheduled at O1. *)
+let transformed_pairs transform (a : Pipeline.analysis) =
+  let prog = transform a.prog in
+  let outcome = Asipfb_sim.Interp.run prog ~inputs:(a.benchmark.inputs ()) in
+  pairs
+    (Asipfb_sched.Schedule.optimize ~level:Opt_level.O1 prog)
+    ~profile:outcome.profile
+
+(* The study's own length-2 detections at O1, combined. *)
+let kernel_pairs suite =
+  combine suite (fun a ->
+      Pipeline.detect a (Pipeline.Query.make ~length:2 Opt_level.O1))
+
 let ablation_pipelining suite =
   let with_copies copies =
-    let per_bench =
-      List.map
-        (fun (a : Pipeline.analysis) ->
-          let config =
-            { (Detect.default_config ~length:2) with copies }
-          in
-          ( a.benchmark.name,
-            Combine.merge_families
-              (Detect.run config (Pipeline.sched a Opt_level.O1)
-                 ~profile:a.profile) ))
-        suite
-    in
-    Combine.equal_weight per_bench
+    combine suite (fun a ->
+        Detect.run
+          { (Detect.default_config ~length:2) with copies }
+          (Pipeline.sched a Opt_level.O1) ~profile:a.profile)
   in
-  let enabled = with_copies 2 and disabled = with_copies 1 in
-  let rows =
-    Asipfb_util.Listx.take 10 enabled
-    |> List.map (fun (e : Combine.entry) ->
-           let off =
-             match Combine.find disabled e.classes with
-             | Some d -> d.combined_freq
-             | None -> 0.0
-           in
-           [ Chainop.sequence_name e.classes;
-             Table.fmt_pct e.combined_freq; Table.fmt_pct off ])
-  in
-  Table.render
-    ~aligns:[ Table.Left; Table.Right; Table.Right ]
+  ablation
     ~headers:[ "Sequence"; "with pipelining"; "without" ]
-    ~rows ()
-  ^ Printf.sprintf "\ntotal detected: %.2f%% with, %.2f%% without\n"
-      (total_detection enabled) (total_detection disabled)
+    (with_copies 2) (with_copies 1)
 
 let ablation_cleanup suite =
   let cleaned_total =
-    let per_bench =
-      List.map
-        (fun (a : Pipeline.analysis) ->
-          let prog = Asipfb_sched.Cleanup.run a.prog in
-          let outcome =
-            Asipfb_sim.Interp.run prog ~inputs:(a.benchmark.inputs ())
-          in
-          let sched =
-            Asipfb_sched.Schedule.optimize ~level:Opt_level.O1 prog
-          in
-          ( a.benchmark.name,
-            Combine.merge_families
-              (Detect.run (Detect.default_config ~length:2) sched
-                 ~profile:outcome.profile) ))
-        suite
-    in
-    Combine.equal_weight per_bench
+    combine suite (transformed_pairs Asipfb_sched.Cleanup.run)
   in
-  let raw_total =
-    List.map
-      (fun (a : Pipeline.analysis) ->
-        ( a.benchmark.name,
-          Combine.merge_families
-            (Pipeline.detect a (Pipeline.Query.make ~length:2 Opt_level.O1)) ))
-      suite
-    |> Combine.equal_weight
-  in
+  let raw_total = kernel_pairs suite in
   let top label entries =
     Printf.sprintf "%s: total %.2f%%, top %s\n" label
       (total_detection entries)
@@ -387,34 +353,13 @@ let codegen_report ?uarch suite =
     "|-----------|---------------|-----------------|----------|-----------|\n";
   List.iter
     (fun (a : Pipeline.analysis) ->
-      let sched = Pipeline.sched a Opt_level.O1 in
-      let choices =
-        Asipfb_asip.Select.choose (select_config uarch) sched
-          ~profile:a.profile
-      in
-      let target = Asipfb_asip.Codegen.generate_for_choices ~choices a.prog in
-      let inputs = a.benchmark.inputs () in
-      let t_out = Asipfb_asip.Tsim.run ?uarch target ~inputs in
-      (* Assert output equality against the reference run. *)
-      List.iter
-        (fun region ->
-          let want = Asipfb_exec.Memory.dump a.outcome.memory region in
-          let got = Asipfb_exec.Memory.dump t_out.memory region in
-          if
-            not
-              (Array.length want = Array.length got
-              && Array.for_all2 Asipfb_exec.Value.close want got)
-          then
-            failwith
-              (Printf.sprintf "codegen output mismatch: %s/%s"
-                 a.benchmark.name region))
-        a.benchmark.output_regions;
-      let estimate = uarch_estimate uarch a choices in
+      let d = Timing.design ?uarch a Opt_level.O1 in
+      let t_out = Timing.measure a d in
       Buffer.add_string buf
         (Printf.sprintf "| %-9s | %13d | %15d | %7.2fx | %8.2fx |\n"
            a.benchmark.name t_out.chained_executed t_out.cycles
            (Asipfb_asip.Tsim.measured_speedup t_out)
-           estimate.speedup))
+           d.estimate.speedup))
     suite;
   Buffer.contents buf
 
@@ -472,63 +417,26 @@ let export_csv suite ~dir =
          (fun (a : Pipeline.analysis) ->
            List.map
              (fun level ->
-               let sched = Pipeline.sched a level in
-               let values =
-                 List.map
-                   (fun (f : Asipfb_ir.Func.t) ->
-                     Asipfb_sched.Schedule.ilp sched f.name)
-                   sched.prog.funcs
-               in
-               let mean =
-                 match values with
-                 | [] -> 1.0
-                 | _ ->
-                     Asipfb_util.Listx.sum_by Fun.id values
-                     /. float_of_int (List.length values)
-               in
                [ a.benchmark.name; Opt_level.to_string level;
-                 Printf.sprintf "%.4f" mean ])
+                 Printf.sprintf "%.4f" (mean_ilp a level) ])
              Opt_level.all)
          suite);
   List.rev !written
 
 let ablation_motion suite =
   let totals with_motion =
-    let per_bench =
-      List.map
-        (fun (a : Pipeline.analysis) ->
-          let sched =
-            if with_motion then Pipeline.sched a Opt_level.O1
-            else
-              Asipfb_sched.Schedule.optimize_custom ~rename:false
-                ~percolate:false ~pipeline:true a.prog
-          in
-          ( a.benchmark.name,
-            Combine.merge_families
-              (Detect.run (Detect.default_config ~length:2) sched
-                 ~profile:a.profile) ))
-        suite
-    in
-    Combine.equal_weight per_bench
+    combine suite (fun a ->
+        let sched =
+          if with_motion then Pipeline.sched a Opt_level.O1
+          else
+            Asipfb_sched.Schedule.optimize_custom ~rename:false
+              ~percolate:false ~pipeline:true a.prog
+        in
+        pairs sched ~profile:a.profile)
   in
-  let on = totals true and off = totals false in
-  let rows =
-    Asipfb_util.Listx.take 10 on
-    |> List.map (fun (e : Combine.entry) ->
-           let without =
-             match Combine.find off e.classes with
-             | Some d -> d.combined_freq
-             | None -> 0.0
-           in
-           [ Chainop.sequence_name e.classes;
-             Table.fmt_pct e.combined_freq; Table.fmt_pct without ])
-  in
-  Table.render
-    ~aligns:[ Table.Left; Table.Right; Table.Right ]
+  ablation
     ~headers:[ "Sequence"; "with motion"; "without motion" ]
-    ~rows ()
-  ^ Printf.sprintf "\ntotal detected: %.2f%% with, %.2f%% without\n"
-      (total_detection on) (total_detection off)
+    (totals true) (totals false)
 
 let opmix_report suite =
   let classes_of_interest =
@@ -568,13 +476,8 @@ let extra_report _suite =
         Asipfb_util.Listx.take 4
           (Pipeline.detect a (Pipeline.Query.make ~length:2 Opt_level.O1))
       in
-      let sched = Pipeline.sched a Opt_level.O1 in
-      let choices =
-        Asipfb_asip.Select.choose Asipfb_asip.Select.default_config sched
-          ~profile:a.profile
-      in
-      let target = Asipfb_asip.Codegen.generate_for_choices ~choices a.prog in
-      let t_out = Asipfb_asip.Tsim.run target ~inputs:(b.inputs ()) in
+      let d = Timing.design a Opt_level.O1 in
+      let t_out = Timing.measure a d in
       Buffer.add_string buf
         (Printf.sprintf "%s (%s)\n  top pairs: %s\n  chained ISA: %s\n  measured: %d ops in %d cycles (%.2fx)\n"
            b.name b.description
@@ -587,7 +490,7 @@ let extra_report _suite =
               (List.map
                  (fun (c : Asipfb_asip.Select.choice) ->
                    Asipfb_asip.Isa.mnemonic c.classes)
-                 choices))
+                 d.choices))
            t_out.ops_executed t_out.cycles
            (Asipfb_asip.Tsim.measured_speedup t_out)))
     Asipfb_bench_suite.Extra.all;
@@ -601,49 +504,10 @@ let timing_report ?uarch suite =
        suite)
 
 let validation_unroll suite =
-  let unrolled_entries =
-    let per_bench =
-      List.map
-        (fun (a : Pipeline.analysis) ->
-          let prog = Asipfb_sched.Unroll.loop_once a.prog in
-          let outcome =
-            Asipfb_sim.Interp.run prog ~inputs:(a.benchmark.inputs ())
-          in
-          let sched =
-            Asipfb_sched.Schedule.optimize ~level:Opt_level.O1 prog
-          in
-          ( a.benchmark.name,
-            Combine.merge_families
-              (Detect.run (Detect.default_config ~length:2) sched
-                 ~profile:outcome.profile) ))
-        suite
-    in
-    Combine.equal_weight per_bench
-  in
-  let kernel_entries =
-    List.map
-      (fun (a : Pipeline.analysis) ->
-        ( a.benchmark.name,
-          Combine.merge_families
-            (Pipeline.detect a (Pipeline.Query.make ~length:2 Opt_level.O1)) ))
-      suite
-    |> Combine.equal_weight
-  in
-  let rows =
-    Asipfb_util.Listx.take 12 kernel_entries
-    |> List.map (fun (e : Combine.entry) ->
-           let unrolled =
-             match Combine.find unrolled_entries e.classes with
-             | Some u -> u.combined_freq
-             | None -> 0.0
-           in
-           [ Chainop.sequence_name e.classes;
-             Table.fmt_pct e.combined_freq; Table.fmt_pct unrolled ])
-  in
-  Table.render
-    ~aligns:[ Table.Left; Table.Right; Table.Right ]
+  side_by_side ~n:12
     ~headers:[ "Sequence"; "kernel analysis"; "physically unrolled" ]
-    ~rows ()
+    (kernel_pairs suite)
+    (combine suite (transformed_pairs Asipfb_sched.Unroll.loop_once))
 
 (* --- the report: one table, rendered on the engine's pool --------------- *)
 

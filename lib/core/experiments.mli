@@ -50,22 +50,22 @@ val ilp_report : suite -> string
 
 val asip_report : ?uarch:Asipfb_asip.Uarch.t -> suite -> string
 (** Extension X2: chained-instruction selection under an area budget and
-    the estimated per-benchmark cycle-count speedup.  With [?uarch] the
-    selection is latency-weighted and clock-vetoed under that machine
-    description; the default reproduces the flat-model output bytes. *)
+    the estimated per-benchmark cycle-count speedup ({!Timing.design} at
+    O1).  Selection is latency-weighted and clock-vetoed under [uarch]
+    (default {!Asipfb_asip.Uarch.flat}). *)
 
 val vliw_report : ?uarch:Asipfb_asip.Uarch.t -> suite -> string
 (** Extension X3: resource-constrained multiple-issue characterization —
     estimated dynamic cycles and speedup at issue widths 1/2/4/8 over the
     O1-transformed code (the paper's proposed next feedback channel).
-    With [?uarch] list scheduling uses per-opcode latencies as DDG edge
-    weights. *)
+    List scheduling uses [uarch]'s per-opcode latencies (default
+    {!Asipfb_asip.Uarch.flat}) as DDG edge weights. *)
 
 val resched_report : ?uarch:Asipfb_asip.Uarch.t -> suite -> string
 (** Extension X4: schedule-level speedup of the selected chain set
     (critical-path shortening on the compacted schedule) next to the
-    counting estimate of {!Asipfb_asip.Speedup} — how much of the win
-    survives when the machine already exploits ILP. *)
+    counting estimate of {!Timing.design} — how much of the win survives
+    when the machine already exploits ILP. *)
 
 val ablation_pipelining : suite -> string
 (** Ablation A1: length-2 detection at O1 with loop-carried search enabled
@@ -82,8 +82,9 @@ val codegen_report : ?uarch:Asipfb_asip.Uarch.t -> suite -> string
 (** Extension X5: retargeted code generation — fuse the selected chains in
     the actual code, execute on the ASIP target simulator, and report the
     *measured* cycles, chained-instruction usage, and speedup next to the
-    counting estimate.  Output equality with the base program is asserted
-    here (any mismatch raises). *)
+    counting estimate ({!Timing.design} then {!Timing.measure}).
+    @raise Asipfb_diag.Diag.Diag_error if a target's outputs differ from
+      the base program's. *)
 
 val export_csv : suite -> dir:string -> string list
 (** Write the raw data behind the main artifacts as CSV files into [dir]
@@ -104,8 +105,9 @@ val opmix_report : suite -> string
 val extra_report : suite -> string
 (** Retargeting study: the whole feedback loop re-applied to a second
     application mix (matmul, xcorr, acs, quant — see
-    {!Asipfb_bench_suite.Extra}).  The [suite] argument is unused (the mix
-    is fixed) but kept for uniformity with the other artifacts. *)
+    {!Asipfb_bench_suite.Extra}), through the same {!Timing.design} and
+    {!Timing.measure} path.  The [suite] argument is unused (the mix is
+    fixed) but kept for uniformity with the other artifacts. *)
 
 val timing_report : ?uarch:Asipfb_asip.Uarch.t -> suite -> string
 (** Extension X6: the timing-closure feedback report — one

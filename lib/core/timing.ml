@@ -6,6 +6,8 @@ module Tsim = Asipfb_asip.Tsim
 module Codegen = Asipfb_asip.Codegen
 module Isa = Asipfb_asip.Isa
 module Diag = Asipfb_diag.Diag
+module Memory = Asipfb_exec.Memory
+module Value = Asipfb_exec.Value
 
 type chain_report = {
   cr_mnemonic : string;
@@ -44,18 +46,59 @@ let uarch_of ?clock name =
           if c <= 0.0 then Error "clock period must be positive"
           else Ok (Uarch.with_clock u ~clock:c))
 
-let of_analysis ?(uarch = Uarch.flat) ?area (a : Pipeline.analysis) level =
-  let sched = Pipeline.sched a level in
+type design = {
+  uarch : Uarch.t;
+  choices : Select.choice list;
+  rejected : Diag.t list;
+  estimate : Speedup.estimate;
+}
+
+let design ?(uarch = Uarch.flat) ?area (a : Pipeline.analysis) level =
   let config =
     { Select.default_config with
       uarch;
       area_budget =
         Option.value area ~default:Select.default_config.area_budget }
   in
-  let choices, rejected = Select.choose_report config sched ~profile:a.profile in
-  let est = Speedup.estimate ~uarch ~prog:a.prog choices ~profile:a.profile in
-  let target = Codegen.generate_for_choices ~choices a.prog in
-  let t_out = Tsim.run ~uarch target ~inputs:(a.benchmark.inputs ()) in
+  let choices, rejected =
+    Select.choose_report config (Pipeline.sched a level) ~profile:a.profile
+  in
+  {
+    uarch;
+    choices;
+    rejected;
+    estimate = Speedup.estimate ~uarch ~prog:a.prog choices ~profile:a.profile;
+  }
+
+let output_mismatch (a : Pipeline.analysis) region =
+  Diag.Diag_error
+    (Diag.make ~stage:Diag.Verification
+       ~context:
+         [ ("kind", "asip-output-mismatch");
+           ("benchmark", a.benchmark.name);
+           ("region", region) ]
+       (Printf.sprintf "ASIP target output differs from the base program: %s/%s"
+          a.benchmark.name region))
+
+let measure (a : Pipeline.analysis) d =
+  let target = Codegen.generate_for_choices ~choices:d.choices a.prog in
+  let out = Tsim.run ~uarch:d.uarch target ~inputs:(a.benchmark.inputs ()) in
+  List.iter
+    (fun region ->
+      let want = Memory.dump a.outcome.memory region in
+      let got = Memory.dump out.memory region in
+      if
+        not
+          (Array.length want = Array.length got
+          && Array.for_all2 Value.close want got)
+      then raise (output_mismatch a region))
+    a.benchmark.output_regions;
+  out
+
+let of_analysis ?uarch ?area (a : Pipeline.analysis) level =
+  let d = design ?uarch ?area a level in
+  let out = measure a d in
+  let est = d.estimate and uarch = d.uarch in
   {
     t_benchmark = a.benchmark.name;
     t_level = level;
@@ -64,8 +107,8 @@ let of_analysis ?(uarch = Uarch.flat) ?area (a : Pipeline.analysis) level =
     t_baseline_cycles = est.baseline_cycles;
     t_asip_cycles = est.asip_cycles;
     t_estimated_speedup = est.speedup;
-    t_measured_cycles = t_out.cycles;
-    t_measured_speedup = Tsim.measured_speedup t_out;
+    t_measured_cycles = out.cycles;
+    t_measured_speedup = Tsim.measured_speedup out;
     t_total_area = est.total_area;
     t_chains =
       List.map
@@ -78,12 +121,9 @@ let of_analysis ?(uarch = Uarch.flat) ?area (a : Pipeline.analysis) level =
             cr_cycles = Uarch.chain_cycles uarch c.classes;
             cr_latency_sum = Uarch.chain_latency uarch c.classes;
           })
-        choices;
-    t_rejected = rejected;
+        d.choices;
+    t_rejected = d.rejected;
   }
-
-let run ?uarch ?area b level =
-  of_analysis ?uarch ?area (Pipeline.analyze b) level
 
 let agreement (r : report) =
   if r.t_estimated_speedup <= 0.0 then infinity

@@ -1,10 +1,14 @@
-(** The timing-closed feedback report: estimated vs. measured speedup of
-    one benchmark under one machine description.
+(** The ASIP product — the chained instruction set selected from the
+    profile, fused into the code and measured against the base program —
+    and the timing-closed feedback report built from it: estimated vs.
+    measured speedup of one benchmark under one machine description.
 
-    This is the single assembly point behind the CLI's [design]/[report
-    timing] surfaces and the daemon's [timing] op, so offline [--json]
-    output and daemon responses are built from the same value (and the
-    service encoders render them byte-identically).
+    {!design} and {!measure} are the only code that runs select →
+    codegen → target simulation.  {!of_analysis} backs the CLI's
+    [design --json]/[report timing] surfaces and the daemon's [timing]
+    op, so offline [--json] output and daemon responses are built from
+    the same value (and the service encoders render them
+    byte-identically).
 
     The report carries the selection's clock story — the critical path
     and slack of every chosen chained instruction, plus the structured
@@ -40,25 +44,48 @@ val uarch_of : ?clock:float -> string -> (Asipfb_asip.Uarch.t, string) result
 (** Resolve a preset name and optional clock override; [Error] names the
     unknown preset and lists the known ones. *)
 
+(** {1 The product path}
+
+    The chained instruction set is built by one path: {!design} selects
+    it from the profile and prices it, {!measure} fuses it into the code
+    and runs it on the target simulator.  Every report, the CLI's
+    [design] command and the daemon's [timing] op go through these two. *)
+
+type design = {
+  uarch : Asipfb_asip.Uarch.t;  (** The machine it was selected for. *)
+  choices : Asipfb_asip.Select.choice list;  (** In selection order. *)
+  rejected : Asipfb_diag.Diag.t list;
+      (** Clock-violation rejections (kind ["clock-violation"]). *)
+  estimate : Asipfb_asip.Speedup.estimate;  (** The counting estimate. *)
+}
+
+val design :
+  ?uarch:Asipfb_asip.Uarch.t ->
+  ?area:float ->
+  Pipeline.analysis ->
+  Asipfb_sched.Opt_level.t ->
+  design
+(** Select chained instructions on the [level] schedule under [uarch]
+    (default {!Asipfb_asip.Uarch.flat}) and area budget [area] (default
+    {!Asipfb_asip.Select.default_config}'s), and estimate their speedup. *)
+
+val measure : Pipeline.analysis -> design -> Asipfb_asip.Tsim.outcome
+(** Generate the target code for the design's choices, run it on the
+    benchmark's inputs under the design's uarch, and check every output
+    region against the base program's run ({!Asipfb_exec.Value.close}).
+    @raise Asipfb_diag.Diag.Diag_error (stage [Verification], context
+      [kind=asip-output-mismatch], [benchmark], [region]) on a mismatch.
+    @raise Asipfb_asip.Tsim.Runtime_error if the target program traps. *)
+
 val of_analysis :
   ?uarch:Asipfb_asip.Uarch.t ->
   ?area:float ->
   Pipeline.analysis ->
   Asipfb_sched.Opt_level.t ->
   report
-(** Select, estimate, generate code and measure under [uarch] (default
-    {!Asipfb_asip.Uarch.flat}) and area budget [area] (default
-    {!Asipfb_asip.Select.default_config}'s).  Runs the target simulator
-    on the benchmark's inputs.
+(** {!design} then {!measure}, as one report.
+    @raise Asipfb_diag.Diag.Diag_error as {!measure}.
     @raise Asipfb_asip.Tsim.Runtime_error if the target program traps. *)
-
-val run :
-  ?uarch:Asipfb_asip.Uarch.t ->
-  ?area:float ->
-  Asipfb_bench_suite.Benchmark.t ->
-  Asipfb_sched.Opt_level.t ->
-  report
-(** {!Pipeline.analyze} then {!of_analysis}. *)
 
 val agreement : report -> float
 (** Relative disagreement between the measured and estimated speedups,

@@ -27,9 +27,7 @@ let profile_of_counts (c : Code.t) counts =
 module type HOOKS = sig
   type t
 
-  val traced : bool
   val faulted : bool
-  val on_exec : t -> string -> Instr.t -> unit
   val on_reg_write : t -> Value.t -> Value.t
   val on_mem_load : t -> Value.t -> Value.t
 end
@@ -94,7 +92,6 @@ module Make (H : HOOKS) : S with type hooks = H.t = struct
        bind 0 args);
       let note (o : op) =
         incr ops;
-        if H.traced then H.on_exec hooks f.fname o.orig;
         counts.(o.pidx) <- counts.(o.pidx) + 1
       in
       (* Every op kind except control flow; shared between single slots and
@@ -209,39 +206,15 @@ end
 module Plain = Make (struct
   type t = unit
 
-  let traced = false
   let faulted = false
-  let on_exec () _ _ = ()
   let on_reg_write () v = v
   let on_mem_load () v = v
-end)
-
-module Traced = Make (struct
-  type t = string -> Instr.t -> unit
-
-  let traced = true
-  let faulted = false
-  let on_exec h fname i = h fname i
-  let on_reg_write _ v = v
-  let on_mem_load _ v = v
 end)
 
 module Faulted = Make (struct
   type t = Fault.t
 
-  let traced = false
   let faulted = true
-  let on_exec _ _ _ = ()
   let on_reg_write f v = Fault.on_reg_write f v
   let on_mem_load f v = Fault.on_mem_load f v
-end)
-
-module Instrumented = Make (struct
-  type t = (string -> Instr.t -> unit) * Fault.t
-
-  let traced = true
-  let faulted = true
-  let on_exec (h, _) fname i = h fname i
-  let on_reg_write (_, f) v = Fault.on_reg_write f v
-  let on_mem_load (_, f) v = Fault.on_mem_load f v
 end)

@@ -9,9 +9,8 @@
 
     Instrumentation is a {e statically selected instantiation} of the
     {!Make} functor: the common profiling path ({!Plain}) carries no
-    per-instruction trace closure call and no fault-injection branch;
-    tracing and fault hooks exist only in the {!Traced}, {!Faulted} and
-    {!Instrumented} instantiations. *)
+    fault-injection branch; fault hooks exist only in the {!Faulted}
+    instantiation. *)
 
 exception Out_of_fuel of { executed : int; fuel : int }
 (** The fuel budget ran out: [executed] ops were performed under a budget
@@ -44,15 +43,8 @@ module type HOOKS = sig
   type t
   (** Instrumentation state threaded through a run. *)
 
-  val traced : bool
-  (** When [false], the core invokes no [on_exec] at all. *)
-
   val faulted : bool
   (** When [false], the core invokes no value-corruption hooks at all. *)
-
-  val on_exec : t -> string -> Asipfb_ir.Instr.t -> unit
-  (** Called before each op with the function name and source
-      instruction (only when [traced]). *)
 
   val on_reg_write : t -> Value.t -> Value.t
   (** May corrupt a value about to be written (only when [faulted]). *)
@@ -85,12 +77,5 @@ module Make (H : HOOKS) : S with type hooks = H.t
 module Plain : S with type hooks = unit
 (** No instrumentation — the fast profiling path. *)
 
-module Traced : S with type hooks = string -> Asipfb_ir.Instr.t -> unit
-(** Trace hook per executed op ({!Asipfb_sim.Trace} builds on this). *)
-
 module Faulted : S with type hooks = Fault.t
 (** Seeded fault injection on register writes and memory loads. *)
-
-module Instrumented : S
-  with type hooks = (string -> Asipfb_ir.Instr.t -> unit) * Fault.t
-(** Both tracing and fault injection. *)

@@ -24,7 +24,7 @@ let eval_binop op a b =
 let eval_unop op a =
   try Ops.eval_unop op a with Ops.Trap msg -> raise (Runtime_error msg)
 
-let run ?(fuel = 50_000_000) ?(inputs = []) ?on_exec ?faults ?watchdog
+let run ?(fuel = 50_000_000) ?(inputs = []) ?faults ?watchdog
     (p : Prog.t) : outcome =
   try
     let code = Code.of_prog p in
@@ -32,15 +32,11 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?on_exec ?faults ?watchdog
       match faults with Some f -> Fault.clamp_fuel f fuel | None -> fuel
     in
     (* Statically selected instrumentation: the common profiling path runs
-       the Plain core, which carries no trace-closure call and no fault
-       branch per instruction. *)
+       the Plain core, which carries no fault branch per instruction. *)
     let (out : Core.outcome) =
-      match (on_exec, faults) with
-      | None, None -> Core.Plain.run ~fuel ~inputs ?watchdog ~hooks:() code
-      | Some h, None -> Core.Traced.run ~fuel ~inputs ?watchdog ~hooks:h code
-      | None, Some f -> Core.Faulted.run ~fuel ~inputs ?watchdog ~hooks:f code
-      | Some h, Some f ->
-          Core.Instrumented.run ~fuel ~inputs ?watchdog ~hooks:(h, f) code
+      match faults with
+      | None -> Core.Plain.run ~fuel ~inputs ?watchdog ~hooks:() code
+      | Some f -> Core.Faulted.run ~fuel ~inputs ?watchdog ~hooks:f code
     in
     {
       return_value = out.return_value;

@@ -40,21 +40,18 @@ type outcome = {
 val run :
   ?fuel:int ->
   ?inputs:(string * Asipfb_exec.Value.t array) list ->
-  ?on_exec:(string -> Asipfb_ir.Instr.t -> unit) ->
   ?faults:Asipfb_exec.Fault.t ->
   ?watchdog:(unit -> bool) ->
   Asipfb_ir.Prog.t ->
   outcome
 (** [run p ~inputs] seeds the named regions and interprets from
     [p.entry].  [fuel] bounds total executed instructions (default
-    50 million).  [on_exec] is invoked with the current function name and
-    instruction before each execution — the hook {!Trace} builds on.
-    [faults], when given, injects register/memory corruption and clamps
-    fuel per its configuration (see {!Fault}); corruption is silent by
-    design and must be caught by output self-checks.  [watchdog] is the
-    supervision layer's deadline poll, checked periodically by the core.
-    Passing no [on_exec] and no [faults] selects an uninstrumented core
-    with zero per-op hook overhead.
+    50 million).  [faults], when given, injects register/memory
+    corruption and clamps fuel per its configuration (see {!Fault});
+    corruption is silent by design and must be caught by output
+    self-checks.  [watchdog] is the supervision layer's deadline poll,
+    checked periodically by the core.  Passing no [faults] selects an
+    uninstrumented core with zero per-op hook overhead.
     @raise Runtime_error as above.
     @raise Fuel_exhausted when the fuel budget is spent.
     @raise Watchdog_timeout when [watchdog] reports expiry. *)

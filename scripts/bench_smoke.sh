@@ -1,6 +1,6 @@
 #!/bin/sh
-# Bench smoke: run each suite-level bench artifact once (no Bechamel
-# timing pass) and produce the engine baseline JSON that CI uploads.
+# Bench smoke: run each suite-level bench artifact once and produce the
+# engine baseline JSON that CI uploads.
 # Usage: sh scripts/bench_smoke.sh [OUT_JSON]   (default BENCH_engine.json)
 set -eu
 
@@ -10,7 +10,7 @@ dune build bench/main.exe
 
 # One untimed pass over every artifact exercises the full pipeline
 # (including the pipeline/pipeline_par suite runs' construction).
-dune exec bench/main.exe -- --no-timing > /dev/null
+dune exec bench/main.exe > /dev/null
 
 # Sequential vs parallel vs cold/warm-cache suite wall time, plus the
 # verify-stage wall time (a `--verify full` pass on the warm cache) and

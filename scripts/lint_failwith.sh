@@ -4,28 +4,18 @@
 # convert them to Diag.t at API boundaries) or return Results carrying
 # Diag.t; `failwith` gives callers nothing to isolate or render.
 #
-# lib/diag/ itself (conversion shims) and the baseline files listed in
-# scripts/failwith_allowlist.txt are exempt. To grandfather a file in, add
-# it to the allowlist with a justification comment.
+# lib/diag/ itself (conversion shims) is exempt.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-allowlist=scripts/failwith_allowlist.txt
-
 offenders=$(grep -rn "failwith" lib --include="*.ml" --include="*.mli" \
-  | grep -v "^lib/diag/" \
-  | { while IFS=: read -r file rest; do
-        if ! grep -q "^$file$" "$allowlist"; then
-          printf '%s:%s\n' "$file" "$rest"
-        fi
-      done; } || true)
+  | grep -v "^lib/diag/" || true)
 
 if [ -n "$offenders" ]; then
-  echo "lint_failwith: bare failwith under lib/ outside the allowlist:" >&2
+  echo "lint_failwith: bare failwith under lib/:" >&2
   echo "$offenders" >&2
-  echo "Raise a typed exception and add a Diag conversion shim instead" >&2
-  echo "(or, with justification, add the file to $allowlist)." >&2
+  echo "Raise a typed exception and add a Diag conversion shim instead." >&2
   exit 1
 fi
 

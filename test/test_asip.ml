@@ -1,6 +1,7 @@
 (* ASIP design tests: cost model, selection under budget, speedup math,
-   ISA rendering, and the timing model (flat byte-compatibility,
-   estimate-vs-measurement agreement under both machine descriptions). *)
+   ISA rendering, and the product path (flat cycle identities, pinned
+   measured cycles, the output check, estimate-vs-measurement agreement
+   under both machine descriptions). *)
 
 module Cost = Asipfb_asip.Cost
 module Select = Asipfb_asip.Select
@@ -10,6 +11,10 @@ module Uarch = Asipfb_asip.Uarch
 module Tsim = Asipfb_asip.Tsim
 module Codegen = Asipfb_asip.Codegen
 module Timing = Asipfb.Timing
+module Memory = Asipfb_exec.Memory
+module Value = Asipfb_exec.Value
+module Profile = Asipfb_exec.Profile
+module Diag = Asipfb_diag.Diag
 module Registry = Asipfb_bench_suite.Registry
 module Opt_level = Asipfb_sched.Opt_level
 
@@ -51,8 +56,18 @@ let test_feasibility () =
     (Cost.chain_feasible ~max_delay:2.0
        [ "add"; "add"; "add"; "add"; "add" ])
 
+(* Analyses are memoized per benchmark: the timing tests below measure
+   every kernel under both presets.  Tests must not mutate them. *)
+let analysis_memo : (string, Asipfb.Pipeline.analysis) Hashtbl.t =
+  Hashtbl.create 16
+
 let analysis_of name =
-  Asipfb.Pipeline.analyze (Asipfb_bench_suite.Registry.find name)
+  match Hashtbl.find_opt analysis_memo name with
+  | Some a -> a
+  | None ->
+      let a = Asipfb.Pipeline.analyze (Registry.find name) in
+      Hashtbl.add analysis_memo name a;
+      a
 
 let test_selection_budget () =
   let a = analysis_of "sewha" in
@@ -75,7 +90,7 @@ let test_selection_monotone_in_budget () =
   let saved budget =
     let config = { Select.default_config with area_budget = budget } in
     let choices = Select.choose config sched ~profile:a.profile in
-    (Speedup.estimate choices ~profile:a.profile).saved_cycles
+    (Speedup.estimate ~prog:a.prog choices ~profile:a.profile).saved_cycles
   in
   Alcotest.(check bool) "bigger budget saves at least as much" true
     (saved 40.0 >= saved 10.0)
@@ -101,22 +116,38 @@ let test_selection_no_duplicates () =
     (List.length (Asipfb_util.Listx.dedup ( = ) shapes))
 
 let test_speedup_math () =
-  let profile = Asipfb_exec.Profile.of_alist [ (0, 600); (1, 400) ] in
+  (* Two executed instructions, 600 and 400 times: 1000 flat cycles. *)
+  let prog =
+    Asipfb_frontend.Lower.compile
+      "int out[1]; void main() { int x = 1; out[0] = x + 2; }" ~entry:"main"
+  in
+  let profile =
+    match
+      List.concat_map
+        (fun (f : Asipfb_ir.Func.t) ->
+          List.filter (fun i -> not (Asipfb_ir.Instr.is_label i)) f.body)
+        prog.funcs
+    with
+    | i0 :: i1 :: _ ->
+        Profile.of_alist
+          [ (Asipfb_ir.Instr.opid i0, 600); (Asipfb_ir.Instr.opid i1, 400) ]
+    | _ -> Alcotest.fail "program has fewer than two instructions"
+  in
   let choice =
     { Select.classes = [ "multiply"; "add" ]; freq = 0.0; area = 9.4;
       delay = 1.05; saved_cycles = 250 }
   in
-  let est = Speedup.estimate [ choice ] ~profile in
+  let est = Speedup.estimate ~prog [ choice ] ~profile in
   Alcotest.(check int) "baseline" 1000 est.baseline_cycles;
   Alcotest.(check int) "asip cycles" 750 est.asip_cycles;
   Alcotest.(check (float 1e-9)) "speedup" (1000.0 /. 750.0) est.speedup;
-  let none = Speedup.estimate [] ~profile in
+  let none = Speedup.estimate ~prog [] ~profile in
   Alcotest.(check (float 1e-9)) "no choices, no speedup" 1.0 none.speedup;
   (* Savings can never exceed the baseline. *)
   let over =
     { choice with saved_cycles = 5000 }
   in
-  let capped = Speedup.estimate [ over ] ~profile in
+  let capped = Speedup.estimate ~prog [ over ] ~profile in
   Alcotest.(check bool) "savings capped" true (capped.asip_cycles >= 0)
 
 let test_isa_rendering () =
@@ -149,12 +180,7 @@ let test_isa_rendering () =
 let test_end_to_end_speedup_sensible () =
   List.iter
     (fun name ->
-      let a = analysis_of name in
-      let sched = Asipfb.Pipeline.sched a Opt_level.O1 in
-      let choices =
-        Select.choose Select.default_config sched ~profile:a.profile
-      in
-      let est = Speedup.estimate choices ~profile:a.profile in
+      let est = (Timing.design (analysis_of name) Opt_level.O1).estimate in
       Alcotest.(check bool)
         (Printf.sprintf "%s speedup in (1, 4]" name)
         true
@@ -163,9 +189,9 @@ let test_end_to_end_speedup_sensible () =
 
 (* --- timing model -------------------------------------------------------- *)
 
-(* Reports are memoized per (benchmark, preset): the property below
-   samples with repetition and a report costs an analysis plus a full
-   target simulation. *)
+(* Reports are memoized per (benchmark, preset): the cycle pins and the
+   property below share them, and a report costs a full target
+   simulation. *)
 let timing_memo : (string * string, Timing.report) Hashtbl.t =
   Hashtbl.create 8
 
@@ -174,7 +200,9 @@ let timing_report name preset =
   match Hashtbl.find_opt timing_memo key with
   | Some r -> r
   | None ->
-      let r = Timing.run ~uarch:preset (Registry.find name) Opt_level.O1 in
+      let r =
+        Timing.of_analysis ~uarch:preset (analysis_of name) Opt_level.O1
+      in
       Hashtbl.add timing_memo key r;
       r
 
@@ -197,40 +225,72 @@ let prop_estimate_measurement_agree =
           r.t_measured_speedup
           (100.0 *. Speedup.agreement_tolerance))
 
-(* The flat description is byte-compatible with the legacy model: the
-   uarch-aware estimator and simulator reproduce the pre-uarch numbers
-   field for field, pinned on fir's golden values. *)
-let test_flat_matches_legacy () =
+(* The fir golden numbers: a change here is a cost-model change, not
+   noise. *)
+let test_flat_fir_pins () =
+  let est = (Timing.design (analysis_of "fir") Opt_level.O1).estimate in
+  Alcotest.(check int) "fir flat baseline pinned" 40739 est.baseline_cycles;
+  Alcotest.(check int) "fir flat asip pinned" 32882 est.asip_cycles
+
+(* Under flat every op costs one cycle: the estimate's baseline is the
+   profile total and the simulator's baseline is the executed op count,
+   on programs selected at O1. *)
+let prop_flat_baselines_are_op_counts =
+  QCheck2.Test.make ~name:"flat baselines are dynamic op counts" ~count:30
+    Gen_minic.gen_program (fun src ->
+      let prog = Asipfb_frontend.Lower.compile src ~entry:"main" in
+      let profile = (Asipfb_sim.Interp.run prog).profile in
+      let sched = Asipfb_sched.Schedule.optimize ~level:Opt_level.O1 prog in
+      let choices = Select.choose Select.default_config sched ~profile in
+      let est = Speedup.estimate ~prog choices ~profile in
+      let out = Tsim.run (Codegen.generate_for_choices ~choices prog) in
+      est.baseline_cycles = Profile.total profile
+      && out.baseline_cycles = out.ops_executed)
+
+(* Measured cycles at O1 of every Table-1 kernel under both presets — the
+   [tsim.cycles.*] rows of the benchmark's pins. *)
+let measured_cycle_pins =
+  [ ("fir", 34334, 45366); ("iir", 3310, 8510); ("pse", 39342, 78317);
+    ("intfft", 53562, 97589); ("compress", 2038643, 6335891);
+    ("flatten", 12294, 23172); ("smooth", 15260, 16032);
+    ("edge", 25089, 30897); ("sewha", 6896, 7640);
+    ("dft", 1248005, 4459269); ("bspline", 10645, 12165);
+    ("feowf", 8457, 24841) ]
+
+let test_measured_cycles_pinned () =
+  List.iter
+    (fun (name, flat, risc5) ->
+      Alcotest.(check int) (name ^ " flat") flat
+        (timing_report name Uarch.flat).t_measured_cycles;
+      Alcotest.(check int) (name ^ " risc5") risc5
+        (timing_report name Uarch.risc5).t_measured_cycles)
+    measured_cycle_pins
+
+(* A target whose outputs differ from the base run is a classified
+   verification diagnostic, not a bare failure. *)
+let test_output_mismatch_diag () =
   let a = analysis_of "fir" in
-  let sched = Asipfb.Pipeline.sched a Opt_level.O1 in
-  let choices =
-    Select.choose Select.default_config sched ~profile:a.profile
-  in
-  let legacy = Speedup.estimate choices ~profile:a.profile in
-  let flat =
-    Speedup.estimate ~uarch:Uarch.flat ~prog:a.prog choices
-      ~profile:a.profile
-  in
-  Alcotest.(check int) "baseline cycles" legacy.baseline_cycles
-    flat.baseline_cycles;
-  Alcotest.(check int) "saved cycles" legacy.saved_cycles flat.saved_cycles;
-  Alcotest.(check int) "asip cycles" legacy.asip_cycles flat.asip_cycles;
-  Alcotest.(check (float 1e-12)) "speedup" legacy.speedup flat.speedup;
-  Alcotest.(check (float 1e-12)) "total area" legacy.total_area
-    flat.total_area;
-  (* golden numbers: a change here is a cost-model change, not noise *)
-  Alcotest.(check int) "fir flat baseline pinned" 40739
-    flat.baseline_cycles;
-  Alcotest.(check int) "fir flat asip pinned" 32882 flat.asip_cycles;
-  let target = Codegen.generate_for_choices ~choices a.prog in
-  let inputs = a.benchmark.inputs () in
-  let legacy_out = Tsim.run target ~inputs in
-  let flat_out = Tsim.run ~uarch:Uarch.flat target ~inputs in
-  Alcotest.(check int) "measured cycles" legacy_out.cycles flat_out.cycles;
-  Alcotest.(check int) "measured baseline" legacy_out.baseline_cycles
-    flat_out.baseline_cycles;
-  Alcotest.(check int) "ops executed" legacy_out.ops_executed
-    flat_out.ops_executed
+  let region = List.hd a.benchmark.output_regions in
+  let memory = Memory.create a.prog in
+  List.iter
+    (fun r -> Memory.seed memory r (Memory.dump a.outcome.memory r))
+    (Memory.regions a.outcome.memory);
+  Memory.store memory region 0
+    (match Memory.load memory region 0 with
+    | Value.Vint n -> Value.Vint (n + 1)
+    | Value.Vfloat f -> Value.Vfloat (f +. 1000.0));
+  let tampered = { a with outcome = { a.outcome with memory } } in
+  match Timing.measure tampered (Timing.design tampered Opt_level.O1) with
+  | exception Diag.Diag_error d ->
+      Alcotest.(check string) "stage" "verification"
+        (Diag.stage_to_string d.stage);
+      Alcotest.(check (option string)) "kind" (Some "asip-output-mismatch")
+        (List.assoc_opt "kind" d.context);
+      Alcotest.(check (option string)) "benchmark" (Some "fir")
+        (List.assoc_opt "benchmark" d.context);
+      Alcotest.(check (option string)) "region" (Some region)
+        (List.assoc_opt "region" d.context)
+  | _ -> Alcotest.fail "a tampered reference must raise a diagnostic"
 
 (* Under the pipelined preset every *selected* chain closes timing; the
    candidates that do not are rejected with a structured diagnostic. *)
@@ -268,8 +328,12 @@ let suite =
         Alcotest.test_case "isa rendering" `Quick test_isa_rendering;
         Alcotest.test_case "suite speedups sensible" `Slow
           test_end_to_end_speedup_sensible;
-        Alcotest.test_case "flat matches legacy model" `Quick
-          test_flat_matches_legacy;
+        Alcotest.test_case "flat fir pins" `Quick test_flat_fir_pins;
+        QCheck_alcotest.to_alcotest prop_flat_baselines_are_op_counts;
+        Alcotest.test_case "measured cycles pinned" `Slow
+          test_measured_cycles_pinned;
+        Alcotest.test_case "output mismatch is a diagnostic" `Quick
+          test_output_mismatch_diag;
         Alcotest.test_case "pipelined chains fit clock" `Quick
           test_pipelined_chains_fit_clock;
         QCheck_alcotest.to_alcotest prop_estimate_measurement_agree;

@@ -113,18 +113,6 @@ let prop_core_matches_reference =
           Fallback.outcomes_agree (Interp.run prog) (Fallback.reference prog))
         Opt_level.all)
 
-let prop_traced_matches_plain =
-  (* The instrumented core instantiations must not change semantics: a
-     no-op trace hook sees exactly instrs_executed events and leaves the
-     outcome identical to the plain fast path. *)
-  QCheck2.Test.make ~name:"traced core agrees with plain core" ~count:20
-    Gen_minic.gen_program (fun src ->
-      let p = Lower.compile src ~entry:"main" in
-      let events = ref 0 in
-      let traced = Interp.run ~on_exec:(fun _ _ -> incr events) p in
-      let plain = Interp.run p in
-      Fallback.outcomes_agree traced plain && !events = traced.instrs_executed)
-
 (* --- trap messages ------------------------------------------------------ *)
 
 (* One program per trap kind, built directly in IR so each traps at a
@@ -279,6 +267,5 @@ let suite =
           test_timeout_classification;
         Alcotest.test_case "pre-compiled form sanity" `Quick test_code_shape;
         QCheck_alcotest.to_alcotest prop_core_matches_reference;
-        QCheck_alcotest.to_alcotest prop_traced_matches_plain;
       ] );
   ]

@@ -1,5 +1,5 @@
 (* Tests for the extension modules: VLIW characterization, scalar cleanup
-   passes, schedule-level rescheduling, and execution tracing. *)
+   passes, and schedule-level rescheduling. *)
 
 module Types = Asipfb_ir.Types
 module Instr = Asipfb_ir.Instr
@@ -10,7 +10,6 @@ module Lower = Asipfb_frontend.Lower
 module Interp = Asipfb_sim.Interp
 module Vliw = Asipfb_sched.Vliw
 module Cleanup = Asipfb_sched.Cleanup
-module Trace = Asipfb_sim.Trace
 module Opt_level = Asipfb_sched.Opt_level
 
 let compile src = Lower.compile src ~entry:"main"
@@ -198,65 +197,6 @@ let test_resched_estimate () =
   Alcotest.(check int) "no chains, same cycles" none.base_cycles
     none.chained_cycles
 
-(* --- Trace ----------------------------------------------------------------- *)
-
-let test_trace_basics () =
-  let p = compile "int out[1]; void main() { int x = 1; out[0] = x + 2; }" in
-  let events, outcome = Trace.run p in
-  Alcotest.(check int) "one event per executed op" outcome.instrs_executed
-    (List.length events);
-  (match events with
-  | first :: _ ->
-      Alcotest.(check int) "steps start at 0" 0 first.step;
-      Alcotest.(check string) "in main" "main" first.func
-  | [] -> Alcotest.fail "no events");
-  (* Steps ascend by one. *)
-  let steps = List.map (fun (e : Trace.event) -> e.step) events in
-  Alcotest.(check (list int)) "consecutive steps"
-    (List.init (List.length steps) Fun.id)
-    steps
-
-let test_trace_limit () =
-  let p =
-    compile
-      "void main() { int i; int s = 0; for (i = 0; i < 100; i++) s += i; }"
-  in
-  let events, outcome = Trace.run ~limit:10 p in
-  Alcotest.(check int) "limited" 10 (List.length events);
-  Alcotest.(check bool) "execution continued past the limit" true
-    (outcome.instrs_executed > 10)
-
-let test_trace_divergence () =
-  let p1 = compile "int out[1]; void main() { out[0] = 1; }" in
-  let t1, _ = Trace.run p1 in
-  Alcotest.(check bool) "no self divergence" true
-    (Trace.first_divergence t1 t1 = None);
-  (* Renaming inserts restore moves with fresh opids into a loop body, so
-     the renamed program's dynamic stream diverges from the original's at
-     the first restore — the debugging workflow this module exists for. *)
-  let loopy =
-    compile
-      "int out[4]; void main() { int i; int s = 0; for (i = 0; i < 4; i++) { int t = s; s = t + i; out[i] = s; } }"
-  in
-  let renamed = Asipfb_sched.Rename.run loopy in
-  let t_orig, _ = Trace.run loopy in
-  let t_ren, _ = Trace.run renamed in
-  Alcotest.(check bool) "renamed stream diverges" true
-    (Trace.first_divergence t_orig t_ren <> None)
-
-let test_trace_equivalence_debugging () =
-  (* The intended use: the O1-transformed benchmark executes a different
-     dynamic stream but converges to the same outputs. *)
-  let bench = Asipfb_bench_suite.Registry.find "sewha" in
-  let p = Asipfb_bench_suite.Benchmark.compile bench in
-  let s = Asipfb_sched.Schedule.optimize ~level:Opt_level.O1 p in
-  let _, o1 = Trace.run ~limit:50 ~inputs:(bench.inputs ()) p in
-  let _, o2 = Trace.run ~limit:50 ~inputs:(bench.inputs ()) s.prog in
-  Alcotest.(check bool) "same output" true
-    (Asipfb_exec.Value.equal
-       (Asipfb_exec.Memory.load o1.memory "output" 50)
-       (Asipfb_exec.Memory.load o2.memory "output" 50))
-
 let suite =
   [
     ( "sched.vliw",
@@ -286,12 +226,4 @@ let suite =
       ] );
     ( "asip.resched",
       [ Alcotest.test_case "estimate" `Quick test_resched_estimate ] );
-    ( "sim.trace",
-      [
-        Alcotest.test_case "basics" `Quick test_trace_basics;
-        Alcotest.test_case "limit" `Quick test_trace_limit;
-        Alcotest.test_case "divergence" `Quick test_trace_divergence;
-        Alcotest.test_case "equivalence debugging" `Quick
-          test_trace_equivalence_debugging;
-      ] );
   ]
