@@ -107,7 +107,7 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?(uarch = Uarch.flat)
   then err "entry function %s missing" tp.t_entry;
   try
     let code = compile tp in
-    let out = Core.Plain.run ~fuel ~inputs ~hooks:() code in
+    let out = Core.run ~fuel ~inputs code in
     let cycles, baseline_cycles = weighted_cycles uarch code out in
     {
       return_value = out.return_value;

@@ -24,7 +24,13 @@
     The same form expresses target programs: a {!slot} is either a single
     op (one cycle) or a [Fused] group — a chained instruction whose
     members execute in order within one cycle — which is how
-    [Asipfb_asip.Tsim] shares the base-op semantics. *)
+    [Asipfb_asip.Tsim] shares the base-op semantics.
+
+    This form is plain data.  How the core runs it — unboxed int/float
+    frames, one closure per slot built at the start of each run, fuel
+    charged per straight run of slots — is the core's business and
+    changes neither the form nor its {!version}, as long as the
+    observable semantics stay the same. *)
 
 val version : string
 (** Revision of the compilation scheme and core semantics; a component of

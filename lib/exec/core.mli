@@ -2,15 +2,26 @@
 
     One interpreter over the pre-compiled {!Code.t} form backs both the
     base profiler ({!Asipfb_sim.Interp}) and the ASIP timing simulator
-    ([Asipfb_asip.Tsim]): registers live in flat per-call frames, memory
-    accesses index a flat region table, profile counters are a dense int
-    array, and a [Fused] slot executes its members in one cycle — so base
-    and target cycle comparisons share one semantics by construction.
+    ([Asipfb_asip.Tsim]), so base and target cycle comparisons share one
+    semantics by construction.
 
-    Instrumentation is a {e statically selected instantiation} of the
-    {!Make} functor: the common profiling path ({!Plain}) carries no
-    fault-injection branch; fault hooks exist only in the {!Faulted}
-    instantiation. *)
+    - A call frame holds registers unboxed: an [int] cell, a [float] cell
+      and a tag (undefined / int / float) per register, so an arithmetic
+      result is written without allocating.
+    - Each slot is compiled once per run into a closure.  Common shapes
+      (int and float arithmetic, int compares, moves, loads, jumps)
+      take fast paths; any other operand shape falls back to the boxed
+      {!Value.t} form, so trap messages never depend on the path taken.
+    - Fuel and the watchdog are charged once per straight run of slots
+      (up to and including the next jump, branch, return or call) when
+      no slot of it can exhaust the fuel or reach a poll, and per slot
+      otherwise — so both fire at exactly the slot they always did.
+    - [?faults] is resolved when the closures are built: a run without
+      it calls no fault hook at all.
+
+    Memory accesses index a flat region table, profile counters are a
+    dense int array, and a [Fused] slot executes its members in one
+    cycle. *)
 
 exception Out_of_fuel of { executed : int; fuel : int }
 (** The fuel budget ran out: [executed] ops were performed under a budget
@@ -30,8 +41,10 @@ type outcome = {
   memory : Memory.t;  (** Final memory (shared with the region table). *)
   counts : int array;  (** Dense profile counters; see
                            {!Code.t.prof_opids} and {!profile_of_counts}. *)
-  cycles : int;  (** Executed slots — a fused slot costs one. *)
-  ops : int;  (** Executed operations, fused members included. *)
+  cycles : int;  (** Executed slots (the fuel consumed) — a fused slot
+                    costs one. *)
+  ops : int;  (** Executed operations, fused members included: the sum
+                  of [counts]. *)
   fused : int;  (** How many executed slots were fused groups. *)
 }
 
@@ -39,43 +52,18 @@ val profile_of_counts : Code.t -> int array -> Profile.t
 (** Convert the dense counters back to a {!Profile.t} keyed by opid
     (only executed opids appear, like the hashtable profile of old). *)
 
-module type HOOKS = sig
-  type t
-  (** Instrumentation state threaded through a run. *)
-
-  val faulted : bool
-  (** When [false], the core invokes no value-corruption hooks at all. *)
-
-  val on_reg_write : t -> Value.t -> Value.t
-  (** May corrupt a value about to be written (only when [faulted]). *)
-
-  val on_mem_load : t -> Value.t -> Value.t
-  (** May corrupt a loaded value (only when [faulted]). *)
-end
-
-module type S = sig
-  type hooks
-
-  val run :
-    ?fuel:int ->
-    ?inputs:(string * Value.t array) list ->
-    ?watchdog:(unit -> bool) ->
-    hooks:hooks ->
-    Code.t ->
-    outcome
-  (** Execute from the entry function.  [fuel] bounds executed cycles
-      (default 50 million); [inputs] seed named regions; [watchdog] is
-      polled every {!watchdog_interval} slots and aborts the run when it
-      returns [true].
-      @raise Ops.Trap on any runtime trap.
-      @raise Out_of_fuel when the budget is exhausted.
-      @raise Watchdog_abort when [watchdog] reports expiry. *)
-end
-
-module Make (H : HOOKS) : S with type hooks = H.t
-
-module Plain : S with type hooks = unit
-(** No instrumentation — the fast profiling path. *)
-
-module Faulted : S with type hooks = Fault.t
-(** Seeded fault injection on register writes and memory loads. *)
+val run :
+  ?fuel:int ->
+  ?inputs:(string * Value.t array) list ->
+  ?faults:Fault.t ->
+  ?watchdog:(unit -> bool) ->
+  Code.t ->
+  outcome
+(** Execute from the entry function.  [fuel] bounds executed slots
+    (default 50 million); [inputs] seed named regions; [faults] corrupts
+    register writes and memory loads from its seeded stream; [watchdog]
+    is polled every {!watchdog_interval} slots and aborts the run when it
+    returns [true].
+    @raise Ops.Trap on any runtime trap.
+    @raise Out_of_fuel when the budget is exhausted.
+    @raise Watchdog_abort when [watchdog] reports expiry. *)

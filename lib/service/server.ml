@@ -10,12 +10,22 @@ module Engine = Asipfb_engine.Engine
 module Pool = Asipfb_engine.Pool
 module Inflight = Asipfb_engine.Inflight
 
+(* The completed-response memo is a least-recently-used table of at most
+   [memo_capacity] responses, so a stream of fresh questions cannot grow
+   the daemon without bound.  The bound sits well above the few hundred
+   keys a session re-asking the suite's questions touches, so repeated
+   questions keep hitting. *)
+let memo_capacity = 1024
+
+type memo_entry = { payload : Api.payload; mutable used : int }
+
 type t = {
   engine : Engine.t;
   log : string -> unit;
   inflight : Api.payload Inflight.t;
-  memo : (string, Api.payload) Hashtbl.t;
+  memo : (string, memo_entry) Hashtbl.t;
   memo_mu : Mutex.t;
+  mutable memo_tick : int;  (* recency clock, guarded by [memo_mu] *)
   stop : bool Atomic.t;
   requests : int Atomic.t;
   errors : int Atomic.t;
@@ -31,6 +41,7 @@ let create ~engine ?(log = fun _ -> ()) () =
     inflight = Inflight.create ();
     memo = Hashtbl.create 64;
     memo_mu = Mutex.create ();
+    memo_tick = 0;
     stop = Atomic.make false;
     requests = Atomic.make 0;
     errors = Atomic.make 0;
@@ -53,15 +64,44 @@ let service_stats t =
 
 (* --- request dispatch ---------------------------------------------------- *)
 
+let memo_size t =
+  Mutex.lock t.memo_mu;
+  let n = Hashtbl.length t.memo in
+  Mutex.unlock t.memo_mu;
+  n
+
+let tick t =
+  t.memo_tick <- t.memo_tick + 1;
+  t.memo_tick
+
 let memo_find t key =
   Mutex.lock t.memo_mu;
-  let v = Hashtbl.find_opt t.memo key in
+  let v =
+    Option.map
+      (fun e ->
+        e.used <- tick t;
+        e.payload)
+      (Hashtbl.find_opt t.memo key)
+  in
   Mutex.unlock t.memo_mu;
   v
 
-let memo_add t key v =
+(* Inserting past the capacity evicts the least recently used entry: a
+   linear scan, paid once per computed response, never on a hit. *)
+let memo_add t key payload =
   Mutex.lock t.memo_mu;
-  Hashtbl.replace t.memo key v;
+  Hashtbl.replace t.memo key { payload; used = tick t };
+  if Hashtbl.length t.memo > memo_capacity then begin
+    let oldest =
+      Hashtbl.fold
+        (fun k e acc ->
+          match acc with
+          | Some (_, used) when used <= e.used -> acc
+          | _ -> Some (k, e.used))
+        t.memo None
+    in
+    Option.iter (fun (k, _) -> Hashtbl.remove t.memo k) oldest
+  end;
   Mutex.unlock t.memo_mu
 
 (* Analysis requests are keyed by the engine's content-digest scheme:

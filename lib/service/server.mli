@@ -12,7 +12,8 @@
 
     - a {e completed-response memo}: an analysis request whose content
       key was answered before is served without touching the engine and
-      reported [cache:"hit"];
+      reported [cache:"hit"].  It keeps the {!memo_capacity} most
+      recently used responses;
     - {e in-flight coalescing} ({!Asipfb_engine.Inflight}): N clients
       asking an identical question while it is being computed share one
       computation — the leader reports [cache:"miss"], the others
@@ -45,6 +46,14 @@ val request_stop : t -> unit
 val stopping : t -> bool
 
 val service_stats : t -> Api.service_stats
+
+val memo_capacity : int
+(** Most completed responses the memo holds (1024); inserting past it
+    evicts the least recently used one, which a repeat of its question
+    then recomputes. *)
+
+val memo_size : t -> int
+(** Completed responses the memo holds now. *)
 
 val serve :
   t ->

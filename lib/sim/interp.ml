@@ -31,13 +31,7 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?faults ?watchdog
     let fuel =
       match faults with Some f -> Fault.clamp_fuel f fuel | None -> fuel
     in
-    (* Statically selected instrumentation: the common profiling path runs
-       the Plain core, which carries no fault branch per instruction. *)
-    let (out : Core.outcome) =
-      match faults with
-      | None -> Core.Plain.run ~fuel ~inputs ?watchdog ~hooks:() code
-      | Some f -> Core.Faulted.run ~fuel ~inputs ?watchdog ~hooks:f code
-    in
+    let (out : Core.outcome) = Core.run ~fuel ~inputs ?faults ?watchdog code in
     {
       return_value = out.return_value;
       profile = Core.profile_of_counts code out.counts;

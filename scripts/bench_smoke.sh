@@ -19,7 +19,7 @@ dune exec bench/main.exe -- --engine-only --engine-json "$out"
 
 # Floors, all regression gates rather than aspirations:
 #   - sim_instrs_per_s must be positive, and the pre-compiled core must
-#     hold its >= 2x win over the reference semantics (measures ~5-6x).
+#     hold its >= 2x win over the reference semantics (measures ~13x).
 #   - parallel_speedup is gated on the host's actual core count
 #     (recommended_domain_count): a single-core host cannot speed up no
 #     matter how good the engine is, so the floor only applies where the

@@ -3,7 +3,8 @@
 # socket.  One daemon, 8 concurrent mixed clients (detect + coverage
 # across four benchmarks); every client response must be byte-identical
 # to the offline CLI's --json output, and a warm second round must be
-# answered entirely from the daemon's response memo (cache=hit).  Also
+# answered entirely from the daemon's response memo (cache=hit), and a
+# question kept warm survives a flood that overflows the memo.  Also
 # covers the socket lifecycle: a second daemon refuses a live socket, a
 # SIGKILLed daemon's stale socket is taken over by a fresh one, and a
 # clean shutdown removes the socket file.
@@ -119,6 +120,39 @@ for b in $benches; do
   done
 done
 
+# Round 3 (bounded memo): memo capacity + 50 fresh-budget questions
+# overflow the daemon's response memo (Server.memo_capacity, 1024
+# entries), which evicts the least recently used answers.  A question
+# re-asked throughout the flood must stay a memo hit and keep its bytes.
+memo_capacity=1024
+ask_warm() {
+  "$bin" client detect fir -O 1 --length 2 --socket "$sock" --meta \
+    > "$workdir/flood_detect_fir.json" 2> "$workdir/meta_flood" || {
+    echo "serve smoke: warmed question failed during the memo flood" >&2
+    exit 1
+  }
+  grep -q "cache=hit" "$workdir/meta_flood" || {
+    echo "serve smoke: warmed question was evicted from the memo:" >&2
+    cat "$workdir/meta_flood" >&2
+    exit 1
+  }
+  cmp -s "$workdir/ref_detect_fir.json" "$workdir/flood_detect_fir.json" || {
+    echo "serve smoke: warmed answer drifted during the memo flood" >&2
+    exit 1
+  }
+}
+i=1
+while [ "$i" -le $((memo_capacity + 50)) ]; do
+  "$bin" client detect fir -O 1 --length 2 --budget "$i" --socket "$sock" \
+    > /dev/null || {
+    echo "serve smoke: fresh-budget question $i failed" >&2
+    exit 1
+  }
+  if [ $((i % 100)) -eq 0 ]; then ask_warm; fi
+  i=$((i + 1))
+done
+ask_warm
+
 # A SIGKILLed daemon leaves a stale socket file; a fresh daemon must
 # detect it as dead, take the path over, and serve.
 kill -9 "$daemon_pid"
@@ -157,4 +191,4 @@ if [ -e "$sock" ]; then
   exit 1
 fi
 
-echo "serve smoke: $workers worker(s) — 8 concurrent clients byte-identical to offline CLI, warm round 100% memo hits, live-socket refusal, stale takeover, and clean shutdown all verified"
+echo "serve smoke: $workers worker(s) — 8 concurrent clients byte-identical to offline CLI, warm round 100% memo hits, warm answer kept through a memo overflow, live-socket refusal, stale takeover, and clean shutdown all verified"

@@ -26,6 +26,10 @@ module Registry = Asipfb_bench_suite.Registry
 module Pipeline = Asipfb.Pipeline
 module Diag = Asipfb_diag.Diag
 module Code = Asipfb_exec.Code
+module Core = Asipfb_exec.Core
+module Prng = Asipfb_util.Prng
+module Uarch = Asipfb_asip.Uarch
+module Timing = Asipfb.Timing
 
 (* Structural comparison (so identically-computed NaNs still agree). *)
 let same a b = Stdlib.compare a b = 0
@@ -144,6 +148,10 @@ let trap_cases =
       ("out-of-bounds store",
        [ B.store b T.Int "m" (I.Imm_int (-1)) (I.Imm_int 0) ]);
       ("uninitialized register", [ B.mov b (int "x") (I.Reg (int "y")) ]);
+      ("both operands uninitialized",
+       binop T.Add T.Int (I.Reg (int "u")) (I.Reg (int "v")));
+      ("uninitialized operand beside a float",
+       binop T.Fadd T.Float (I.Reg (float "u")) (I.Imm_float 1.));
     ]
   in
   let prog ?(ret = true) body =
@@ -194,6 +202,73 @@ let test_tsim_matches_interp () =
             (same (Memory.dump o.memory r) (Memory.dump t.memory r)))
         (Memory.regions o.memory))
     Registry.all
+
+(* --- exact fuel and watchdog accounting ----------------------------------- *)
+
+(* The core may charge fuel for a whole straight run of slots at once;
+   these pin that it still stops at exactly the slot per-slot stepping
+   would.  fir has three functions, so runs end at call slots too. *)
+let fir_run ?fuel ?watchdog () =
+  let b = Registry.find "fir" in
+  Interp.run ?fuel ?watchdog ~inputs:(b.inputs ()) (Benchmark.compile b)
+
+let test_fuel_exact () =
+  let rng = Prng.create ~seed:20 in
+  let random = List.init 30 (fun _ -> 1 + Prng.next_int rng ~bound:40738) in
+  List.iter
+    (fun f ->
+      match fir_run ~fuel:f () with
+      | _ -> Alcotest.failf "fuel %d: fir completed" f
+      | exception Interp.Fuel_exhausted { instrs_executed; fuel } ->
+          Alcotest.(check int) (Printf.sprintf "fuel %d: budget" f) f fuel;
+          Alcotest.(check int)
+            (Printf.sprintf "fuel %d: executed" f)
+            f instrs_executed)
+    ([ 1; 2; 7; 8191; 8192; 8193; 40738 ] @ random);
+  Alcotest.(check int) "fuel 40739 completes" 40739
+    (fir_run ~fuel:40739 ()).instrs_executed
+
+let test_watchdog_exact () =
+  List.iter
+    (fun k ->
+      let polls = ref 0 in
+      let watchdog () =
+        incr polls;
+        !polls >= k
+      in
+      match fir_run ~watchdog () with
+      | _ -> Alcotest.failf "poll %d: fir completed" k
+      | exception Interp.Watchdog_timeout { instrs_executed } ->
+          Alcotest.(check int)
+            (Printf.sprintf "fires on poll %d" k)
+            (k * Core.watchdog_interval) instrs_executed)
+    [ 1; 2; 4 ]
+
+(* --- the chained target rides the same core ----------------------------- *)
+
+(* Per kernel: the O1 chained target's dynamic op count equals the base
+   run's, and how many chained slots it executed under flat and risc5. *)
+let chained_pins =
+  [ ("fir", 6405, 6405); ("iir", 200, 200); ("pse", 5120, 6144);
+    ("intfft", 7360, 8832); ("compress", 295488, 295488);
+    ("flatten", 1407, 1407); ("smooth", 5808, 7260); ("edge", 4840, 4840);
+    ("sewha", 744, 744); ("dft", 65536, 65536); ("bspline", 504, 2520);
+    ("feowf", 768, 768) ]
+
+let test_chained_target_counts () =
+  List.iter
+    (fun (name, flat, risc5) ->
+      let a = Pipeline.analyze (Registry.find name) in
+      List.iter
+        (fun (uarch, chained) ->
+          let what = name ^ "/" ^ Uarch.name uarch in
+          let t = Timing.measure a (Timing.design ~uarch a Opt_level.O1) in
+          Alcotest.(check int) (what ^ ": ops equal base instrs")
+            a.outcome.instrs_executed t.ops_executed;
+          Alcotest.(check int) (what ^ ": chained executed") chained
+            t.chained_executed)
+        [ (Uarch.flat, flat); (Uarch.risc5, risc5) ])
+    chained_pins
 
 (* --- sorted region listing (deterministic reports) ----------------------- *)
 
@@ -262,6 +337,10 @@ let suite =
           test_tsim_matches_interp;
         Alcotest.test_case "trap messages agree" `Quick
           test_trap_messages_agree;
+        Alcotest.test_case "fuel exhaustion is exact" `Quick test_fuel_exact;
+        Alcotest.test_case "watchdog poll is exact" `Quick test_watchdog_exact;
+        Alcotest.test_case "chained target op counts" `Quick
+          test_chained_target_counts;
         Alcotest.test_case "regions sorted" `Quick test_regions_sorted;
         Alcotest.test_case "timeout classification" `Quick
           test_timeout_classification;

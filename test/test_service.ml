@@ -885,6 +885,41 @@ let test_concurrent_dedup () =
   Alcotest.(check int) "still one base analysis" 1
     (Engine.stats engine).base.misses
 
+(* The memo is bounded: a stream of fresh questions evicts the least
+   recently used answers, never one that keeps being asked, and an
+   evicted question recomputes the same bytes. *)
+let test_memo_bounded () =
+  let server = make_server () in
+  let detect ?budget () =
+    Api.encode_request
+      (Api.Detect
+         { benchmark = "fir";
+           query = Pipeline.Query.make ~length:2 ?budget Opt_level.O1 })
+  in
+  let status line =
+    Api.cache_status_to_string (response_of server line).cache
+  in
+  let warmed = detect () in
+  Alcotest.(check string) "warm-up computes" "miss" (status warmed);
+  let first = detect ~budget:0 () in
+  let first_frame = Server.handle_line server first in
+  for budget = 1 to Server.memo_capacity + 8 do
+    Alcotest.(check string) "fresh budget computes" "miss"
+      (status (detect ~budget ()));
+    Alcotest.(check string) "warmed question stays a hit" "hit"
+      (status warmed);
+    if Server.memo_size server > Server.memo_capacity then
+      Alcotest.failf "memo holds %d > %d responses" (Server.memo_size server)
+        Server.memo_capacity
+  done;
+  Alcotest.(check int) "memo full" Server.memo_capacity
+    (Server.memo_size server);
+  (* Both frames say "miss": the budget-0 answer was evicted and
+     recomputed, not served from the memo. *)
+  Alcotest.(check string) "evicted question recomputes byte-identically"
+    first_frame
+    (Server.handle_line server first)
+
 (* --- socket-level end-to-end ---------------------------------------------- *)
 
 let temp_socket_path () =
@@ -991,6 +1026,7 @@ let suite =
         Alcotest.test_case "ping/stats/shutdown" `Quick
           test_ping_stats_shutdown;
         Alcotest.test_case "concurrent dedup" `Quick test_concurrent_dedup;
+        Alcotest.test_case "memo bounded" `Quick test_memo_bounded;
         Alcotest.test_case "socket end-to-end" `Quick test_socket_end_to_end;
         Alcotest.test_case "refuses non-socket" `Quick
           test_refuses_non_socket;
