@@ -27,11 +27,10 @@
 module Engine = Asipfb_engine.Engine
 module Metrics = Asipfb_engine.Metrics
 
-let print_artifacts suite =
-  List.iter
-    (fun (name, produce) ->
-      Printf.printf "==== %s ====\n%s\n" name (produce ()))
-    (Asipfb.Experiments.artifacts suite)
+let print_artifacts engine suite =
+  Asipfb.Experiments.render_report ~jobs:(Engine.jobs engine)
+    (Asipfb.Experiments.artifacts ~engine suite)
+    print_string
 
 (* --- engine baseline: the start of the perf trajectory ------------------ *)
 
@@ -42,6 +41,26 @@ let wall f =
 
 let run_with ?verify engine =
   ignore (Asipfb.Pipeline.run_suite ~engine ?verify ~on_error:`Raise ())
+
+(* One suite analysis takes ~0.1 s, so a single timing mostly measures
+   whatever else the host is running.  Every configuration is timed
+   [repeats] times, each on a fresh engine, in interleaved rounds (a slow
+   spell on the host then slows every configuration alike), and each
+   keeps its median. *)
+let repeats = 5
+
+let median_walls make_engines =
+  let rounds =
+    List.init repeats (fun _ ->
+        List.map
+          (fun make -> fst (wall (fun () -> run_with (make ()))))
+          make_engines)
+  in
+  List.mapi
+    (fun i _ ->
+      let times = List.sort compare (List.map (fun r -> List.nth r i) rounds) in
+      List.nth times (repeats / 2))
+    make_engines
 
 (* --- simulator throughput: the unified-core speedup --------------------- *)
 
@@ -82,7 +101,8 @@ let sim_throughput () =
 (* Sequential vs parallel vs cold/warm-cache wall time for one full suite
    analysis, written as a JSON baseline so successive PRs can track the
    hot path.  Parallelism is measured as a sweep over -j 1/2/4/8 against
-   the sequential reference; the headline [jobs]/[parallel_speedup] pair
+   the sequential reference, each point the median of {!repeats} runs;
+   the headline [jobs]/[parallel_speedup] pair
    is the sweep's best point, and [recommended_domain_count] records the
    host's available parallelism so the numbers are interpretable across
    machines (a 0.7× "speedup" at jobs 2 means contention on a 4-core
@@ -99,15 +119,22 @@ let corpus_programs = 64
 let engine_baseline ~path =
   let recommended = Asipfb_engine.Pool.default_jobs () in
   Metrics.reset Metrics.global;
-  let seq_s, () = wall (fun () -> run_with (Engine.sequential ())) in
+  let sweep_jobs = [ 1; 2; 4; 8 ] in
+  let seq_s, sweep_s =
+    match
+      median_walls
+        (Engine.sequential
+        :: List.map
+             (fun jobs () -> Engine.create ~jobs ~cache:false ())
+             sweep_jobs)
+    with
+    | seq_s :: sweep_s -> (seq_s, sweep_s)
+    | [] -> assert false
+  in
   let sweep =
-    List.map
-      (fun jobs ->
-        let par_s, () =
-          wall (fun () -> run_with (Engine.create ~jobs ~cache:false ()))
-        in
-        (jobs, par_s, seq_s /. Float.max 1e-9 par_s))
-      [ 1; 2; 4; 8 ]
+    List.map2
+      (fun jobs par_s -> (jobs, par_s, seq_s /. Float.max 1e-9 par_s))
+      sweep_jobs sweep_s
   in
   let best_jobs, par_s, par_speedup =
     List.fold_left
@@ -260,11 +287,10 @@ let () =
     | None -> if engine_only then Some "BENCH_engine.json" else None
   in
   if not engine_only then begin
+    let engine = Engine.create () in
     let suite =
-      (Asipfb.Pipeline.run_suite ~engine:(Engine.create ()) ~on_error:`Raise
-         ())
-        .analyses
+      (Asipfb.Pipeline.run_suite ~engine ~on_error:`Raise ()).analyses
     in
-    print_artifacts suite
+    print_artifacts engine suite
   end;
   Option.iter (fun path -> engine_baseline ~path) engine_json

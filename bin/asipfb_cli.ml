@@ -494,11 +494,24 @@ let find_verify_mode s : (Asipfb_engine.Engine.verify_mode, string) result =
         (Printf.sprintf
            "invalid verify mode %S (expected off, ir, full, or tv)" s)
 
+(* One benchmark skipped under [--keep-going], on stderr. *)
+let report_skipped (f : Asipfb.Pipeline.failure) =
+  let kind =
+    match Asipfb.Pipeline.classify_failure f with
+    | `Timeout -> "timeout"
+    | `Crash -> "crash"
+    | `Quarantined -> "quarantined"
+  in
+  prerr_endline
+    (Printf.sprintf "asipfb: skipped %s (%s): %s" f.failed_benchmark kind
+       (Asipfb_diag.Diag.to_string f.diag))
+
 (* Full-suite analysis for report/export.  With [--keep-going] a broken
    benchmark is isolated: its diagnostic goes to stderr (and the JSON
    report), and the remaining benchmarks still produce artifacts.  Verify
    findings (when [--verify] is on) are warnings, not failures: they go
-   to stderr and into the JSON report alongside any failure diagnostics. *)
+   to stderr and into the JSON report alongside any failure diagnostics.
+   Returns the analyses and the diagnostics written. *)
 let run_suite ?(verify = `Off) ~engine ~keep_going ~diag_json () =
   let finish (r : Asipfb.Pipeline.suite_report) failure_diags =
     let verify_diags =
@@ -516,24 +529,13 @@ let run_suite ?(verify = `Off) ~engine ~keep_going ~diag_json () =
     List.iter
       (fun d -> prerr_endline ("asipfb: " ^ Asipfb_diag.Diag.to_string d))
       (verify_diags @ supervise_diags);
-    write_diag_json diag_json (failure_diags @ verify_diags @ supervise_diags);
-    r.analyses
+    let diags = failure_diags @ verify_diags @ supervise_diags in
+    write_diag_json diag_json diags;
+    (r.analyses, diags)
   in
   if keep_going then begin
     let r = Asipfb.Pipeline.run_suite ~engine ~verify ~on_error:`Isolate () in
-    List.iter
-      (fun (f : Asipfb.Pipeline.failure) ->
-        let kind =
-          match Asipfb.Pipeline.classify_failure f with
-          | `Timeout -> "timeout"
-          | `Crash -> "crash"
-          | `Quarantined -> "quarantined"
-        in
-        prerr_endline
-          (Printf.sprintf "asipfb: skipped %s (%s): %s" f.failed_benchmark
-             kind
-             (Asipfb_diag.Diag.to_string f.diag)))
-      r.failures;
+    List.iter report_skipped r.failures;
     finish r
       (List.map (fun (f : Asipfb.Pipeline.failure) -> f.diag) r.failures)
   end
@@ -563,27 +565,47 @@ let cmd_report artifact keep_going diag_json verify opts timings =
       let* verify = find_verify_mode verify in
       let* uarch = resolve_uarch opts in
       let* engine = make_engine opts in
-      let suite = run_suite ~verify ~engine ~keep_going ~diag_json () in
+      let suite, diags = run_suite ~verify ~engine ~keep_going ~diag_json () in
       let finish r = if timings then print_timings engine; r in
       finish
       @@
-      let table = Asipfb.Experiments.artifacts ~uarch suite in
+      (* The extra mix keeps going like the suite: a failed mix benchmark
+         is reported, added to the JSON report and left out. *)
+      let on_skip =
+        if keep_going then begin
+          let skipped = ref [] in
+          Some
+            (fun (f : Asipfb.Pipeline.failure) ->
+              report_skipped f;
+              skipped := f.diag :: !skipped;
+              write_diag_json diag_json (diags @ List.rev !skipped))
+        end
+        else None
+      in
+      let table = Asipfb.Experiments.artifacts ~uarch ~engine ?on_skip suite in
+      let jobs = Asipfb_engine.Engine.jobs engine in
       match artifact with
       | None ->
           (* Flushed per chunk: the artifacts printed before a failing
              one reach stdout before the error line reaches stderr. *)
-          Asipfb.Experiments.render_report
-            ~jobs:(Asipfb_engine.Engine.jobs engine) table (fun chunk ->
+          Asipfb.Experiments.render_report ~jobs table (fun chunk ->
               print_string chunk;
               flush stdout);
           Ok ()
       | Some name -> (
-          match List.assoc_opt name table with
-          | Some render -> Ok (print_endline (render ()))
+          match
+            List.find_opt
+              (fun (a : Asipfb.Experiments.artifact) -> a.name = name)
+              table
+          with
+          | Some a -> Ok (print_endline (Asipfb.Experiments.render_one ~jobs a))
           | None ->
               Error
                 (Printf.sprintf "unknown artifact %S (one of: %s)" name
-                   (String.concat ", " (List.map fst table)))))
+                   (String.concat ", "
+                      (List.map
+                         (fun (a : Asipfb.Experiments.artifact) -> a.name)
+                         table)))))
 
 (* Static analysis as its own subcommand: run all three checkers of
    lib/verify (mini-C lint, IR dataflow checks, refinement proof at
@@ -1338,7 +1360,7 @@ let cmd_export dir keep_going diag_json verify opts timings =
   wrap (fun () ->
       let* verify = find_verify_mode verify in
       let* engine = make_engine opts in
-      let suite = run_suite ~verify ~engine ~keep_going ~diag_json () in
+      let suite, _ = run_suite ~verify ~engine ~keep_going ~diag_json () in
       let written = Asipfb.Experiments.export_csv suite ~dir in
       List.iter print_endline written;
       if timings then print_timings engine;

@@ -4,43 +4,58 @@ type entry = {
   per_benchmark : (string * float) list;
 }
 
+(* All class lists appearing anywhere, first-appearance order. *)
 let gather per_bench =
-  (* All class lists appearing anywhere, first-appearance order. *)
-  let all =
-    List.concat_map
-      (fun (_, ds) -> List.map (fun (d : Detect.detected) -> d.classes) ds)
-      per_bench
-  in
-  Asipfb_util.Listx.dedup (fun a b -> a = b) all
+  let seen = Hashtbl.create 256 in
+  List.concat_map
+    (fun (_, ds) ->
+      List.filter_map
+        (fun (d : Detect.detected) ->
+          if Hashtbl.mem seen d.classes then None
+          else begin
+            Hashtbl.add seen d.classes ();
+            Some d.classes
+          end)
+        ds)
+    per_bench
 
-let freq_in ds classes =
-  match
-    List.find_opt (fun (d : Detect.detected) -> d.classes = classes) ds
-  with
-  | Some d -> d.freq
-  | None -> 0.0
+(* A benchmark's frequency per class list: the first detection of each
+   list, as a scan from the front would find it. *)
+let freq_table ds =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (d : Detect.detected) ->
+      if not (Hashtbl.mem t d.classes) then Hashtbl.add t d.classes d.freq)
+    ds;
+  t
 
 let build per_bench ~weight_of =
   let names = gather per_bench in
   let total_weight =
     Asipfb_util.Listx.sum_by (fun b -> weight_of b) per_bench
   in
+  let tables =
+    List.map (fun ((name, ds) as b) -> (name, weight_of b, freq_table ds)) per_bench
+  in
+  let freq_in t classes =
+    Option.value (Hashtbl.find_opt t classes) ~default:0.0
+  in
   let entries =
     List.map
       (fun classes ->
         let per_benchmark =
           List.filter_map
-            (fun ((name, ds) as _b) ->
-              let f = freq_in ds classes in
+            (fun (name, _, t) ->
+              let f = freq_in t classes in
               if f > 0.0 then Some (name, f) else None)
-            (List.map (fun (n, ds) -> (n, ds)) per_bench)
+            tables
         in
         let combined_freq =
           if total_weight = 0.0 then 0.0
           else
             Asipfb_util.Listx.sum_by
-              (fun ((_, ds) as b) -> weight_of b *. freq_in ds classes)
-              per_bench
+              (fun (_, w, t) -> w *. freq_in t classes)
+              tables
             /. total_weight
         in
         { classes; combined_freq; per_benchmark })

@@ -8,8 +8,50 @@ module Chainop = Asipfb_chain.Chainop
 module Table = Asipfb_report.Table
 module Chart = Asipfb_report.Chart
 module Metrics = Asipfb_engine.Metrics
+module Uarch = Asipfb_asip.Uarch
 
 type suite = Pipeline.analysis list
+
+(* Where an artifact gets its inputs: computed on the spot ([direct], the
+   standalone functions below) or from the report's keyed results
+   ([keyed], the artifact table).  Every artifact is written once against
+   a source, so both paths share one gather-and-format body. *)
+type source = {
+  query : Pipeline.analysis -> Pipeline.Query.t -> Detect.detected list;
+      (* A step-4 query, charged to the "detect" stage. *)
+  detect :
+    Pipeline.analysis -> Opt_level.t -> Detect.config -> Detect.detected list;
+      (* Detection under a full configuration. *)
+  design : Uarch.t -> Pipeline.analysis -> Timing.design;
+  measured :
+    Uarch.t -> Pipeline.analysis -> Timing.design -> Asipfb_asip.Tsim.outcome;
+  variant : Tasks.transform -> Pipeline.analysis -> Tasks.variant;
+  extras : unit -> Pipeline.analysis list;
+}
+
+let direct =
+  {
+    query = Pipeline.detect;
+    detect =
+      (fun a level config ->
+        Detect.run config (Pipeline.sched a level) ~profile:a.profile);
+    design = (fun uarch a -> Timing.design ~uarch a Opt_level.O1);
+    measured = (fun _ a d -> Timing.measure a d);
+    variant = Tasks.compute_variant;
+    extras = (fun () -> List.map Pipeline.analyze Asipfb_bench_suite.Extra.all);
+  }
+
+let keyed tasks =
+  {
+    query =
+      (fun a q ->
+        (Tasks.query tasks a q.level (Pipeline.detect_config q)).detections);
+    detect = (fun a level config -> (Tasks.query tasks a level config).detections);
+    design = Tasks.design tasks;
+    measured = (fun uarch a _ -> Tasks.measured tasks uarch a);
+    variant = Tasks.variant tasks;
+    extras = (fun () -> Tasks.extras tasks);
+  }
 
 (* Family-merge each benchmark's detections and combine them with equal
    weights: the one loop behind every combined variant of the study. *)
@@ -40,11 +82,16 @@ let table1 () =
     ~headers:[ "Benchmark"; "Lines"; "Description"; "Data Input" ]
     ~rows ()
 
-let combined suite ~level ~length =
-  combine suite (fun a ->
-      Pipeline.detect a (Pipeline.Query.make ~length ~min_freq:0.5 level))
+let combined_query ~level ~length =
+  Pipeline.Query.make ~length ~min_freq:0.5 level
 
-let figure_combined suite ~length =
+let combined_in src suite ~level ~length =
+  combine suite (fun a -> src.query a (combined_query ~level ~length))
+
+let combined = combined_in direct
+
+let figure_combined_in src suite ~length =
+  let combined = combined_in src in
   let curves =
     List.map
       (fun level ->
@@ -79,6 +126,8 @@ let figure_combined suite ~length =
   in
   chart ^ String.concat "\n" tops ^ "\n"
 
+let figure_combined = figure_combined_in direct
+
 let table2_sequences =
   [ [ "multiply"; "add" ];
     [ "add"; "multiply" ];
@@ -86,9 +135,11 @@ let table2_sequences =
     [ "add"; "multiply"; "add" ];
     [ "multiply"; "add"; "add" ] ]
 
-let table2_rows suite =
+let table2_rows_in src suite =
   let freq_at level classes =
-    freq_in (combined suite ~level ~length:(List.length classes)) classes
+    freq_in
+      (combined_in src suite ~level ~length:(List.length classes))
+      classes
   in
   List.map
     (fun classes ->
@@ -98,29 +149,35 @@ let table2_rows suite =
         freq_at Opt_level.O2 classes ))
     table2_sequences
 
-let table2 suite =
+let table2_rows = table2_rows_in direct
+
+let table2_in src suite =
   let rows =
     List.map
       (fun (name, f0, f1, f2) ->
         [ name; Table.fmt_pct f0; Table.fmt_pct f1; Table.fmt_pct f2 ])
-      (table2_rows suite)
+      (table2_rows_in src suite)
   in
   Table.render
     ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
     ~headers:[ "Operation Sequence"; "level 0"; "level 1"; "level 2" ]
     ~rows ()
 
-let per_benchmark suite ~level ~length ~min_freq =
+let table2 = table2_in direct
+
+let per_benchmark_in src suite query =
   List.map
-    (fun (a : Pipeline.analysis) ->
-      ( a.benchmark.name,
-        Pipeline.detect a (Pipeline.Query.make ~length ~min_freq level) ))
+    (fun (a : Pipeline.analysis) -> (a.benchmark.name, src.query a query))
     suite
 
-let figure_per_benchmark suite ~length =
-  let per_bench =
-    per_benchmark suite ~level:Opt_level.O1 ~length ~min_freq:5.0
-  in
+let per_benchmark suite ~level ~length ~min_freq =
+  per_benchmark_in direct suite (Pipeline.Query.make ~length ~min_freq level)
+
+let figure_query ~length =
+  Pipeline.Query.make ~length ~min_freq:5.0 Opt_level.O1
+
+let figure_per_benchmark_in src suite ~length =
+  let per_bench = per_benchmark_in src suite (figure_query ~length) in
   let sections =
     List.map
       (fun (name, ds) ->
@@ -137,6 +194,8 @@ let figure_per_benchmark suite ~length =
     "Length %d sequences per benchmark (>= 5%% dynamic frequency, level 1)\n%s"
     length
     (String.concat "\n" sections)
+
+let figure_per_benchmark = figure_per_benchmark_in direct
 
 let table3_benchmarks = [ "sewha"; "feowf"; "bspline"; "edge"; "iir" ]
 
@@ -209,11 +268,11 @@ let ilp_report suite =
     ~headers:[ "Benchmark"; "ILP O0"; "ILP O1"; "ILP O2" ]
     ~rows ()
 
-let asip_report ?uarch suite =
+let asip_report_in src uarch suite =
   let buf = Buffer.create 2048 in
   List.iter
     (fun (a : Pipeline.analysis) ->
-      let d = Timing.design ?uarch a Opt_level.O1 in
+      let d = src.design uarch a in
       Buffer.add_string buf
         (Printf.sprintf
            "%s: %d chained instructions, area %.1f, cycles %d -> %d (speedup %.2fx)\n"
@@ -223,6 +282,8 @@ let asip_report ?uarch suite =
       Buffer.add_string buf (Asipfb_asip.Isa.render d.choices))
     suite;
   Buffer.contents buf
+
+let asip_report ?(uarch = Uarch.flat) suite = asip_report_in direct uarch suite
 
 let total_detection suite_rows =
   Asipfb_util.Listx.sum_by (fun (e : Combine.entry) -> e.combined_freq)
@@ -251,21 +312,23 @@ let vliw_report ?(uarch = Asipfb_asip.Uarch.flat) suite =
     ~headers:[ "Benchmark"; "1-issue"; "2-issue"; "4-issue"; "8-issue" ]
     ~rows ()
 
-let resched_report ?uarch suite =
+(* The detections selection ran on, asked again for the schedule-level
+   estimate. *)
+let resched_configs =
   let config = Asipfb_asip.Select.default_config in
+  List.map
+    (fun length ->
+      { (Detect.default_config ~length) with min_freq = config.min_freq })
+    config.lengths
+
+let resched_report_in src uarch suite =
   let rows =
     List.map
       (fun (a : Pipeline.analysis) ->
-        let d = Timing.design ?uarch a Opt_level.O1 in
+        let d = src.design uarch a in
         let sched = Pipeline.sched a Opt_level.O1 in
         let detections =
-          List.concat_map
-            (fun length ->
-              Detect.run
-                { (Detect.default_config ~length) with
-                  min_freq = config.min_freq }
-                sched ~profile:a.profile)
-            config.lengths
+          List.concat_map (src.detect a Opt_level.O1) resched_configs
         in
         let schedule_level =
           Asipfb_asip.Resched.estimate ~uarch:d.uarch sched ~profile:a.profile
@@ -280,6 +343,8 @@ let resched_report ?uarch suite =
     ~aligns:[ Table.Left; Table.Right; Table.Right ]
     ~headers:[ "Benchmark"; "counting (1-issue)"; "schedule-level (VLIW)" ]
     ~rows ()
+
+let resched_report ?(uarch = Uarch.flat) suite = resched_report_in direct uarch suite
 
 (* The top [n] sequences of [primary] next to their frequency in [other]. *)
 let side_by_side ~n ~headers primary other =
@@ -305,34 +370,32 @@ let pairs sched ~profile =
 
 (* Length-2 detections of a transformed program, re-profiled on the
    benchmark's inputs and scheduled at O1. *)
-let transformed_pairs transform (a : Pipeline.analysis) =
-  let prog = transform a.prog in
-  let outcome = Asipfb_sim.Interp.run prog ~inputs:(a.benchmark.inputs ()) in
-  pairs
-    (Asipfb_sched.Schedule.optimize ~level:Opt_level.O1 prog)
-    ~profile:outcome.profile
+let transformed_pairs src transform a =
+  let v = src.variant transform a in
+  pairs v.Tasks.v_sched ~profile:v.v_profile
+
+let kernel_query = Pipeline.Query.make ~length:2 Opt_level.O1
 
 (* The study's own length-2 detections at O1, combined. *)
-let kernel_pairs suite =
-  combine suite (fun a ->
-      Pipeline.detect a (Pipeline.Query.make ~length:2 Opt_level.O1))
+let kernel_pairs src suite = combine suite (fun a -> src.query a kernel_query)
 
-let ablation_pipelining suite =
+let pipelining_config copies =
+  { (Detect.default_config ~length:2) with copies }
+
+let ablation_pipelining_in src suite =
   let with_copies copies =
     combine suite (fun a ->
-        Detect.run
-          { (Detect.default_config ~length:2) with copies }
-          (Pipeline.sched a Opt_level.O1) ~profile:a.profile)
+        src.detect a Opt_level.O1 (pipelining_config copies))
   in
   ablation
     ~headers:[ "Sequence"; "with pipelining"; "without" ]
     (with_copies 2) (with_copies 1)
 
-let ablation_cleanup suite =
-  let cleaned_total =
-    combine suite (transformed_pairs Asipfb_sched.Cleanup.run)
-  in
-  let raw_total = kernel_pairs suite in
+let ablation_pipelining = ablation_pipelining_in direct
+
+let ablation_cleanup_in src suite =
+  let cleaned_total = combine suite (transformed_pairs src Tasks.Cleanup) in
+  let raw_total = kernel_pairs src suite in
   let top label entries =
     Printf.sprintf "%s: total %.2f%%, top %s\n" label
       (total_detection entries)
@@ -345,7 +408,9 @@ let ablation_cleanup suite =
   in
   top "without cleanup" raw_total ^ top "with cleanup" cleaned_total
 
-let codegen_report ?uarch suite =
+let ablation_cleanup = ablation_cleanup_in direct
+
+let codegen_report_in src uarch suite =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     "| Benchmark | chained execs | measured cycles | measured | estimated |\n";
@@ -353,8 +418,8 @@ let codegen_report ?uarch suite =
     "|-----------|---------------|-----------------|----------|-----------|\n";
   List.iter
     (fun (a : Pipeline.analysis) ->
-      let d = Timing.design ?uarch a Opt_level.O1 in
-      let t_out = Timing.measure a d in
+      let d = src.design uarch a in
+      let t_out = src.measured uarch a d in
       Buffer.add_string buf
         (Printf.sprintf "| %-9s | %13d | %15d | %7.2fx | %8.2fx |\n"
            a.benchmark.name t_out.chained_executed t_out.cycles
@@ -362,6 +427,8 @@ let codegen_report ?uarch suite =
            d.estimate.speedup))
     suite;
   Buffer.contents buf
+
+let codegen_report ?(uarch = Uarch.flat) suite = codegen_report_in direct uarch suite
 
 let export_csv suite ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -467,17 +534,14 @@ let opmix_report suite =
     ~headers:("Benchmark" :: classes_of_interest)
     ~rows ()
 
-let extra_report _suite =
+let extra_report_in src =
   let buf = Buffer.create 2048 in
   List.iter
-    (fun (b : Benchmark.t) ->
-      let a = Pipeline.analyze b in
-      let ds =
-        Asipfb_util.Listx.take 4
-          (Pipeline.detect a (Pipeline.Query.make ~length:2 Opt_level.O1))
-      in
-      let d = Timing.design a Opt_level.O1 in
-      let t_out = Timing.measure a d in
+    (fun (a : Pipeline.analysis) ->
+      let b = a.benchmark in
+      let ds = Asipfb_util.Listx.take 4 (src.query a kernel_query) in
+      let d = src.design Uarch.flat a in
+      let t_out = src.measured Uarch.flat a d in
       Buffer.add_string buf
         (Printf.sprintf "%s (%s)\n  top pairs: %s\n  chained ISA: %s\n  measured: %d ops in %d cycles (%.2fx)\n"
            b.name b.description
@@ -493,66 +557,155 @@ let extra_report _suite =
                  d.choices))
            t_out.ops_executed t_out.cycles
            (Asipfb_asip.Tsim.measured_speedup t_out)))
-    Asipfb_bench_suite.Extra.all;
+    (src.extras ());
   Buffer.contents buf
 
-let timing_report ?uarch suite =
+let extra_report _suite = extra_report_in direct
+
+let timing_report_in src uarch suite =
   String.concat ""
     (List.map
        (fun (a : Pipeline.analysis) ->
-         Timing.to_text (Timing.of_analysis ?uarch a Opt_level.O1))
+         let d = src.design uarch a in
+         Timing.to_text (Timing.report a Opt_level.O1 d (src.measured uarch a d)))
        suite)
 
-let validation_unroll suite =
+let timing_report ?(uarch = Uarch.flat) suite = timing_report_in direct uarch suite
+
+let validation_unroll_in src suite =
   side_by_side ~n:12
     ~headers:[ "Sequence"; "kernel analysis"; "physically unrolled" ]
-    (kernel_pairs suite)
-    (combine suite (transformed_pairs Asipfb_sched.Unroll.loop_once))
+    (kernel_pairs src suite)
+    (combine suite (transformed_pairs src Tasks.Unroll))
 
-(* --- the report: one table, rendered on the engine's pool --------------- *)
+let validation_unroll = validation_unroll_in direct
 
-let artifacts ?uarch suite =
-  [ ("table1", fun () -> table1 ());
-    ("figure3", fun () -> figure_combined suite ~length:2);
-    ("figure4", fun () -> figure_combined suite ~length:4);
-    ("figure_l3", fun () -> figure_combined suite ~length:3);
-    ("figure_l5", fun () -> figure_combined suite ~length:5);
-    ("table2", fun () -> table2 suite);
-    ("figure5", fun () -> figure_per_benchmark suite ~length:2);
-    ("figure6", fun () -> figure_per_benchmark suite ~length:4);
-    ("table3", fun () -> table3 suite);
-    ("ilp", fun () -> ilp_report suite);
-    ("asip", fun () -> asip_report ?uarch suite);
-    ("vliw", fun () -> vliw_report ?uarch suite);
-    ("resched", fun () -> resched_report ?uarch suite);
-    ("ablation_pipelining", fun () -> ablation_pipelining suite);
-    ("ablation_cleanup", fun () -> ablation_cleanup suite);
-    ("codegen", fun () -> codegen_report ?uarch suite);
-    ("timing", fun () -> timing_report ?uarch suite);
-    ("ablation_motion", fun () -> ablation_motion suite);
-    ("opmix", fun () -> opmix_report suite);
-    ("extra", fun () -> extra_report suite);
-    ("validation_unroll", fun () -> validation_unroll suite) ]
+(* --- the report: one table, its needs settled on the engine's pool ------ *)
 
-(* Every entry renders as one task of a single pool phase.  A task
-   returns its exception instead of raising, so a failure neither hides
-   the entries before it nor depends on which domain finished first:
-   printing walks the table in order and stops at the lowest-indexed
-   failure, exactly where a sequential loop would have stopped. *)
+type artifact = {
+  name : string;
+  needs : unit -> Tasks.need list;
+  render : unit -> string;
+}
+
+let artifacts ?(uarch = Uarch.flat) ?engine ?on_skip suite =
+  let engine =
+    match engine with
+    | Some e -> e
+    | None -> Asipfb_engine.Engine.sequential ()
+  in
+  let tasks = Tasks.create ?on_skip engine in
+  let src = keyed tasks in
+  let queries_of qs a =
+    List.map
+      (fun (q : Pipeline.Query.t) ->
+        Tasks.need_query tasks a q.level (Pipeline.detect_config q))
+      qs
+  in
+  let each suite f () = List.concat_map f suite in
+  let combined_needs lengths =
+    each suite
+      (queries_of
+         (List.concat_map
+            (fun length ->
+              List.map
+                (fun level -> combined_query ~level ~length)
+                Opt_level.all)
+            lengths))
+  in
+  let product u a = [ Tasks.need_product tasks u a ] in
+  let variant_pairs transform a =
+    Tasks.need_variant tasks transform a :: queries_of [ kernel_query ] a
+  in
+  let detects configs a =
+    List.map (Tasks.need_query tasks a Opt_level.O1) configs
+  in
+  let entry name needs render = { name; needs; render } in
+  let none () = [] in
+  [ entry "table1" none table1;
+    entry "figure3" (combined_needs [ 2 ]) (fun () ->
+        figure_combined_in src suite ~length:2);
+    entry "figure4" (combined_needs [ 4 ]) (fun () ->
+        figure_combined_in src suite ~length:4);
+    entry "figure_l3" (combined_needs [ 3 ]) (fun () ->
+        figure_combined_in src suite ~length:3);
+    entry "figure_l5" (combined_needs [ 5 ]) (fun () ->
+        figure_combined_in src suite ~length:5);
+    entry "table2"
+      (combined_needs
+         (List.sort_uniq compare (List.map List.length table2_sequences)))
+      (fun () -> table2_in src suite);
+    entry "figure5"
+      (each suite (queries_of [ figure_query ~length:2 ]))
+      (fun () -> figure_per_benchmark_in src suite ~length:2);
+    entry "figure6"
+      (each suite (queries_of [ figure_query ~length:4 ]))
+      (fun () -> figure_per_benchmark_in src suite ~length:4);
+    entry "table3" none (fun () -> table3 suite);
+    entry "ilp" none (fun () -> ilp_report suite);
+    entry "asip" (each suite (product uarch)) (fun () ->
+        asip_report_in src uarch suite);
+    entry "vliw" none (fun () -> vliw_report ~uarch suite);
+    entry "resched"
+      (each suite (fun a -> product uarch a @ detects resched_configs a))
+      (fun () -> resched_report_in src uarch suite);
+    entry "ablation_pipelining"
+      (each suite (detects [ pipelining_config 2; pipelining_config 1 ]))
+      (fun () -> ablation_pipelining_in src suite);
+    entry "ablation_cleanup"
+      (each suite (variant_pairs Tasks.Cleanup))
+      (fun () -> ablation_cleanup_in src suite);
+    entry "codegen" (each suite (product uarch)) (fun () ->
+        codegen_report_in src uarch suite);
+    entry "timing" (each suite (product uarch)) (fun () ->
+        timing_report_in src uarch suite);
+    entry "ablation_motion" none (fun () -> ablation_motion suite);
+    entry "opmix" none (fun () -> opmix_report suite);
+    (* The mix is analysed on the report's engine when the needs are
+       declared; a failed analysis declares nothing and is re-raised by
+       the render. *)
+    entry "extra"
+      (fun () ->
+        match Tasks.extras tasks with
+        | xs ->
+            List.concat_map
+              (fun a -> queries_of [ kernel_query ] a @ product Uarch.flat a)
+              xs
+        | exception _ -> [])
+      (fun () -> extra_report_in src);
+    entry "validation_unroll"
+      (each suite (variant_pairs Tasks.Unroll))
+      (fun () -> validation_unroll_in src suite) ]
+
+let settle ~jobs table =
+  Tasks.settle ~jobs (List.concat_map (fun a -> a.needs ()) table)
+
+let render_one ~jobs a =
+  settle ~jobs [ a ];
+  a.render ()
+
+(* The table's needs settle as one pool phase, then every entry renders
+   as one task of a second.  A task returns its exception instead of
+   raising, so a failure neither hides the entries before it nor depends
+   on which domain finished first: printing walks the table in order and
+   stops at the lowest-indexed failure, exactly where a sequential loop
+   would have stopped.  A failed need is re-raised by each render that
+   consumes it, so the first consumer is the one that stops printing. *)
 let render_report ~jobs table print =
+  settle ~jobs table;
   let tasks =
     Array.of_list
       (List.map
-         (fun (_, render) () ->
-           match Metrics.timed Metrics.global "artifact" render with
+         (fun a () ->
+           match Metrics.timed Metrics.global "artifact" a.render with
            | text -> Ok text
            | exception exn -> Error (exn, Printexc.get_raw_backtrace ()))
          table)
   in
   let results = Asipfb_engine.Pool.run ~jobs tasks in
   List.iteri
-    (fun i (name, _) ->
-      print (Printf.sprintf "==== %s ====\n" name);
+    (fun i a ->
+      print (Printf.sprintf "==== %s ====\n" a.name);
       match results.(i) with
       | Ok text -> print (text ^ "\n")
       | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)

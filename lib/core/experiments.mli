@@ -125,20 +125,43 @@ val validation_unroll : suite -> string
 
 (** {1 The report} *)
 
-val artifacts :
-  ?uarch:Asipfb_asip.Uarch.t -> suite -> (string * (unit -> string)) list
-(** Every artifact of [asipfb report], as (name, render) in print order.
-    Rendering is deferred: building the table computes nothing.  Each
-    render is a pure function of the suite (and [?uarch], passed to the
-    uarch-aware artifacts), so entries may run concurrently. *)
+type artifact = {
+  name : string;
+  needs : unit -> Tasks.need list;
+      (** The keyed results [render] asks for.  Declaring them may itself
+          analyse (the [extra] entry's mix); it never raises. *)
+  render : unit -> string;
+}
+(** One artifact of [asipfb report]. *)
 
-val render_report :
-  jobs:int -> (string * (unit -> string)) list -> (string -> unit) -> unit
-(** [render_report ~jobs table print] renders every entry of [table] as
-    one {!Asipfb_engine.Pool.run} phase on up to [jobs] domains (each
-    render charged to the ["artifact"] stage of
-    {!Asipfb_engine.Metrics.global}), then prints them in table order:
-    ["==== name ====\n"] followed by the text and a newline.  If entries
-    raise, the output stops after the header of the lowest-indexed
-    failing entry and its exception is re-raised with its backtrace —
-    the same bytes and exception for every [jobs]. *)
+val artifacts :
+  ?uarch:Asipfb_asip.Uarch.t ->
+  ?engine:Asipfb_engine.Engine.t ->
+  ?on_skip:(Pipeline.failure -> unit) ->
+  suite ->
+  artifact list
+(** Every artifact of [asipfb report], in print order.  Building the
+    table computes nothing.  Each entry formats the same text as its
+    standalone function above (with [?uarch] passed to the uarch-aware
+    ones), but gathers its detections, ASIP products and program variants
+    from one {!Tasks} store on [engine] (default
+    {!Asipfb_engine.Engine.sequential}), so each result is computed once
+    per table and entries may render concurrently.  The [extra] entry
+    analyses its mix on [engine] too; with [on_skip] (what [--keep-going]
+    passes) a mix benchmark that fails is left out of it and reported to
+    [on_skip] once, as the suite's own failed benchmarks are, and without
+    it the entry raises the first failure. *)
+
+val render_one : jobs:int -> artifact -> string
+(** Settle the entry's needs on up to [jobs] domains, then render it. *)
+
+val render_report : jobs:int -> artifact list -> (string -> unit) -> unit
+(** [render_report ~jobs table print] settles every need of [table] as
+    one {!Tasks.settle} phase, renders every entry as a second
+    {!Asipfb_engine.Pool.run} phase on up to [jobs] domains (each render
+    charged to the ["artifact"] stage of {!Asipfb_engine.Metrics.global}),
+    then prints them in table order: ["==== name ====\n"] followed by the
+    text and a newline.  If entries raise — a render's own failure or a
+    failed need it consumes — the output stops after the header of the
+    lowest-indexed failing entry and its exception is re-raised with its
+    backtrace: the same bytes and exception for every [jobs]. *)

@@ -50,11 +50,13 @@ let detect_config (q : Query.t) =
   | Some _ -> { config with Detect.budget = q.budget }
   | None -> config
 
+let run_detect t level config =
+  Metrics.timed Metrics.global "detect" (fun () ->
+      Detect.run_report config (sched t level) ~profile:t.profile)
+
 (* Budget-aware detection: the report also says whether the
    branch-and-bound search completed or degraded to the greedy scan. *)
-let detect_report t (q : Query.t) =
-  Metrics.timed Metrics.global "detect" (fun () ->
-      Detect.run_report (detect_config q) (sched t q.level) ~profile:t.profile)
+let detect_report t (q : Query.t) = run_detect t q.level (detect_config q)
 
 let detect t q = (detect_report t q).Detect.detections
 
@@ -144,6 +146,10 @@ type suite_report = {
   failures : failure list;
 }
 
+let failure_of_exn (b : Benchmark.t) exn =
+  { failed_benchmark = b.name;
+    diag = Diag.with_context (diag_of_exn exn) [ ("benchmark", b.name) ] }
+
 (* Per-benchmark results in input order, every failure already converted
    to a structured diagnostic — the streaming building block the corpus
    runner consumes batch by batch. *)
@@ -157,11 +163,7 @@ let run_results ?engine ?verify ?faults
     (fun ((b : Benchmark.t), r) ->
       match r with
       | Ok a -> (b, Ok a)
-      | Error exn ->
-          let diag =
-            Diag.with_context (diag_of_exn exn) [ ("benchmark", b.name) ]
-          in
-          (b, Error { failed_benchmark = b.name; diag }))
+      | Error exn -> (b, Error (failure_of_exn b exn)))
     (Engine.analyze_all engine ?verify ?faults benchmarks)
 
 let run_suite ?engine ?verify ?faults

@@ -50,6 +50,16 @@ module Query : sig
   (** [length] defaults to 2. *)
 end
 
+val detect_config : Query.t -> Asipfb_chain.Detect.config
+(** The detector configuration a query asks for. *)
+
+val run_detect :
+  analysis -> Asipfb_sched.Opt_level.t -> Asipfb_chain.Detect.config ->
+  Asipfb_chain.Detect.report
+(** Detection on the [level] schedule under a full detector
+    configuration, charged to {!Asipfb_engine.Metrics.global} under
+    ["detect"]. *)
+
 val detect_report : analysis -> Query.t -> Asipfb_chain.Detect.report
 (** Step 4 for one query: detected sequences plus whether the
     branch-and-bound search completed ([Exact]) or degraded to the
@@ -111,6 +121,10 @@ type suite_report = {
   analyses : analysis list;  (** Benchmarks that completed, suite order. *)
   failures : failure list;  (** Isolated per-benchmark failures. *)
 }
+
+val failure_of_exn : Asipfb_bench_suite.Benchmark.t -> exn -> failure
+(** The failure record of one benchmark whose analysis raised [exn]: its
+    diagnostic, tagged with the benchmark name. *)
 
 val run_results :
   ?engine:Asipfb_engine.Engine.t ->

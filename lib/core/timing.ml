@@ -53,13 +53,15 @@ type design = {
   estimate : Speedup.estimate;
 }
 
-let design ?(uarch = Uarch.flat) ?area (a : Pipeline.analysis) level =
-  let config =
-    { Select.default_config with
-      uarch;
-      area_budget =
-        Option.value area ~default:Select.default_config.area_budget }
-  in
+let select_config ?(uarch = Uarch.flat) ?area () =
+  { Select.default_config with
+    uarch;
+    area_budget = Option.value area ~default:Select.default_config.area_budget
+  }
+
+let design ?uarch ?area (a : Pipeline.analysis) level =
+  let config = select_config ?uarch ?area () in
+  let uarch = config.uarch in
   let choices, rejected =
     Select.choose_report config (Pipeline.sched a level) ~profile:a.profile
   in
@@ -95,9 +97,7 @@ let measure (a : Pipeline.analysis) d =
     a.benchmark.output_regions;
   out
 
-let of_analysis ?uarch ?area (a : Pipeline.analysis) level =
-  let d = design ?uarch ?area a level in
-  let out = measure a d in
+let report (a : Pipeline.analysis) level d (out : Tsim.outcome) =
   let est = d.estimate and uarch = d.uarch in
   {
     t_benchmark = a.benchmark.name;
@@ -124,6 +124,10 @@ let of_analysis ?uarch ?area (a : Pipeline.analysis) level =
         d.choices;
     t_rejected = d.rejected;
   }
+
+let of_analysis ?uarch ?area a level =
+  let d = design ?uarch ?area a level in
+  report a level d (measure a d)
 
 let agreement (r : report) =
   if r.t_estimated_speedup <= 0.0 then infinity

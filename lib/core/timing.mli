@@ -59,6 +59,13 @@ type design = {
   estimate : Asipfb_asip.Speedup.estimate;  (** The counting estimate. *)
 }
 
+val select_config :
+  ?uarch:Asipfb_asip.Uarch.t -> ?area:float -> unit ->
+  Asipfb_asip.Select.config
+(** The selection configuration {!design} runs under: the default one
+    with [uarch] (default {!Asipfb_asip.Uarch.flat}) and, when given, the
+    area budget [area]. *)
+
 val design :
   ?uarch:Asipfb_asip.Uarch.t ->
   ?area:float ->
@@ -76,6 +83,11 @@ val measure : Pipeline.analysis -> design -> Asipfb_asip.Tsim.outcome
     @raise Asipfb_diag.Diag.Diag_error (stage [Verification], context
       [kind=asip-output-mismatch], [benchmark], [region]) on a mismatch.
     @raise Asipfb_asip.Tsim.Runtime_error if the target program traps. *)
+
+val report :
+  Pipeline.analysis -> Asipfb_sched.Opt_level.t -> design ->
+  Asipfb_asip.Tsim.outcome -> report
+(** The report of a design made at [level] and its measured outcome. *)
 
 val of_analysis :
   ?uarch:Asipfb_asip.Uarch.t ->

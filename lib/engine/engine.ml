@@ -29,6 +29,9 @@ type t = {
   base_cache : base Cache.t;
   sched_cache : Schedule.t Cache.t;
   verify_cache : Diag.t list Cache.t;
+  new_cache : 'a. string -> 'a Cache.t;
+      (* A further payload cache under the engine's settings (directory,
+         chaos, corruption events), labelled for its diagnostics. *)
 }
 
 type stats = {
@@ -44,6 +47,8 @@ type stats = {
 let schema_revision = "asipfb-engine-5"
 
 let key parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
+
+let content_key parts = key (schema_revision :: parts)
 
 (* Base payloads embed simulated outcomes, so the key also carries the
    execution-core revision: a semantics change in the simulator must
@@ -107,6 +112,7 @@ let create ?jobs ?cache_dir ?(cache = true) ?policy ?chaos
     base_cache = mk "base";
     sched_cache = mk "sched";
     verify_cache = mk "verify";
+    new_cache = mk;
   }
 
 let sequential () =
@@ -128,6 +134,37 @@ let reset_stats t =
   Cache.reset_stats t.base_cache;
   Cache.reset_stats t.sched_cache;
   Cache.reset_stats t.verify_cache
+
+(* --- keyed task kinds ------------------------------------------------------
+
+   Results derived from an analysis (a transformed program, an ASIP
+   product, a detection query) are keyed tasks of their own: cached under
+   their content key, computed once across overlapping callers, and run
+   under the supervisor like base and sched tasks. *)
+
+type 'a kind = {
+  cache : 'a Cache.t;
+  flight : ('a, exn * Printexc.raw_backtrace) result Inflight.t;
+}
+
+let kind t label = { cache = t.new_cache label; flight = Inflight.create () }
+
+(* Each task is its own supervision group: one failing result is
+   quarantined after repeated failures without taking its benchmark's
+   other results with it. *)
+let run_task t k ~key ~name f =
+  fst
+    (Inflight.run k.flight ~key (fun () ->
+         let trace = ref (Printexc.get_callstack 0) in
+         let body _ctx =
+           try Cache.find_or_compute k.cache ~key f
+           with exn ->
+             trace := Printexc.get_raw_backtrace ();
+             raise exn
+         in
+         match Supervise.run t.sup ~group:name ~name body with
+         | Ok v -> Ok v
+         | Error exn -> Error (exn, !trace)))
 
 let derive_faults (config : Fault.config) (b : Benchmark.t) =
   Fault.create { config with seed = config.seed lxor Hashtbl.hash b.name }

@@ -145,6 +145,33 @@ val verify_tv_key :
 (** Content key of one (benchmark, level) translation-validation
     result. *)
 
+(** {2 Keyed task kinds}
+
+    Results derived from an analysis — a transformed program variant, an
+    ASIP product, a detection query — are task kinds of their own, keyed
+    like base and sched payloads.  Their counters are not part of
+    {!stats}; callers charge them to {!Metrics} stages. *)
+
+type 'a kind
+(** One result kind: a payload cache under the engine's settings
+    (directory, chaos, corruption events) and a single-flight table. *)
+
+val kind : t -> string -> 'a kind
+(** [kind t label] — a fresh kind whose cache events name [label]. *)
+
+val content_key : string list -> string
+(** Digest of the engine schema revision and [parts], the key scheme of
+    every payload ({!source_key}, {!sched_key}, …). *)
+
+val run_task :
+  t -> 'a kind -> key:string -> name:string -> (unit -> 'a) ->
+  ('a, exn * Printexc.raw_backtrace) result
+(** Memory, then disk, then compute — under the supervisor and
+    single-flight on [key], so overlapping callers compute once.  [name]
+    is the task's supervision group and chaos key, so each key needs its
+    own name.  A failure is returned with the backtrace of its
+    last attempt and is not cached. *)
+
 val derive_faults :
   Asipfb_exec.Fault.config -> Asipfb_bench_suite.Benchmark.t ->
   Asipfb_exec.Fault.t

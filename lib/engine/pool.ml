@@ -15,13 +15,15 @@ let run_seq tasks = Array.map (fun task -> task ()) tasks
    minimum) that the tail imbalance stays bounded by one batch. *)
 let batch_size ~jobs n = max 1 (n / (jobs * 4))
 
-let run ?on_spawn_failure ~jobs tasks =
+let run ?on_spawn_failure ?batch ~jobs tasks =
   let n = Array.length tasks in
   if jobs <= 1 || n <= 1 then run_seq tasks
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
-    let batch = batch_size ~jobs n in
+    let batch =
+      match batch with Some b -> max 1 b | None -> batch_size ~jobs n
+    in
     (* Each worker claims the next unstarted batch; a slot is written by
        exactly one domain, and Domain.join publishes all writes before the
        collection loop reads them. *)

@@ -762,33 +762,61 @@ let result_to_string = function
   | Semantics.Trapped m -> "trapped: " ^ m
   | Semantics.Out_of_fuel -> "ran out of fuel"
 
+let original_fuel = 8_000_000
+
+(* The fixed bound of a transformed run that terminates on the core. *)
+let transformed_fuel = 16_000_000
+
+(* The bound of a transformed run the core saw loop: a few times the
+   original's work instead of the fixed 16M steps, so a looping mutant
+   costs little on Semantics.  It only shortens the rendered trace of a
+   run that the core has already confirmed does not terminate. *)
+let looping_fuel ~original_steps =
+  min transformed_fuel ((4 * original_steps) + 100_000)
+
 (* Independent confirmation: replay both programs on the execution core,
-   which shares no code with Semantics, and compare return value and
-   final memory.  Divergence of the original itself (trap) means the
-   input is outside the refinement contract — not a confirmation. *)
-let ref_confirms ~original ~transformed inputs =
+   which shares no code with Semantics.  [Outside] when the original
+   itself traps or runs out of fuel (the input is outside the refinement
+   contract); the transformed program confirms a divergence when its
+   return value or final memory differs, when it traps, or when it runs
+   out of the original's fuel ([Loops]). *)
+type replay = Outside | Agrees | Differs | Loops
+
+let core_replay ~original ~transformed inputs =
   let module Interp = Asipfb_sim.Interp in
   let run p =
-    match Interp.run ~fuel:8_000_000 ~inputs p with
-    | (o : Interp.outcome) -> Ok (o.return_value, dump_memory o.memory)
-    | exception Interp.Runtime_error _ -> Error ()
-    | exception Interp.Fuel_exhausted _ -> Error ()
+    match Interp.run ~fuel:original_fuel ~inputs p with
+    | (o : Interp.outcome) -> `Returned o
+    | exception Interp.Runtime_error _ -> `Trapped
+    | exception Interp.Fuel_exhausted _ -> `Exhausted
   in
-  match (run original, run transformed) with
-  | Ok (ro, mo), Ok (rt, mt) ->
-      not (Option.equal Value.equal ro rt) || not (memories_equal mo mt)
-  | Ok _, Error () -> true
-  | Error (), _ -> false
+  match run original with
+  | `Trapped | `Exhausted -> Outside
+  | `Returned oo -> (
+      match run transformed with
+      | `Returned ot ->
+          if
+            Option.equal Value.equal oo.return_value ot.return_value
+            && memories_equal (dump_memory oo.memory) (dump_memory ot.memory)
+          then Agrees
+          else Differs
+      | `Trapped -> Differs
+      | `Exhausted -> Loops)
 
 let find_counterexample ~attempts ~original ~transformed =
-  let consider attempt =
+  let consider replay attempt =
     let inputs = sample_inputs original ~attempt in
-    let oo = Semantics.run ~fuel:8_000_000 ~inputs original in
+    let oo = Semantics.run ~fuel:original_fuel ~inputs original in
     match oo.Semantics.result with
     | Semantics.Trapped _ | Semantics.Out_of_fuel ->
         None (* original diverged or trapped: input is outside the contract *)
     | Semantics.Returned _ ->
-        let ot = Semantics.run ~fuel:16_000_000 ~inputs transformed in
+        let fuel =
+          match replay with
+          | Loops -> looping_fuel ~original_steps:oo.instrs_executed
+          | Outside | Agrees | Differs -> transformed_fuel
+        in
+        let ot = Semantics.run ~fuel ~inputs transformed in
         let divergence =
           match trace_divergence oo.trace ot.trace with
           | Some (_, d) -> Some d
@@ -814,20 +842,37 @@ let find_counterexample ~attempts ~original ~transformed =
               cx_divergence = d;
               cx_original_trace = render_trace oo.trace;
               cx_transformed_trace = render_trace ot.trace;
-              cx_ref_confirmed = ref_confirms ~original ~transformed inputs;
+              cx_ref_confirmed = (replay = Differs || replay = Loops);
             })
           divergence
   in
-  let rec search best attempt =
-    if attempt >= attempts then best
-    else
-      match consider attempt with
-      | Some cx when cx.cx_ref_confirmed -> Some cx
-      | Some cx ->
-          search (if best = None then Some cx else best) (attempt + 1)
-      | None -> search best (attempt + 1)
+  (* The answer is the first input on which Semantics diverges and the
+     core confirms, else the first on which Semantics diverges — the
+     same choice as scanning every input on both engines.  The core is an
+     order of magnitude faster, so it screens the inputs in order and
+     Semantics runs where the core confirms; Semantics scans every input
+     only when none is confirmed. *)
+  let replays =
+    List.init (max 0 attempts) (fun attempt ->
+        ( attempt,
+          lazy
+            (core_replay ~original ~transformed
+               (sample_inputs original ~attempt)) ))
   in
-  search None 0
+  let confirmed_cx =
+    List.find_map
+      (fun (attempt, replay) ->
+        match Lazy.force replay with
+        | (Differs | Loops) as r -> consider r attempt
+        | Outside | Agrees -> None)
+      replays
+  in
+  match confirmed_cx with
+  | Some cx -> Some cx
+  | None ->
+      List.find_map
+        (fun (attempt, replay) -> consider (Lazy.force replay) attempt)
+        replays
 
 (* --- whole-program check -------------------------------------------------- *)
 

@@ -68,7 +68,11 @@ val check :
     obligations for every function of [original].  On failure it searches
     [attempts] (default 8) deterministic input valuations (see
     {!sample_inputs}) for a concrete divergence, preferring one the
-    execution core confirms. *)
+    execution core confirms.  A transformed program that runs out of
+    the original's fuel on the core is replayed on {!Semantics} for at
+    most four times the original's executed instructions plus 100,000,
+    so a looping one shows as "ran out of fuel" at little cost; a slow
+    one that terminates on the core is replayed in full. *)
 
 val check_func :
   original:Asipfb_ir.Func.t ->

@@ -221,14 +221,19 @@ let artifact_count () =
     0
     (Metrics.snapshot Metrics.global)
 
+(* A table entry with nothing to settle. *)
+let entry (name, render) =
+  { Asipfb.Experiments.name; needs = (fun () -> []); render }
+
 let test_render_report_failure_order () =
   (* Two raising entries: output stops after the header of the lower one
      and its exception surfaces, whichever domain finished first. *)
   let table =
-    [ ("a", fun () -> "A");
-      ("b", fun () -> failwith "b broke");
-      ("c", fun () -> "C");
-      ("d", fun () -> failwith "d broke") ]
+    List.map entry
+      [ ("a", fun () -> "A");
+        ("b", fun () -> failwith "b broke");
+        ("c", fun () -> "C");
+        ("d", fun () -> failwith "d broke") ]
   in
   List.iter
     (fun jobs ->
@@ -253,6 +258,209 @@ let test_render_report_failure_order () =
   Alcotest.(check string) "clean table prints every entry"
     "==== a ====\nA\n==== c ====\nC\n"
     (render_report ~jobs:2 [ List.nth table 0; List.nth table 2 ])
+
+(* --- the artifact table's shared results -------------------------------- *)
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
+  in
+  go 0
+
+let stage_count stage =
+  List.fold_left
+    (fun n (s : Metrics.stage_stat) -> if s.stage = stage then n + s.count else n)
+    0
+    (Metrics.snapshot Metrics.global)
+
+let counted stages f =
+  let before = List.map stage_count stages in
+  let v = f () in
+  (v, List.map2 (fun s b -> stage_count s - b) stages before)
+
+(* The public functions one at a time, as a caller outside the table
+   (the benchmark probe) drives them, printed as the report prints. *)
+let standalone suite =
+  let module E = Asipfb.Experiments in
+  let uarch = Asipfb_asip.Uarch.flat in
+  [ ("table1", fun () -> E.table1 ());
+    ("figure3", fun () -> E.figure_combined suite ~length:2);
+    ("figure4", fun () -> E.figure_combined suite ~length:4);
+    ("figure_l3", fun () -> E.figure_combined suite ~length:3);
+    ("figure_l5", fun () -> E.figure_combined suite ~length:5);
+    ("table2", fun () -> E.table2 suite);
+    ("figure5", fun () -> E.figure_per_benchmark suite ~length:2);
+    ("figure6", fun () -> E.figure_per_benchmark suite ~length:4);
+    ("table3", fun () -> E.table3 suite);
+    ("ilp", fun () -> E.ilp_report suite);
+    ("asip", fun () -> E.asip_report ~uarch suite);
+    ("vliw", fun () -> E.vliw_report ~uarch suite);
+    ("resched", fun () -> E.resched_report ~uarch suite);
+    ("ablation_pipelining", fun () -> E.ablation_pipelining suite);
+    ("ablation_cleanup", fun () -> E.ablation_cleanup suite);
+    ("codegen", fun () -> E.codegen_report ~uarch suite);
+    ("timing", fun () -> E.timing_report ~uarch suite);
+    ("ablation_motion", fun () -> E.ablation_motion suite);
+    ("opmix", fun () -> E.opmix_report suite);
+    ("extra", fun () -> E.extra_report suite);
+    ("validation_unroll", fun () -> E.validation_unroll suite) ]
+  |> List.map (fun (name, render) ->
+         Printf.sprintf "==== %s ====\n%s\n" name (render ()))
+  |> String.concat ""
+
+let sequential_suite () =
+  (Pipeline.run_suite ~engine:(Engine.sequential ()) ~on_error:`Raise ())
+    .analyses
+
+let test_table_equals_standalone () =
+  let suite = sequential_suite () in
+  let want, detects = counted [ "detect" ] (fun () -> standalone suite) in
+  Alcotest.(check (list int))
+    "the standalone functions keep their query count" [ 520 ] detects;
+  Alcotest.(check (list string)) "table and standalone name the same artifacts"
+    (List.map
+       (fun (a : Asipfb.Experiments.artifact) -> a.name)
+       (Asipfb.Experiments.artifacts suite))
+    (String.split_on_char '\n' want
+    |> List.filter_map (fun l ->
+           if String.starts_with ~prefix:"==== " l then
+             Some (String.sub l 5 (String.length l - 10))
+           else None));
+  List.iter
+    (fun jobs ->
+      let engine = Engine.create ~jobs ~cache:false () in
+      Alcotest.(check string)
+        (Printf.sprintf "table at jobs:%d equals the standalone functions" jobs)
+        want
+        (render_report ~jobs (Asipfb.Experiments.artifacts ~engine suite)))
+    [ 1; 2; 4 ]
+
+(* A reference run whose first output value is off by one: the chained
+   program's output check fails, so the product's measurement fails
+   while its design stands. *)
+let tampered_fir () =
+  let module Memory = Asipfb_exec.Memory in
+  let module Value = Asipfb_exec.Value in
+  let a = Pipeline.analyze (fir ()) in
+  let region = List.hd a.benchmark.output_regions in
+  let memory = Memory.create a.prog in
+  List.iter
+    (fun r -> Memory.seed memory r (Memory.dump a.outcome.memory r))
+    (Memory.regions a.outcome.memory);
+  Memory.store memory region 0
+    (match Memory.load memory region 0 with
+    | Value.Vint n -> Value.Vint (n + 1)
+    | Value.Vfloat f -> Value.Vfloat (f +. 1000.0));
+  { a with outcome = { a.outcome with memory } }
+
+let test_failed_need_reraised_by_first_consumer () =
+  let suite = [ tampered_fir () ] in
+  let printed =
+    List.map
+      (fun jobs ->
+        let engine = Engine.create ~jobs ~cache:false () in
+        let buf = Buffer.create 4096 in
+        (match
+           Asipfb.Experiments.render_report ~jobs
+             (Asipfb.Experiments.artifacts ~engine suite)
+             (Buffer.add_string buf)
+         with
+        | () -> Alcotest.fail "a failed measurement printed a full report"
+        | exception Asipfb_diag.Diag.Diag_error d ->
+            Alcotest.(check (option string))
+              (Printf.sprintf "the measurement's failure at jobs:%d" jobs)
+              (Some "asip-output-mismatch")
+              (List.assoc_opt "kind" d.context));
+        let out = Buffer.contents buf in
+        Alcotest.(check bool)
+          (Printf.sprintf "output stops at its first consumer at jobs:%d" jobs)
+          true
+          (String.ends_with ~suffix:"\n==== codegen ====\n" out);
+        out)
+      [ 1; 2 ]
+  in
+  let out = List.hd printed in
+  Alcotest.(check bool) "the design's entries before it print" true
+    (contains out "==== asip ====\nfir: ");
+  Alcotest.(check string) "same bytes at jobs:1 and jobs:2" out
+    (List.nth printed 1)
+
+let test_report_work_counted () =
+  let suite = sequential_suite () in
+  let engine = Engine.create ~jobs:2 ~cache:false () in
+  let _, counts =
+    counted [ "product"; "variant"; "query"; "detect" ] (fun () ->
+        render_report ~jobs:2 (Asipfb.Experiments.artifacts ~engine suite))
+  in
+  match counts with
+  | [ products; variants; queries; detects ] ->
+      Alcotest.(check int) "one product per kernel, plus the extra mix"
+        (List.length suite + List.length Asipfb_bench_suite.Extra.all)
+        products;
+      Alcotest.(check int) "one cleanup and one unrolled variant per kernel"
+        (2 * List.length suite) variants;
+      Alcotest.(check int) "one detection per distinct query" queries detects;
+      Alcotest.(check bool)
+        (Printf.sprintf "far fewer detections than the standalone 520 (%d)"
+           detects)
+        true
+        (detects < 260)
+  | _ -> assert false
+
+(* The extra mix keeps going like the suite under [--keep-going]: a
+   chaos fault that fails one mix benchmark leaves it out of [extra],
+   reports it once, and the report still reaches [validation_unroll]. *)
+let chaos_table ?on_skip ~jobs () =
+  (* Chaos seed 17 at rate 0.1, no retries: acs's analysis fails, every
+     other task of the mix succeeds. *)
+  let engine =
+    Engine.create ~jobs ~cache:false
+      ~policy:Asipfb_supervise.Supervise.Policy.off
+      ~chaos:{ Asipfb_supervise.Chaos.seed = 17; rate = 0.1 } ()
+  in
+  Asipfb.Experiments.artifacts ~engine ?on_skip []
+
+let test_keep_going_extra_mix () =
+  let outs =
+    List.map
+      (fun jobs ->
+        let skipped = ref [] in
+        let table =
+          chaos_table ~jobs
+            ~on_skip:(fun f -> skipped := f.failed_benchmark :: !skipped)
+            ()
+        in
+        let out = render_report ~jobs table in
+        Alcotest.(check (list string))
+          (Printf.sprintf "acs skipped once at jobs:%d" jobs)
+          [ "acs" ] !skipped;
+        out)
+      [ 1; 2 ]
+  in
+  let out = List.hd outs in
+  Alcotest.(check bool) "the report reaches validation_unroll" true
+    (contains out "==== validation_unroll ====\n");
+  let extra =
+    let rec after = function
+      | " extra " :: text :: _ -> text
+      | _ :: rest -> after rest
+      | [] -> Alcotest.fail "no extra section"
+    in
+    after (List.filter (( <> ) "") (String.split_on_char '=' out))
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " stays in the mix") true
+        (contains extra ("\n" ^ name ^ " (")))
+    [ "matmul"; "xcorr"; "quant" ];
+  Alcotest.(check bool) "acs is left out" false (contains extra "acs");
+  Alcotest.(check string) "same bytes at jobs:1 and jobs:2" out
+    (List.nth outs 1);
+  (* Without [on_skip] the same fault stops the report at [extra]. *)
+  match render_report ~jobs:1 (chaos_table ~jobs:1 ()) with
+  | _ -> Alcotest.fail "a failed mix benchmark printed a full report"
+  | exception Asipfb_supervise.Chaos.Injected _ -> ()
 
 let test_parallel_isolation_matches_sequential () =
   let broken : Benchmark.t =
@@ -416,6 +624,14 @@ let suite =
           test_parallel_byte_identical;
         Alcotest.test_case "render_report failure order" `Quick
           test_render_report_failure_order;
+        Alcotest.test_case "table equals standalone functions" `Slow
+          test_table_equals_standalone;
+        Alcotest.test_case "failed need re-raised by first consumer" `Quick
+          test_failed_need_reraised_by_first_consumer;
+        Alcotest.test_case "report computes each result once" `Slow
+          test_report_work_counted;
+        Alcotest.test_case "keep-going extra mix" `Quick
+          test_keep_going_extra_mix;
         Alcotest.test_case "parallel isolation" `Quick
           test_parallel_isolation_matches_sequential;
         QCheck_alcotest.to_alcotest prop_cache_roundtrip;

@@ -111,7 +111,9 @@ let test_clean_suite_refines () =
    sides of this test share no interpreter.  [Some true] = a divergence
    is observable, [Some false] = all samples agree, with the original
    completing on at least one. *)
-let behavioral_diff ~original ~transformed =
+let original_runs = Hashtbl.create 16
+
+let behavioral_diff ~name ~original ~transformed =
   let attempts = List.init 8 Fun.id in
   let observed = ref false in
   let diff =
@@ -123,7 +125,17 @@ let behavioral_diff ~original ~transformed =
           | { result = Returned v; memory; _ } -> Ok (v, dump memory)
           | { result = Trapped _ | Out_of_fuel; _ } -> Error ()
         in
-        match run original with
+        (* The original is the same program in every case of a
+           benchmark: replay it once per input. *)
+        let original_run =
+          match Hashtbl.find_opt original_runs (name, attempt) with
+          | Some r -> r
+          | None ->
+              let r = run original in
+              Hashtbl.replace original_runs (name, attempt) r;
+              r
+        in
+        match original_run with
         | Error () -> false
         | Ok (ro, mo) -> (
             observed := true;
@@ -159,7 +171,7 @@ let mutation_prop (bench_i, level_i, kind_i, seed) =
   | None -> true
   | Some corrupted -> (
       let verdict = Equiv.check ~original ~transformed:corrupted () in
-      match behavioral_diff ~original ~transformed:corrupted with
+      match behavioral_diff ~name:b.name ~original ~transformed:corrupted with
       | Some true -> (
           match verdict with
           | Equiv.Refines ->
@@ -427,6 +439,62 @@ let test_mutated_fir_failures () =
   pin "O1 retarget-jump" [ "design.b3 cfg-shape" ]
     (failures Opt_level.O1 Mutate.Retarget_jump 3)
 
+(* A transformed program that is correct but far slower than the
+   original (more than four times its steps plus 100,000) must not turn
+   into a confirmed "ran out of fuel" counterexample: the core replays
+   it to completion and finds it equal. *)
+let spin_source ~slow_when ~fast_result =
+  Printf.sprintf
+    {|
+int x[2];
+int y[2];
+
+void main() {
+  int i;
+  int s = 0;
+  if (%s) {
+    for (i = 0; i < 60000; i++) { s = s + 1; }
+    y[0] = x[0] + s - s;
+  } else {
+    y[0] = %s;
+  }
+}
+|}
+    slow_when fast_result
+
+let original_of_spin =
+  "int x[2];\nint y[2];\n\nvoid main() { y[0] = x[0]; }\n"
+
+let compile src = Asipfb_frontend.Lower.compile src ~entry:"main"
+
+let test_slow_equivalent_not_confirmed () =
+  let original = compile original_of_spin in
+  let transformed =
+    compile (spin_source ~slow_when:"1 == 1" ~fast_result:"x[0]")
+  in
+  match Equiv.check ~original ~transformed () with
+  | Equiv.Refines -> Alcotest.fail "the symbolic check must reject the loop"
+  | Equiv.Fails { counterexample = None; _ } -> ()
+  | Equiv.Fails { counterexample = Some cx; _ } ->
+      Alcotest.failf "slow but equivalent reported at attempt %d: %s"
+        cx.Equiv.cx_attempt cx.cx_divergence
+
+(* Slow but correct on the all-zeros attempt, wrong elsewhere: the
+   answer is the later input's value divergence, confirmed. *)
+let test_slow_attempt_skipped () =
+  let original = compile original_of_spin in
+  let transformed =
+    compile (spin_source ~slow_when:"x[0] == 0" ~fast_result:"x[0] + 1")
+  in
+  match Equiv.check ~original ~transformed () with
+  | Equiv.Fails { counterexample = Some cx; _ } ->
+      Alcotest.(check bool) "confirmed" true cx.Equiv.cx_ref_confirmed;
+      Alcotest.(check int) "the first non-zero input" 1 cx.cx_attempt;
+      Alcotest.(check string)
+        "a value divergence" "trace index 0: store y[0] = 46 vs store y[0] = 47"
+        cx.cx_divergence
+  | _ -> Alcotest.fail "expected a counterexample"
+
 let prop_random_programs_refine =
   QCheck2.Test.make ~name:"optimized random programs refine" ~count:30
     Gen_minic.gen_program (fun src ->
@@ -465,6 +533,10 @@ let suite =
           test_corrupted_schedule_flagged;
         Alcotest.test_case "mutated fir failures pinned" `Quick
           test_mutated_fir_failures;
+        Alcotest.test_case "slow equivalent program not confirmed" `Quick
+          test_slow_equivalent_not_confirmed;
+        Alcotest.test_case "slow attempt yields to a value divergence"
+          `Quick test_slow_attempt_skipped;
         QCheck_alcotest.to_alcotest prop_random_programs_refine;
       ] );
   ]
