@@ -6,6 +6,7 @@
    instruction set, and regenerate the paper's tables and figures. *)
 
 open Cmdliner
+module Service = Asipfb_service
 
 let benchmark_arg =
   let doc = "Benchmark name (one of the Table 1 suite; see 'asipfb list')." in
@@ -177,91 +178,97 @@ let cmd_optimize name level =
             sched.prog.funcs)
         (find_benchmark name))
 
-let cmd_detect name level length min_freq budget json =
-  wrap (fun () ->
-      let* level = find_level level in
-      Result.map
-        (fun b ->
-          let a = Asipfb.Pipeline.analyze b in
-          let r =
-            Asipfb.Pipeline.detect_report a
-              (Asipfb.Pipeline.Query.make ~length ~min_freq ?budget level)
-          in
-          if json then
-            print_endline
-              (Asipfb_service.Json.to_string
-                 (Asipfb_service.Api.detect_report_to_json r))
-          else begin
-          let ds = r.Asipfb_chain.Detect.detections in
-          (match r.completeness with
-          | Asipfb_chain.Detect.Exact -> ()
-          | Asipfb_chain.Detect.Budget_truncated ->
-              prerr_endline
-                "asipfb: warning[detection] node budget exhausted; showing \
-                 greedy (budget-truncated) results");
-          let rows =
-            List.map
-              (fun (d : Asipfb_chain.Detect.detected) ->
-                [ Asipfb_chain.Detect.display_name d;
-                  Asipfb_report.Table.fmt_pct d.freq;
-                  string_of_int (List.length d.occurrences) ])
-              ds
-          in
-          print_endline
-            (Asipfb_report.Table.render
-               ~aligns:
-                 [ Asipfb_report.Table.Left; Asipfb_report.Table.Right;
-                   Asipfb_report.Table.Right ]
-               ~headers:[ "Sequence"; "Frequency"; "Occurrences" ]
-               ~rows ())
-          end)
-        (find_benchmark name))
+(* --- one answer path -------------------------------------------------------
 
-let cmd_coverage name level budget json =
-  wrap (fun () ->
-      let* level = find_level level in
-      Result.map
-        (fun b ->
-          let a = Asipfb.Pipeline.analyze b in
-          let r =
-            Asipfb.Pipeline.coverage a
-              (Asipfb.Pipeline.Query.make ?budget level)
-          in
-          if json then
-            print_endline
-              (Asipfb_service.Json.to_string
-                 (Asipfb_service.Api.coverage_to_json r))
-          else begin
-            List.iter
-              (fun (p : Asipfb_chain.Coverage.pick) ->
-                Printf.printf "%-30s %6.2f%%\n"
-                  (Asipfb_chain.Chainop.sequence_name p.pick_classes)
-                  p.pick_freq)
-              r.picks;
-            let tag =
-              match r.completeness with
-              | Asipfb_chain.Detect.Exact -> ""
-              | Asipfb_chain.Detect.Budget_truncated -> " (budget-truncated)"
-            in
-            Printf.printf "coverage = %.2f%%%s\n" r.coverage tag
-          end)
-        (find_benchmark name))
+   The analysis commands ask the daemon's questions: each builds the
+   request its flags describe, with the term its [client] twin uses, and
+   answers it in-process with [Server.answer], the function the daemon
+   serves it with.  [--json] prints that payload; text output is
+   formatted from it. *)
 
+let detect_request =
+  let make name level length min_freq budget =
+    let* level = find_level level in
+    let query = Asipfb.Pipeline.Query.make ~length ~min_freq ?budget level in
+    Ok (Service.Api.Detect { benchmark = name; query })
+  in
+  Term.(const make $ benchmark_arg $ level_arg $ length_arg $ min_freq_arg
+        $ budget_arg)
+
+let coverage_request =
+  let make name level budget =
+    let* level = find_level level in
+    let query = Asipfb.Pipeline.Query.make ?budget level in
+    Ok (Service.Api.Coverage { benchmark = name; query })
+  in
+  Term.(const make $ benchmark_arg $ level_arg $ budget_arg)
+
+(* Offline, an unknown benchmark stays the plain one-line registry error,
+   checked before the answer. *)
+let check_benchmark = function
+  | Service.Api.Detect { benchmark; _ }
+  | Service.Api.Coverage { benchmark; _ }
+  | Service.Api.Lint { benchmark = Some benchmark } ->
+      Result.map ignore (find_benchmark benchmark)
+  | _ -> Ok ()
+
+let print_json payload =
+  print_endline
+    (Service.Json.to_string (Service.Api.payload_to_json payload))
+
+let print_detect (r : Asipfb_chain.Detect.report) =
+  let module Table = Asipfb_report.Table in
+  if r.completeness = Asipfb_chain.Detect.Budget_truncated then
+    prerr_endline
+      "asipfb: warning[detection] node budget exhausted; showing greedy \
+       (budget-truncated) results";
+  let row (d : Asipfb_chain.Detect.detected) =
+    [ Asipfb_chain.Detect.display_name d; Table.fmt_pct d.freq;
+      string_of_int (List.length d.occurrences) ]
+  in
+  print_endline
+    (Table.render ~aligns:[ Table.Left; Table.Right; Table.Right ]
+       ~headers:[ "Sequence"; "Frequency"; "Occurrences" ]
+       ~rows:(List.map row r.detections) ())
+
+let print_coverage (r : Asipfb_chain.Coverage.result) =
+  List.iter
+    (fun (p : Asipfb_chain.Coverage.pick) ->
+      Printf.printf "%-30s %6.2f%%\n"
+        (Asipfb_chain.Chainop.sequence_name p.pick_classes)
+        p.pick_freq)
+    r.picks;
+  Printf.printf "coverage = %.2f%%%s\n" r.coverage
+    (if r.completeness = Asipfb_chain.Detect.Budget_truncated then
+       " (budget-truncated)"
+     else "")
+
+(* [detect] and [coverage]: the payload, or its text form. *)
+let cmd_answer req json =
+  wrap (fun () ->
+      let* req = req in
+      let* () = check_benchmark req in
+      match Service.Server.answer (Asipfb_engine.Engine.sequential ()) req with
+      | Service.Api.Detect_result r when not json -> Ok (print_detect r)
+      | Service.Api.Coverage_result r when not json -> Ok (print_coverage r)
+      | payload -> Ok (print_json payload))
+
+(* [design --json] is the daemon's timing report; the text output also
+   prints the ISA, the netlists and an optional Graphviz file, which the
+   report does not carry, so it runs the product path itself. *)
 let cmd_design name area uarch clock dot json =
   wrap (fun () ->
       let* u = Asipfb.Timing.uarch_of ?clock uarch in
       Result.map
         (fun b ->
-          let a = Asipfb.Pipeline.analyze b in
           if json then
-            (* The same assembly the daemon's "timing" op answers with,
-               so offline --json bytes equal the wire payload. *)
-            print_endline
-              (Asipfb_service.Json.to_string
-                 (Asipfb_service.Api.timing_report_to_json
-                    (Asipfb.Timing.of_analysis ~uarch:u ~area a
-                       Asipfb_sched.Opt_level.O1)))
+            print_json
+              (Service.Server.answer (Asipfb_engine.Engine.sequential ())
+                 (Service.Api.Timing_area
+                    { benchmark = name; level = Asipfb_sched.Opt_level.O1;
+                      uarch; clock; area }))
           else begin
+            let a = Asipfb.Pipeline.analyze b in
             let d =
               Asipfb.Timing.design ~uarch:u ~area a Asipfb_sched.Opt_level.O1
             in
@@ -494,8 +501,8 @@ let find_verify_mode s : (Asipfb_engine.Engine.verify_mode, string) result =
         (Printf.sprintf
            "invalid verify mode %S (expected off, ir, full, or tv)" s)
 
-(* One benchmark skipped under [--keep-going], on stderr. *)
-let report_skipped (f : Asipfb.Pipeline.failure) =
+(* One failed benchmark on stderr, e.g. "asipfb: skipped fir (crash): …". *)
+let report_failure verb (f : Asipfb.Pipeline.failure) =
   let kind =
     match Asipfb.Pipeline.classify_failure f with
     | `Timeout -> "timeout"
@@ -503,7 +510,7 @@ let report_skipped (f : Asipfb.Pipeline.failure) =
     | `Quarantined -> "quarantined"
   in
   prerr_endline
-    (Printf.sprintf "asipfb: skipped %s (%s): %s" f.failed_benchmark kind
+    (Printf.sprintf "asipfb: %s %s (%s): %s" verb f.failed_benchmark kind
        (Asipfb_diag.Diag.to_string f.diag))
 
 (* Full-suite analysis for report/export.  With [--keep-going] a broken
@@ -535,7 +542,7 @@ let run_suite ?(verify = `Off) ~engine ~keep_going ~diag_json () =
   in
   if keep_going then begin
     let r = Asipfb.Pipeline.run_suite ~engine ~verify ~on_error:`Isolate () in
-    List.iter report_skipped r.failures;
+    List.iter (report_failure "skipped") r.failures;
     finish r
       (List.map (fun (f : Asipfb.Pipeline.failure) -> f.diag) r.failures)
   end
@@ -576,7 +583,7 @@ let cmd_report artifact keep_going diag_json verify opts timings =
           let skipped = ref [] in
           Some
             (fun (f : Asipfb.Pipeline.failure) ->
-              report_skipped f;
+              report_failure "skipped" f;
               skipped := f.diag :: !skipped;
               write_diag_json diag_json (diags @ List.rev !skipped))
         end
@@ -612,41 +619,31 @@ let cmd_report artifact keep_going diag_json verify opts timings =
    every opt level) over one benchmark or the whole suite. *)
 let cmd_lint name json strict opts timings =
   wrap (fun () ->
-      let* benchmarks =
-        match name with
-        | None -> Ok Asipfb_bench_suite.Registry.all
-        | Some n -> Result.map (fun b -> [ b ]) (find_benchmark n)
-      in
+      let req = Service.Api.Lint { benchmark = name } in
+      let* () = check_benchmark req in
       let* engine = make_engine opts in
-      let r =
-        Asipfb.Pipeline.run_suite ~engine ~verify:`Tv ~benchmarks
-          ~on_error:`Raise ()
-      in
-      let findings =
-        List.concat_map
-          (fun (a : Asipfb.Pipeline.analysis) -> a.verify)
-          r.analyses
-      in
-      if json then
-        print_endline
-          (Asipfb_service.Json.to_string
-             (Asipfb_service.Api.findings_to_json findings))
-      else begin
-        List.iter
-          (fun d -> print_endline (Asipfb_diag.Diag.to_string d))
-          findings;
-        Printf.printf "%d finding(s) across %d benchmark(s) (%d schedule(s) \
-                       verified)\n"
-          (List.length findings)
-          (List.length r.analyses)
-          (List.length r.analyses * List.length Asipfb_sched.Opt_level.all)
-      end;
+      let answer = Service.Server.answer engine req in
+      (match answer with
+      | Service.Api.Findings findings when not json ->
+          List.iter
+            (fun d -> print_endline (Asipfb_diag.Diag.to_string d))
+            findings;
+          let benchmarks =
+            if name = None then List.length Asipfb_bench_suite.Registry.all
+            else 1
+          in
+          Printf.printf "%d finding(s) across %d benchmark(s) (%d schedule(s) \
+                         verified)\n"
+            (List.length findings) benchmarks
+            (benchmarks * List.length Asipfb_sched.Opt_level.all)
+      | payload -> print_json payload);
       if timings then print_timings engine;
-      if strict && findings <> [] then
-        Error
-          (Printf.sprintf "lint: %d finding(s) in strict mode"
-             (List.length findings))
-      else Ok ())
+      match answer with
+      | Service.Api.Findings (_ :: _ as findings) when strict ->
+          Error
+            (Printf.sprintf "lint: %d finding(s) in strict mode"
+               (List.length findings))
+      | _ -> Ok ())
 
 (* Corpus scale-out: generate a seeded mini-C population and stream it
    through the full pipeline (detect→sched→sim→verify) on the engine,
@@ -682,16 +679,7 @@ let cmd_corpus seed count size print_index level length top verify json
             | Ok _ -> ()
             | Error f ->
                 failures := f.diag :: !failures;
-                let kind =
-                  match Asipfb.Pipeline.classify_failure f with
-                  | `Timeout -> "timeout"
-                  | `Crash -> "crash"
-                  | `Quarantined -> "quarantined"
-                in
-                prerr_endline
-                  (Printf.sprintf "asipfb: failed %s (%s): %s"
-                     f.failed_benchmark kind
-                     (Asipfb_diag.Diag.to_string f.diag))
+                report_failure "failed" f
           in
           let query = Asipfb.Pipeline.Query.make ~length level in
           let summary =
@@ -799,11 +787,11 @@ let corpus_cmd =
           $ length_arg $ top $ verify_arg $ json $ diag_json_arg
           $ engine_opts_term $ timings_arg)
 
+let lint_benchmark_arg =
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCHMARK"
+         ~doc:"Benchmark to lint (default: the whole suite).")
+
 let lint_cmd =
-  let benchmark =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCHMARK"
-           ~doc:"Benchmark to lint (default: the whole suite).")
-  in
   let json =
     Arg.(value & flag
          & info [ "json" ]
@@ -818,7 +806,7 @@ let lint_cmd =
        ~doc:
          "Run the static verifier: mini-C lint, IR dataflow checks, and \
           the semantic refinement proof at every optimization level.")
-    Term.(const cmd_lint $ benchmark $ json $ strict $ engine_opts_term
+    Term.(const cmd_lint $ lint_benchmark_arg $ json $ strict $ engine_opts_term
           $ timings_arg)
 
 (* Translation validation as its own subcommand: prove (or refute, with
@@ -847,9 +835,10 @@ let cmd_equiv name level corrupt seed uarch clock =
         match (uarch, clock) with
         | None, None -> Ok None
         | name, clock ->
-            Result.map Option.some
-              (Asipfb.Timing.uarch_of ?clock
-                 (Option.value name ~default:"flat"))
+            let name = Option.value name ~default:"flat" in
+            Result.map
+              (fun _ -> Some name)
+              (Asipfb.Timing.uarch_of ?clock name)
       in
       let* kind =
         match corrupt with
@@ -913,17 +902,31 @@ let cmd_equiv name level corrupt seed uarch clock =
         benchmarks;
       (match timing_uarch with
       | None -> ()
-      | Some u ->
+      | Some uarch ->
+          (* The daemon's timing answers, on one in-memory engine so each
+             benchmark is analysed once for all its levels. *)
+          let engine =
+            Asipfb_engine.Engine.create ~jobs:1
+              ~policy:Asipfb_supervise.Supervise.Policy.off ()
+          in
           List.iter
             (fun (b : Asipfb_bench_suite.Benchmark.t) ->
-              let a = Asipfb.Pipeline.analyze b in
               List.iter
                 (fun lvl ->
                   let tag =
                     Printf.sprintf "%s %s" b.name
                       (Asipfb_sched.Opt_level.to_string lvl)
                   in
-                  let r = Asipfb.Timing.of_analysis ~uarch:u a lvl in
+                  let r =
+                    match
+                      Service.Server.answer engine
+                        (Service.Api.Timing
+                           { benchmark = b.name; level = lvl; uarch; clock })
+                    with
+                    | Service.Api.Timing_result r -> r
+                    | _ ->
+                        invalid_arg "equiv: timing answered with another payload"
+                  in
                   let violations =
                     List.filter
                       (fun (c : Asipfb.Timing.chain_report) ->
@@ -1002,8 +1005,6 @@ let equiv_cmd =
 
 (* --- analysis service: serve + client ------------------------------------ *)
 
-module Service = Asipfb_service
-
 let socket_arg =
   let doc = "Path of the daemon's Unix-domain socket." in
   Arg.(value & opt string "asipfb.sock" & info [ "socket" ] ~docv:"PATH" ~doc)
@@ -1062,9 +1063,9 @@ let serve_cmd =
         "Responses carry a cache tag: $(b,miss) (computed fresh), \
          $(b,hit) (served from the completed-response memo), $(b,join) \
          (coalesced with an identical in-flight computation), or \
-         $(b,none) (nothing cacheable).  Response payloads are \
-         byte-identical to the offline CLI's $(b,--json) output for the \
-         same query.";
+         $(b,none) (nothing cacheable).  The daemon and the offline \
+         CLI's $(b,--json) output compute a payload with the same \
+         function, so they print the same bytes for the same query.";
       `P
         "The daemon refuses to start when the socket is already served \
          by a live daemon, takes over a stale socket left by a killed \
@@ -1085,71 +1086,37 @@ let meta_arg =
   in
   Arg.(value & flag & info [ "meta" ] ~doc)
 
-let render_payload (p : Service.Api.payload) =
-  let json j = print_endline (Service.Json.to_string j) in
-  match p with
-  | Service.Api.Pong ->
-      print_endline "pong";
-      Ok ()
-  | Service.Api.Stopping ->
-      print_endline "stopping";
-      Ok ()
-  | Service.Api.Detect_result r ->
-      json (Service.Api.detect_report_to_json r);
-      Ok ()
-  | Service.Api.Coverage_result r ->
-      json (Service.Api.coverage_to_json r);
-      Ok ()
-  | Service.Api.Findings ds ->
-      json (Service.Api.findings_to_json ds);
-      Ok ()
-  | Service.Api.Stats_result s ->
-      json (Service.Api.stats_to_json s);
-      Ok ()
-  | Service.Api.Tv_result v ->
-      json (Service.Api.equiv_verdict_to_json v);
-      Ok ()
-  | Service.Api.Sample { source; _ } ->
-      print_string source;
-      Ok ()
-  | Service.Api.Timing_result r ->
-      json (Service.Api.timing_report_to_json r);
-      Ok ()
+(* Analysis payloads print as their JSON result object, exactly what
+   the offline [--json] commands print. *)
+let render_payload = function
+  | Service.Api.Pong -> print_endline "pong"
+  | Service.Api.Stopping -> print_endline "stopping"
+  | Service.Api.Sample { source; _ } -> print_string source
+  | payload -> print_json payload
 
-let run_client socket meta req =
-  let* c = Service.Client.connect ~socket in
-  Fun.protect
-    ~finally:(fun () -> Service.Client.close c)
-    (fun () ->
-      let* (r : Service.Api.response) = Service.Client.rpc c req in
-      if meta then
-        Printf.eprintf "asipfb: cache=%s\n"
-          (Service.Api.cache_status_to_string r.cache);
-      match r.body with
-      | Ok payload -> render_payload payload
-      | Error d -> Error (Asipfb_diag.Diag.to_string d))
-
-let cmd_client_simple req socket meta =
-  wrap (fun () -> run_client socket meta req)
-
-let cmd_client_detect name level length min_freq budget socket meta =
+let cmd_client req socket meta =
   wrap (fun () ->
-      let* level = find_level level in
-      let query =
-        Asipfb.Pipeline.Query.make ~length ~min_freq ?budget level
-      in
-      run_client socket meta
-        (Service.Api.Detect { benchmark = name; query }))
+      let* req = req in
+      let* c = Service.Client.connect ~socket in
+      Fun.protect
+        ~finally:(fun () -> Service.Client.close c)
+        (fun () ->
+          let* (r : Service.Api.response) = Service.Client.rpc c req in
+          if meta then
+            Printf.eprintf "asipfb: cache=%s\n"
+              (Service.Api.cache_status_to_string r.cache);
+          match r.body with
+          | Ok payload -> Ok (render_payload payload)
+          | Error d -> Error (Asipfb_diag.Diag.to_string d)))
 
-let cmd_client_coverage name level budget socket meta =
-  wrap (fun () ->
-      let* level = find_level level in
-      let query = Asipfb.Pipeline.Query.make ?budget level in
-      run_client socket meta
-        (Service.Api.Coverage { benchmark = name; query }))
-
-let cmd_client_verify name mode socket meta =
-  wrap (fun () ->
+let client_cmd =
+  let op name ~doc req =
+    Cmd.v (Cmd.info name ~doc)
+      Term.(const cmd_client $ req $ socket_arg $ meta_arg)
+  in
+  let simple name ~doc req = op name ~doc (Term.const (Ok req)) in
+  let verify_request =
+    let make name mode =
       let* mode =
         match mode with
         | "ir" -> Ok `Ir
@@ -1160,48 +1127,42 @@ let cmd_client_verify name mode socket meta =
               (Printf.sprintf
                  "invalid verify mode %S (expected ir, full, or tv)" s)
       in
-      run_client socket meta (Service.Api.Verify { benchmark = name; mode }))
-
-let cmd_client_lint name socket meta =
-  wrap (fun () ->
-      run_client socket meta (Service.Api.Lint { benchmark = name }))
-
-let cmd_client_corpus_sample seed index size socket meta =
-  wrap (fun () ->
-      run_client socket meta
-        (Service.Api.Corpus_sample { seed; index; size }))
-
-let cmd_client_timing name level uarch clock socket meta =
-  wrap (fun () ->
+      Ok (Service.Api.Verify { benchmark = name; mode })
+    in
+    let mode =
+      Arg.(value & opt string "full"
+           & info [ "mode" ] ~docv:"MODE"
+               ~doc:"Verifier depth: $(b,ir), $(b,full), or $(b,tv).")
+    in
+    Term.(const make $ benchmark_arg $ mode)
+  in
+  let lint_request =
+    Term.(const (fun benchmark -> Ok (Service.Api.Lint { benchmark }))
+          $ lint_benchmark_arg)
+  in
+  let corpus_sample_request =
+    let seed =
+      Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
+             ~doc:"Corpus PRNG seed.")
+    in
+    let index =
+      Arg.(required & pos 0 (some int) None & info [] ~docv:"INDEX"
+             ~doc:"Corpus program index to regenerate.")
+    in
+    let size =
+      Arg.(value & opt (some int) None & info [ "size" ] ~docv:"STMTS"
+             ~doc:"Maximum statements per program body.")
+    in
+    Term.(const (fun seed index size ->
+              Ok (Service.Api.Corpus_sample { seed; index; size }))
+          $ seed $ index $ size)
+  in
+  let timing_request =
+    let make name level uarch clock =
       let* level = find_level level in
-      run_client socket meta
-        (Service.Api.Timing { benchmark = name; level; uarch; clock }))
-
-let client_cmd =
-  let simple name ~doc req =
-    Cmd.v (Cmd.info name ~doc)
-      Term.(const (cmd_client_simple req) $ socket_arg $ meta_arg)
-  in
-  let verify_mode =
-    Arg.(value & opt string "full"
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"Verifier depth: $(b,ir), $(b,full), or $(b,tv).")
-  in
-  let lint_benchmark =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCHMARK"
-           ~doc:"Benchmark to lint (default: the whole suite).")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Corpus PRNG seed.")
-  in
-  let index =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"INDEX"
-           ~doc:"Corpus program index to regenerate.")
-  in
-  let size =
-    Arg.(value & opt (some int) None & info [ "size" ] ~docv:"STMTS"
-           ~doc:"Maximum statements per program body.")
+      Ok (Service.Api.Timing { benchmark = name; level; uarch; clock })
+    in
+    Term.(const make $ benchmark_arg $ level_arg $ uarch_arg $ clock_arg)
   in
   let man =
     [
@@ -1222,38 +1183,21 @@ let client_cmd =
         Service.Api.Stats;
       simple "shutdown" ~doc:"Ask the daemon to exit cleanly."
         Service.Api.Shutdown;
-      Cmd.v
-        (Cmd.info "detect"
-           ~doc:"Detect chainable sequences via the daemon.")
-        Term.(const cmd_client_detect $ benchmark_arg $ level_arg
-              $ length_arg $ min_freq_arg $ budget_arg $ socket_arg
-              $ meta_arg);
-      Cmd.v
-        (Cmd.info "coverage"
-           ~doc:"Iterative sequence coverage via the daemon.")
-        Term.(const cmd_client_coverage $ benchmark_arg $ level_arg
-              $ budget_arg $ socket_arg $ meta_arg);
-      Cmd.v
-        (Cmd.info "verify" ~doc:"Static verification via the daemon.")
-        Term.(const cmd_client_verify $ benchmark_arg $ verify_mode
-              $ socket_arg $ meta_arg);
-      Cmd.v
-        (Cmd.info "lint"
-           ~doc:"Full-suite (or one-benchmark) lint via the daemon.")
-        Term.(const cmd_client_lint $ lint_benchmark $ socket_arg
-              $ meta_arg);
-      Cmd.v
-        (Cmd.info "corpus-sample"
-           ~doc:"Regenerate one corpus program's source via the daemon.")
-        Term.(const cmd_client_corpus_sample $ seed $ index $ size
-              $ socket_arg $ meta_arg);
-      Cmd.v
-        (Cmd.info "timing"
-           ~doc:
-             "Timing-closure report (estimated vs. measured speedup, \
-              per-chain slack) via the daemon.")
-        Term.(const cmd_client_timing $ benchmark_arg $ level_arg
-              $ uarch_arg $ clock_arg $ socket_arg $ meta_arg);
+      op "detect" ~doc:"Detect chainable sequences via the daemon."
+        detect_request;
+      op "coverage" ~doc:"Iterative sequence coverage via the daemon."
+        coverage_request;
+      op "verify" ~doc:"Static verification via the daemon." verify_request;
+      op "lint" ~doc:"Full-suite (or one-benchmark) lint via the daemon."
+        lint_request;
+      op "corpus-sample"
+        ~doc:"Regenerate one corpus program's source via the daemon."
+        corpus_sample_request;
+      op "timing"
+        ~doc:
+          "Timing-closure report (estimated vs. measured speedup, \
+           per-chain slack) via the daemon."
+        timing_request;
     ]
 
 (* --- command wiring ------------------------------------------------------ *)
@@ -1323,14 +1267,12 @@ let detect_cmd =
   Cmd.v
     (Cmd.info "detect"
        ~doc:"Detect chainable operation sequences (step 4).")
-    Term.(const cmd_detect $ benchmark_arg $ level_arg $ length_arg
-          $ min_freq_arg $ budget_arg $ result_json_arg)
+    Term.(const cmd_answer $ detect_request $ result_json_arg)
 
 let coverage_cmd =
   Cmd.v
     (Cmd.info "coverage" ~doc:"Iterative sequence coverage (section 7).")
-    Term.(const cmd_coverage $ benchmark_arg $ level_arg $ budget_arg
-          $ result_json_arg)
+    Term.(const cmd_answer $ coverage_request $ result_json_arg)
 
 let design_cmd =
   let dot =

@@ -4,11 +4,9 @@
     measured speedup of one benchmark under one machine description.
 
     {!design} and {!measure} are the only code that runs select →
-    codegen → target simulation.  {!of_analysis} backs the CLI's
-    [design --json]/[report timing] surfaces and the daemon's [timing]
-    op, so offline [--json] output and daemon responses are built from
-    the same value (and the service encoders render them
-    byte-identically).
+    codegen → target simulation.  {!of_analysis} is the daemon's
+    [timing] answer ([Service.Server.answer]), which the CLI's
+    [design --json] prints too.
 
     The report carries the selection's clock story — the critical path
     and slack of every chosen chained instruction, plus the structured

@@ -149,9 +149,9 @@ type 'a kind = {
 
 let kind t label = { cache = t.new_cache label; flight = Inflight.create () }
 
-(* Each task is its own supervision group: one failing result is
-   quarantined after repeated failures without taking its benchmark's
-   other results with it. *)
+(* A keyed task runs without a supervision group: one failing result
+   never takes its benchmark's other results with it, and [--retries N]
+   gives it N+1 attempts. *)
 let run_task t k ~key ~name f =
   fst
     (Inflight.run k.flight ~key (fun () ->
@@ -162,7 +162,7 @@ let run_task t k ~key ~name f =
              trace := Printexc.get_raw_backtrace ();
              raise exn
          in
-         match Supervise.run t.sup ~group:name ~name body with
+         match Supervise.run t.sup ~name body with
          | Ok v -> Ok v
          | Error exn -> Error (exn, !trace)))
 

@@ -168,9 +168,11 @@ val run_task :
   ('a, exn * Printexc.raw_backtrace) result
 (** Memory, then disk, then compute — under the supervisor and
     single-flight on [key], so overlapping callers compute once.  [name]
-    is the task's supervision group and chaos key, so each key needs its
-    own name.  A failure is returned with the backtrace of its
-    last attempt and is not cached. *)
+    labels the task's supervision events and is its chaos key, so each
+    key needs its own name.  The task belongs to no supervision group:
+    it is never quarantined and gets the policy's [1 + retries]
+    attempts.  A failure is returned with the backtrace of its last
+    attempt and is not cached. *)
 
 val derive_faults :
   Asipfb_exec.Fault.config -> Asipfb_bench_suite.Benchmark.t ->

@@ -35,6 +35,8 @@ type request =
   | Corpus_sample of { seed : int; index : int; size : int option }
   | Timing of { benchmark : string; level : Opt_level.t; uarch : string;
                 clock : float option }
+  | Timing_area of { benchmark : string; level : Opt_level.t; uarch : string;
+                     clock : float option; area : float }
 
 type cache_status = Hit | Join | Miss | Uncached
 
@@ -587,18 +589,26 @@ let request_cases =
       (function
         | Corpus_sample { seed; index; size } -> Some (seed, index, size)
         | _ -> None);
+    (* One op for both timing requests: the area is an optional field. *)
     case ~name:"timing"
-      (obj (fun benchmark level uarch clock -> (benchmark, level, uarch, clock))
-      |> field "benchmark" string (fun (b, _, _, _) -> b)
-      |> field "level" level (fun (_, l, _, _) -> l)
-      |> field "uarch" string (fun (_, _, u, _) -> u)
-      |> field "clock" (nullable float) (fun (_, _, _, c) -> c)
+      (obj (fun benchmark level uarch clock area ->
+           (benchmark, level, uarch, clock, area))
+      |> field "benchmark" string (fun (b, _, _, _, _) -> b)
+      |> field "level" level (fun (_, l, _, _, _) -> l)
+      |> field "uarch" string (fun (_, _, u, _, _) -> u)
+      |> field "clock" (nullable float) (fun (_, _, _, c, _) -> c)
+      |> field ~skip:Option.is_none "area" (nullable float)
+           (fun (_, _, _, _, a) -> a)
       |> seal)
-      (fun (benchmark, level, uarch, clock) ->
-        Timing { benchmark; level; uarch; clock })
+      (fun (benchmark, level, uarch, clock, area) ->
+        match area with
+        | None -> Timing { benchmark; level; uarch; clock }
+        | Some area -> Timing_area { benchmark; level; uarch; clock; area })
       (function
         | Timing { benchmark; level; uarch; clock } ->
-            Some (benchmark, level, uarch, clock)
+            Some (benchmark, level, uarch, clock, None)
+        | Timing_area { benchmark; level; uarch; clock; area } ->
+            Some (benchmark, level, uarch, clock, Some area)
         | _ -> None) ]
 
 let request_op req = match case_of request_cases req with Case c -> c.name
@@ -678,6 +688,7 @@ let decode_response line =
 
 (* --- the named encoders and decoders ------------------------------------------ *)
 
+let payload_to_json = payload.enc
 let query_to_json, query_of_json = (query.enc, query.dec)
 let diag_to_json, diag_of_json = (diag.enc, diag.dec)
 let detect_report_to_json, detect_report_of_json = (detect_report.enc, detect_report.dec)

@@ -17,9 +17,10 @@
     The same encoders back the offline CLI's machine-readable output
     ([detect --json], [coverage --json], [lint --json], [corpus
     --json], [--diag-json]), so daemon responses and offline output
-    share one schema and are byte-identical for identical queries —
-    the property [scripts/serve_smoke.sh] asserts.  Every encoded
-    top-level object carries [schema_version]. *)
+    share one schema; the analysis payloads are also computed by one
+    function ([Server.answer]), so they are byte-identical for
+    identical queries.  Every encoded top-level object carries
+    [schema_version]. *)
 
 val api_version : int
 (** [1] — the frame envelope version.  A request with any other value
@@ -57,8 +58,14 @@ type request =
                 uarch : string; clock : float option }
       (** The timing-closure report under machine description [uarch]
           (a {!Asipfb_asip.Uarch} preset name), with [clock] optionally
-          overriding the preset's clock period.  Answered with a
-          {!Timing_result}. *)
+          overriding the preset's clock period, under the selector's
+          default area budget.  Answered with a {!Timing_result}. *)
+  | Timing_area of { benchmark : string; level : Asipfb_sched.Opt_level.t;
+                     uarch : string; clock : float option; area : float }
+      (** {!Timing} under area budget [area] (adder equivalents): the
+          ["timing"] op with its optional ["area"] field, which a
+          {!Timing} frame omits.  A constructor of its own so that code
+          building {!Timing} records is unaffected. *)
 
 val request_op : request -> string
 (** The wire [op] name, e.g. ["corpus-sample"]. *)
@@ -144,6 +151,10 @@ val decode_response : string -> (response, string) result
     These produce the [result] member of a response frame and, equally,
     the offline CLI's [--json] output.  Each top-level object carries
     ["kind"] and ["schema_version"]. *)
+
+val payload_to_json : payload -> Json.t
+(** Any payload as its result object, keyed by ["kind"]: the [result]
+    member of its response frame and the offline [--json] output. *)
 
 val query_to_json : Asipfb.Pipeline.Query.t -> Json.t
 val query_of_json : Json.t -> (Asipfb.Pipeline.Query.t, string) result

@@ -3,7 +3,7 @@
    stream socket, served by accept loops on Pool domains. *)
 
 module Pipeline = Asipfb.Pipeline
-module Benchmark = Asipfb_bench_suite.Benchmark
+module Timing = Asipfb.Timing
 module Registry = Asipfb_bench_suite.Registry
 module Diag = Asipfb_diag.Diag
 module Engine = Asipfb_engine.Engine
@@ -62,7 +62,7 @@ let service_stats t =
     uptime_s = Unix.gettimeofday () -. t.started;
   }
 
-(* --- request dispatch ---------------------------------------------------- *)
+(* --- the response memo --------------------------------------------------- *)
 
 let memo_size t =
   Mutex.lock t.memo_mu;
@@ -104,11 +104,101 @@ let memo_add t key payload =
   end;
   Mutex.unlock t.memo_mu
 
+(* --- answers ------------------------------------------------------------- *)
+
+(* A request's own faults (an unknown benchmark, an unknown machine
+   preset or a non-positive clock) raise the structured error the wire
+   carries, like a failing analysis. *)
+let refuse ~stage ~context message =
+  raise (Diag.Diag_error (Diag.make ~stage ~context message))
+
+let find_benchmark name =
+  match Registry.find_opt name with
+  | Some b -> b
+  | None ->
+      refuse ~stage:Diag.Driver ~context:[ ("benchmark", name) ]
+        (Registry.unknown_message name)
+
+let lint_benchmarks = function
+  | None -> Registry.all
+  | Some name -> [ find_benchmark name ]
+
+let find_uarch ?clock name =
+  match Timing.uarch_of ?clock name with
+  | Ok u -> u
+  | Error msg ->
+      refuse ~stage:Diag.Selection
+        ~context:[ ("kind", "unknown-uarch"); ("uarch", name) ] msg
+
+let answer engine req =
+  let analyze ?verify name =
+    Engine.analyze engine ?verify (find_benchmark name)
+  in
+  let timing benchmark level uarch clock area =
+    let uarch = find_uarch ?clock uarch in
+    Api.Timing_result
+      (Timing.of_analysis ~uarch ?area (analyze benchmark) level)
+  in
+  match req with
+  | Api.Detect { benchmark; query } ->
+      Api.Detect_result (Pipeline.detect_report (analyze benchmark) query)
+  | Api.Coverage { benchmark; query } ->
+      Api.Coverage_result (Pipeline.coverage (analyze benchmark) query)
+  | Api.Verify { benchmark; mode } -> (
+      let a = analyze ~verify:(mode :> Engine.verify_mode) benchmark in
+      match mode with
+      | `Ir | `Full -> Api.Findings a.verify
+      | `Tv ->
+          let tagged tag =
+            List.length
+              (List.filter
+                 (fun (d : Diag.t) ->
+                   List.assoc_opt "check" d.context = Some tag)
+                 a.verify)
+          in
+          Api.Tv_result
+            {
+              Api.ev_benchmark = a.benchmark.name;
+              ev_levels = List.length Asipfb_sched.Opt_level.all;
+              ev_refinement_failures = tagged "refinement";
+              ev_counterexamples = tagged "counterexample";
+              ev_findings = a.verify;
+            })
+  | Api.Lint { benchmark } ->
+      let r =
+        Pipeline.run_suite ~engine ~verify:`Tv
+          ~benchmarks:(lint_benchmarks benchmark) ~on_error:`Raise ()
+      in
+      Api.Findings
+        (List.concat_map (fun (a : Pipeline.analysis) -> a.verify) r.analyses)
+  | Api.Timing { benchmark; level; uarch; clock } ->
+      timing benchmark level uarch clock None
+  | Api.Timing_area { benchmark; level; uarch; clock; area } ->
+      timing benchmark level uarch clock (Some area)
+  | Api.Corpus_sample { seed; index; size } ->
+      let source = Asipfb_corpus.Gen.source ~seed ?size ~index () in
+      let size =
+        match size with
+        | Some s -> max 3 s
+        | None -> Asipfb_corpus.Gen.default_size
+      in
+      Api.Sample
+        { seed; index; size; name = Asipfb_corpus.Gen.name ~seed ~index;
+          source }
+  | Api.Ping | Api.Stats | Api.Shutdown ->
+      invalid_arg
+        (Printf.sprintf "Server.answer: %S is answered from the daemon's state"
+           (Api.request_op req))
+
+(* --- request dispatch ---------------------------------------------------- *)
+
 (* Analysis requests are keyed by the engine's content-digest scheme:
    the benchmark's source key (and, for level-dependent questions, its
    sched key) plus the query parameters.  A source or schema change
    therefore changes the key — exactly the engine cache's invalidation
-   story, lifted to whole responses. *)
+   story, lifted to whole responses.  Computing a key checks the
+   request the way {!answer} does, in the same order, so a refused
+   request is never memoized. *)
 let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
 let query_parts (q : Pipeline.Query.t) =
@@ -118,34 +208,41 @@ let query_parts (q : Pipeline.Query.t) =
     (match q.budget with Some b -> string_of_int b | None -> "-");
   ]
 
-let request_key (b : Benchmark.t) req =
+(* The area joins the key only when the request carries one, so every
+   key of a request without it is unchanged. *)
+let timing_key benchmark level uarch clock area =
+  ignore (find_uarch ?clock uarch);
+  let b = find_benchmark benchmark in
+  digest
+    ([ "timing"; Engine.source_key b; Engine.sched_key b level; uarch;
+       (match clock with Some c -> Printf.sprintf "%h" c | None -> "-") ]
+    @ Option.to_list (Option.map (Printf.sprintf "%h") area))
+
+let request_key req =
   match req with
-  | Api.Detect { query = q; _ } ->
+  | Api.Detect { benchmark; query = q } | Api.Coverage { benchmark; query = q }
+    ->
+      let b = find_benchmark benchmark in
       Some
         (digest
-           ([ "detect"; Engine.source_key b; Engine.sched_key b q.level ]
+           ([ Api.request_op req; Engine.source_key b;
+              Engine.sched_key b q.level ]
            @ query_parts q))
-  | Api.Coverage { query = q; _ } ->
-      Some
-        (digest
-           ([ "coverage"; Engine.source_key b; Engine.sched_key b q.level ]
-           @ query_parts q))
-  | Api.Verify { mode; _ } ->
+  | Api.Verify { benchmark; mode } ->
+      let b = find_benchmark benchmark in
       Some
         (digest
            [ "verify"; Engine.verify_ir_key b; Engine.source_key b;
              (match mode with `Ir -> "ir" | `Full -> "full" | `Tv -> "tv") ])
-  | Api.Timing { level; uarch; clock; _ } ->
+  | Api.Lint { benchmark } ->
       Some
         (digest
-           [ "timing"; Engine.source_key b; Engine.sched_key b level; uarch;
-             (match clock with
-             | Some c -> Printf.sprintf "%h" c
-             | None -> "-") ])
-  | _ -> None
-
-let lint_key benchmarks =
-  digest ("lint" :: List.map Engine.source_key benchmarks)
+           ("lint" :: List.map Engine.source_key (lint_benchmarks benchmark)))
+  | Api.Timing { benchmark; level; uarch; clock } ->
+      Some (timing_key benchmark level uarch clock None)
+  | Api.Timing_area { benchmark; level; uarch; clock; area } ->
+      Some (timing_key benchmark level uarch clock (Some area))
+  | Api.Corpus_sample _ | Api.Ping | Api.Stats | Api.Shutdown -> None
 
 (* Memo first, then single-flight: the closure re-checks the memo so a
    caller that raced past the first check but became a leader after the
@@ -180,29 +277,10 @@ let serve_cached t ~key compute =
           (Api.Join, Ok payload)
       | exception exn -> (Api.Uncached, Error (Pipeline.diag_of_exn exn)))
 
-let find_benchmark name =
-  match Registry.find_opt name with
-  | Some b -> Ok b
-  | None ->
-      Error
-        (Diag.make ~stage:Diag.Driver
-           ~context:[ ("benchmark", name) ]
-           (Registry.unknown_message name))
-
-let with_benchmark t name req compute =
-  match find_benchmark name with
-  | Error d -> (Api.Uncached, Error d)
-  | Ok b -> (
-      match request_key b req with
-      | Some key -> serve_cached t ~key (fun () -> compute b)
-      | None -> (
-          (* Unkeyed analysis request: compute uncoalesced (not reached
-             by the current op set, but total by construction). *)
-          match compute b with
-          | payload -> (Api.Uncached, Ok payload)
-          | exception exn ->
-              (Api.Uncached, Error (Pipeline.diag_of_exn exn))))
-
+(* The daemon answers ping, stats and shutdown from its own state and
+   every other op with {!answer}, keyed ones through the memo.  A
+   refused request and a failed unkeyed answer raise out of here into
+   {!handle_line}, which turns them into error responses. *)
 let dispatch t req : Api.cache_status * (Api.payload, Diag.t) result =
   match req with
   | Api.Ping -> (Api.Uncached, Ok Api.Pong)
@@ -215,84 +293,10 @@ let dispatch t req : Api.cache_status * (Api.payload, Diag.t) result =
           (Api.Stats_result
              { engine = Engine.stats t.engine; service = service_stats t })
       )
-  | Api.Detect { benchmark; query } ->
-      with_benchmark t benchmark req (fun b ->
-          let a = Engine.analyze t.engine b in
-          Api.Detect_result (Pipeline.detect_report a query))
-  | Api.Coverage { benchmark; query } ->
-      with_benchmark t benchmark req (fun b ->
-          let a = Engine.analyze t.engine b in
-          Api.Coverage_result (Pipeline.coverage a query))
-  | Api.Verify { benchmark; mode } ->
-      with_benchmark t benchmark req (fun b ->
-          let a =
-            Engine.analyze t.engine
-              ~verify:(mode :> Engine.verify_mode)
-              b
-          in
-          match mode with
-          | `Ir | `Full -> Api.Findings a.verify
-          | `Tv ->
-              let tagged tag =
-                List.length
-                  (List.filter
-                     (fun (d : Diag.t) ->
-                       List.assoc_opt "check" d.context = Some tag)
-                     a.verify)
-              in
-              Api.Tv_result
-                {
-                  Api.ev_benchmark = b.name;
-                  ev_levels =
-                    List.length Asipfb_sched.Opt_level.all;
-                  ev_refinement_failures = tagged "refinement";
-                  ev_counterexamples = tagged "counterexample";
-                  ev_findings = a.verify;
-                })
-  | Api.Lint { benchmark } -> (
-      let benchmarks =
-        match benchmark with
-        | None -> Ok Registry.all
-        | Some name -> Result.map (fun b -> [ b ]) (find_benchmark name)
-      in
-      match benchmarks with
-      | Error d -> (Api.Uncached, Error d)
-      | Ok benchmarks ->
-          serve_cached t ~key:(lint_key benchmarks) (fun () ->
-              let r =
-                Pipeline.run_suite ~engine:t.engine ~verify:`Tv ~benchmarks
-                  ~on_error:`Raise ()
-              in
-              Api.Findings
-                (List.concat_map
-                   (fun (a : Pipeline.analysis) -> a.verify)
-                   r.analyses)))
-  | Api.Timing { benchmark; level; uarch; clock } -> (
-      match Asipfb.Timing.uarch_of ?clock uarch with
-      | Error msg ->
-          ( Api.Uncached,
-            Error
-              (Diag.make ~stage:Diag.Selection
-                 ~context:[ ("kind", "unknown-uarch"); ("uarch", uarch) ]
-                 msg) )
-      | Ok u ->
-          with_benchmark t benchmark req (fun b ->
-              let a = Engine.analyze t.engine b in
-              Api.Timing_result (Asipfb.Timing.of_analysis ~uarch:u a level)))
-  | Api.Corpus_sample { seed; index; size } -> (
-      match
-        let source = Asipfb_corpus.Gen.source ~seed ?size ~index () in
-        let size =
-          match size with
-          | Some s -> max 3 s
-          | None -> Asipfb_corpus.Gen.default_size
-        in
-        Api.Sample
-          { seed; index; size;
-            name = Asipfb_corpus.Gen.name ~seed ~index; source }
-      with
-      | payload -> (Api.Uncached, Ok payload)
-      | exception exn -> (Api.Uncached, Error (Pipeline.diag_of_exn exn)))
+  | req -> (
+      match request_key req with
+      | Some key -> serve_cached t ~key (fun () -> answer t.engine req)
+      | None -> (Api.Uncached, Ok (answer t.engine req)))
 
 let handle_line t line =
   Atomic.incr t.requests;
@@ -305,10 +309,7 @@ let handle_line t line =
         let cache, body =
           match dispatch t req with
           | r -> r
-          | exception exn ->
-              (* Dispatch is already exception-safe per arm; this is the
-                 last-resort belt for daemon totality. *)
-              (Api.Uncached, Error (Pipeline.diag_of_exn exn))
+          | exception exn -> (Api.Uncached, Error (Pipeline.diag_of_exn exn))
         in
         (Api.request_op req, { Api.id; cache; body })
   in

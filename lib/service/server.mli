@@ -29,16 +29,33 @@
 
 type t
 
+val answer : Asipfb_engine.Engine.t -> Api.request -> Api.payload
+(** The one computation behind every analysis payload: [detect],
+    [coverage], [verify], [lint], [timing] and [corpus-sample].  The
+    daemon serves those ops with it, through the memo; the offline
+    [detect]/[coverage]/[design --json], [lint] and [equiv --uarch] call
+    it in-process, so their [--json] output is the daemon's payload.
+
+    @raise Asipfb_diag.Diag.Diag_error for an unknown benchmark (stage
+      [Driver], context [benchmark]), or an unknown machine preset or a
+      non-positive clock (stage [Selection], [kind=unknown-uarch],
+      checked before the benchmark).
+    @raise exn whatever the analysis raises
+      ({!Asipfb.Pipeline.diag_of_exn} classifies it).
+    @raise Invalid_argument for [ping], [stats] and [shutdown], which
+      the daemon answers from its own state. *)
+
 val create :
   engine:Asipfb_engine.Engine.t -> ?log:(string -> unit) -> unit -> t
 (** A serving state around a warm engine.  [log] observes one line per
     handled frame (op, cache status, outcome) — the CLI's [--verbose]. *)
 
 val handle_line : t -> string -> string
-(** Answer one frame: decode, dispatch, encode.  Total — any failure,
-    including an unrecognised exception from an analysis, becomes an
-    [ok:false] response frame.  Exposed directly (without a socket) for
-    protocol tests; the transport loop calls exactly this. *)
+(** Answer one frame: decode, dispatch ({!answer}, through the memo for
+    keyed requests), encode.  Total — any failure, including an
+    unrecognised exception from an analysis, becomes an [ok:false]
+    response frame.  Exposed directly (without a socket) for protocol
+    tests; the transport loop calls exactly this. *)
 
 val request_stop : t -> unit
 (** Ask every accept loop to wind down (the SIGINT hook).  Idempotent. *)

@@ -177,7 +177,12 @@ let quarantine_diag ~group ~failed_attempts ~history =
         tasks will be skipped"
        group failed_attempts)
 
-let run t ~group ~name f =
+(* A task without a group stands alone, under its own name.  Quarantine
+   spares a group's other tasks from a benchmark that keeps failing; a
+   lone task has none, so only the retry policy bounds its attempts. *)
+let run t ?group ~name f =
+  let lone = group = None in
+  let group = Option.value group ~default:name in
   let p = t.policy in
   let gate =
     with_lock t (fun () ->
@@ -252,7 +257,7 @@ let run t ~group ~name f =
                       message = msg }
                     :: g.history;
                   if
-                    p.quarantine_threshold > 0
+                    p.quarantine_threshold > 0 && not lone
                     && g.failed_attempts >= p.quarantine_threshold
                     && not g.is_quarantined
                   then begin

@@ -28,7 +28,8 @@ module Policy : sig
             a completion-time overrun diagnostic. *)
     quarantine_threshold : int;
         (** Failed attempts (across all of a group's tasks) after which
-            the group is quarantined; [0] disables quarantine. *)
+            the group is quarantined; [0] disables quarantine.  Tasks
+            run without a group are exempt. *)
     cross_check : bool;
         (** Re-run every non-faulted simulation on the reference
             interpreter and diagnose disagreements. *)
@@ -89,12 +90,16 @@ val create : ?policy:Policy.t -> ?chaos:Chaos.config -> unit -> t
 val policy : t -> Policy.t
 val chaos : t -> Chaos.t option
 
-val run : t -> group:string -> name:string -> (ctx -> 'a) -> ('a, exn) result
+val run : t -> ?group:string -> name:string -> (ctx -> 'a) -> ('a, exn) result
 (** Run a task body under the policy.  Returns [Error (Quarantined _)]
     without invoking the body if [group] is quarantined; otherwise
     retries retryable failures with jittered exponential backoff and
     returns the last failure if attempts are exhausted.  Chaos task
-    faults and delays, when configured, are injected here. *)
+    faults and delays, when configured, are injected here.
+
+    A task run without a [group] stands alone and is never quarantined:
+    it gets the policy's [1 + retries] attempts whatever
+    [quarantine_threshold] says. *)
 
 val note : t -> Asipfb_diag.Diag.t -> unit
 (** Record an observability event. *)

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Serve smoke: end-to-end exercise of the analysis daemon over its Unix
-# socket.  One daemon, 8 concurrent mixed clients (detect + coverage
-# across four benchmarks); every client response must be byte-identical
-# to the offline CLI's --json output, and a warm second round must be
-# answered entirely from the daemon's response memo (cache=hit), and a
-# question kept warm survives a flood that overflows the memo.  Also
+# socket.  One daemon, 13 concurrent mixed clients (detect, coverage and
+# risc5 timing across four benchmarks, plus a lint); every client
+# response must be byte-identical to the offline CLI's --json output
+# (both sides compute it with Server.answer), and a warm second round
+# must be answered entirely from the daemon's response memo (cache=hit),
+# and a question kept warm survives a flood that overflows the memo.  Also
 # covers the socket lifecycle: a second daemon refuses a live socket, a
 # SIGKILLed daemon's stale socket is taken over by a fresh one, and a
 # clean shutdown removes the socket file.
@@ -60,9 +61,11 @@ grep -q "already served by a live daemon" "$workdir/refusal.err" || {
 for b in $benches; do
   "$bin" detect "$b" -O 1 --length 2 --json > "$workdir/ref_detect_$b.json"
   "$bin" coverage "$b" -O 1 --json > "$workdir/ref_coverage_$b.json"
+  "$bin" design "$b" --uarch risc5 --json > "$workdir/ref_timing_$b.json"
 done
+"$bin" lint fir --json > "$workdir/ref_lint_fir.json"
 
-# Round 1 (cold): 8 concurrent mixed clients against the warm engine.
+# Round 1 (cold): 13 concurrent mixed clients against the warm engine.
 pids=""
 for b in $benches; do
   "$bin" client detect "$b" -O 1 --length 2 --socket "$sock" \
@@ -71,7 +74,12 @@ for b in $benches; do
   "$bin" client coverage "$b" -O 1 --socket "$sock" \
     > "$workdir/got_coverage_$b.json" &
   pids="$pids $!"
+  "$bin" client timing "$b" -O 1 --uarch risc5 --socket "$sock" \
+    > "$workdir/got_timing_$b.json" &
+  pids="$pids $!"
 done
+"$bin" client lint fir --socket "$sock" > "$workdir/got_lint_fir.json" &
+pids="$pids $!"
 for pid in $pids; do
   wait "$pid" || {
     echo "serve smoke: a cold-round client failed" >&2
@@ -79,15 +87,19 @@ for pid in $pids; do
   }
 done
 
+same_as_offline() {
+  if ! cmp -s "$workdir/ref_$1.json" "$workdir/got_$1.json"; then
+    echo "serve smoke: daemon $1 differs from offline --json" >&2
+    diff "$workdir/ref_$1.json" "$workdir/got_$1.json" | head -10 >&2
+    exit 1
+  fi
+}
 for b in $benches; do
-  for op in detect coverage; do
-    if ! cmp -s "$workdir/ref_${op}_$b.json" "$workdir/got_${op}_$b.json"; then
-      echo "serve smoke: daemon $op $b differs from offline --json" >&2
-      diff "$workdir/ref_${op}_$b.json" "$workdir/got_${op}_$b.json" | head -10 >&2
-      exit 1
-    fi
+  for op in detect coverage timing; do
+    same_as_offline "${op}_$b"
   done
 done
+same_as_offline lint_fir
 
 # Round 2 (warm): the same 8 questions again, every one a memo hit.
 pids=""
@@ -191,4 +203,4 @@ if [ -e "$sock" ]; then
   exit 1
 fi
 
-echo "serve smoke: $workers worker(s) — 8 concurrent clients byte-identical to offline CLI, warm round 100% memo hits, warm answer kept through a memo overflow, live-socket refusal, stale takeover, and clean shutdown all verified"
+echo "serve smoke: $workers worker(s) — 13 concurrent clients byte-identical to offline CLI, warm round 100% memo hits, warm answer kept through a memo overflow, live-socket refusal, stale takeover, and clean shutdown all verified"

@@ -199,6 +199,12 @@ let request_gen =
         (pair bench level_gen)
         (oneofl [ "flat"; "risc5"; "nosuch" ])
         (option pos_float);
+      map3
+        (fun (benchmark, level) (uarch, clock) area ->
+          Api.Timing_area { benchmark; level; uarch; clock; area })
+        (pair bench level_gen)
+        (pair (oneofl [ "flat"; "risc5" ]) (option pos_float))
+        pos_float;
     ]
 
 let equiv_verdict_gen =
@@ -375,7 +381,7 @@ let tolerated site ~deleted =
     | "min_freq" | "budget" | "file" | "context" -> deleted
     | "benchmark" -> deleted && op_is "lint"
     | "size" -> deleted && op_is "corpus-sample"
-    | "clock" -> deleted && op_is "timing"
+    | "clock" | "area" -> deleted && op_is "timing"
     | _ -> false
 
 let mutated_frame_gen =
@@ -772,6 +778,33 @@ let test_v2_frames_decode () =
   | Ok _ -> Alcotest.fail "decoded to the wrong payload"
   | Error e -> Alcotest.failf "v2 frame rejected: %s" e
 
+(* Likewise for schema-v3 timing requests: a frame without "area" (every
+   frame before the field existed) decodes to [Timing] and re-encodes to
+   the same bytes; a frame with it round-trips as [Timing_area]. *)
+let test_v3_frames_decode () =
+  let roundtrip line =
+    match Api.decode_request line with
+    | id, Ok req ->
+        Alcotest.(check string) "re-encodes byte-identically" line
+          (Api.encode_request ~id req);
+        req
+    | _, Error d -> Alcotest.failf "v3 frame rejected: %s" d.message
+  in
+  (match
+     roundtrip
+       "{\"api\":1,\"id\":\"v3\",\"op\":\"timing\",\"benchmark\":\"fir\",\"level\":1,\"uarch\":\"risc5\",\"clock\":null}"
+   with
+  | Api.Timing { benchmark = "fir"; level = Opt_level.O1; uarch = "risc5";
+                 clock = None } -> ()
+  | _ -> Alcotest.fail "a frame without area must decode to Timing");
+  match
+    roundtrip
+      "{\"api\":1,\"id\":\"v3\",\"op\":\"timing\",\"benchmark\":\"fir\",\"level\":1,\"uarch\":\"flat\",\"clock\":1.5,\"area\":20.0}"
+  with
+  | Api.Timing_area { benchmark = "fir"; level = Opt_level.O1;
+                      uarch = "flat"; clock = Some 1.5; area = 20.0 } -> ()
+  | _ -> Alcotest.fail "a frame with area must decode to Timing_area"
+
 let test_unknown_benchmark () =
   let server = make_server () in
   let line =
@@ -838,7 +871,52 @@ let test_timing_op () =
   in
   let r = response_of server bad in
   Alcotest.(check string) "unknown preset kind" "unknown-uarch"
-    (error_kind r)
+    (error_kind r);
+  (* An area budget joins the key and binds the selection: no chain of
+     fir fits in 2 adder equivalents. *)
+  let small =
+    response_of server
+      (Api.encode_request
+         (Api.Timing_area
+            { benchmark = "fir"; level = Opt_level.O1; uarch = "flat";
+              clock = None; area = 2.0 }))
+  in
+  Alcotest.(check string) "area request is its own key" "miss"
+    (Api.cache_status_to_string small.cache);
+  match small.body with
+  | Ok (Api.Timing_result r) ->
+      Alcotest.(check int) "nothing fits the area" 0
+        (List.length r.Timing.t_chains)
+  | _ -> Alcotest.fail "expected a timing report"
+
+(* [Server.answer] is the daemon's computation: its payload encodes to
+   the bytes of the daemon's response, and the ops answered from the
+   daemon's own state are refused. *)
+let test_answer_is_dispatch () =
+  let req =
+    Api.Coverage
+      { benchmark = "fir"; query = Pipeline.Query.make Opt_level.O2 }
+  in
+  let offline =
+    Json.to_string
+      (Api.payload_to_json (Server.answer (Engine.sequential ()) req))
+  in
+  (match (response_of (make_server ()) (Api.encode_request req)).body with
+  | Ok p ->
+      Alcotest.(check string) "daemon payload bytes" offline
+        (Json.to_string (Api.payload_to_json p))
+  | Error d -> Alcotest.failf "coverage failed: %s" d.message);
+  (match Server.answer (Engine.sequential ()) Api.Ping with
+  | _ -> Alcotest.fail "ping must be refused"
+  | exception Invalid_argument _ -> ());
+  match
+    Server.answer (Engine.sequential ())
+      (Api.Lint { benchmark = Some "nosuchbench" })
+  with
+  | _ -> Alcotest.fail "an unknown benchmark must raise"
+  | exception Diag.Diag_error d ->
+      Alcotest.(check (option string)) "names the benchmark"
+        (Some "nosuchbench") (List.assoc_opt "benchmark" d.context)
 
 let test_concurrent_dedup () =
   let engine = Engine.create ~jobs:1 () in
@@ -1021,8 +1099,10 @@ let suite =
         Alcotest.test_case "malformed frames" `Quick test_malformed_frames;
         Alcotest.test_case "v1 frames decode" `Quick test_v1_frames_decode;
         Alcotest.test_case "v2 frames decode" `Quick test_v2_frames_decode;
+        Alcotest.test_case "v3 frames decode" `Quick test_v3_frames_decode;
         Alcotest.test_case "unknown benchmark" `Quick test_unknown_benchmark;
         Alcotest.test_case "timing op" `Quick test_timing_op;
+        Alcotest.test_case "answer is dispatch" `Quick test_answer_is_dispatch;
         Alcotest.test_case "ping/stats/shutdown" `Quick
           test_ping_stats_shutdown;
         Alcotest.test_case "concurrent dedup" `Quick test_concurrent_dedup;

@@ -184,6 +184,28 @@ let test_quarantine_after_repeated_failures () =
     (List.mem_assoc "attempt-1" q.Diag.context
     && List.mem_assoc "attempt-3" q.Diag.context)
 
+(* A keyed engine task (a variant, product or query) stands alone: it is
+   never quarantined, so --retries N really gives it N+1 attempts even
+   past the quarantine threshold. *)
+let test_keyed_task_gets_every_retry () =
+  let policy = { fast_policy with retries = 3; quarantine_threshold = 3 } in
+  let engine = Engine.create ~jobs:1 ~cache:false ~policy () in
+  let kind = Engine.kind engine "keyed" in
+  let calls = ref 0 in
+  (match
+     Engine.run_task engine kind ~key:"k" ~name:"query:k" (fun () ->
+         incr calls;
+         if !calls <= 3 then raise (Chaos.Injected "transient fault");
+         42)
+   with
+  | Ok v -> Alcotest.(check int) "fourth attempt's value" 42 v
+  | Error (exn, _) ->
+      Alcotest.failf "keyed task gave up after %d attempt(s): %s" !calls
+        (Printexc.to_string exn));
+  Alcotest.(check int) "attempts" 4 !calls;
+  Alcotest.(check int) "no group quarantined" 0
+    (Supervise.stats (Engine.supervisor engine)).quarantined
+
 (* --- watchdog ----------------------------------------------------------- *)
 
 let wedge : Benchmark.t =
@@ -505,6 +527,8 @@ let suite =
         Alcotest.test_case "classification" `Quick test_classify;
         Alcotest.test_case "quarantine" `Quick
           test_quarantine_after_repeated_failures;
+        Alcotest.test_case "keyed task gets every retry" `Quick
+          test_keyed_task_gets_every_retry;
         Alcotest.test_case "watchdog aborts core" `Quick
           test_watchdog_aborts_core;
         Alcotest.test_case "wedged task classified timeout" `Quick
