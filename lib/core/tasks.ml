@@ -29,19 +29,10 @@ let compute_variant transform (a : Pipeline.analysis) =
     v_sched = Schedule.optimize ~level:Opt_level.O1 prog;
   }
 
-type 'a cell = ('a, exn * Printexc.raw_backtrace) result
-
-let value = function
-  | Ok v -> v
-  | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
-
 type product = {
-  design : Timing.design cell;
-  measured : Tsim.outcome cell;
+  design : Timing.design Engine.cell;
+  measured : Tsim.outcome Engine.cell;
 }
-
-(* Settled results of one kind, by content key. *)
-type 'a table = { mu : Mutex.t; cells : (string, 'a) Hashtbl.t }
 
 type t = {
   engine : Engine.t;
@@ -50,14 +41,11 @@ type t = {
   design_kind : Timing.design Engine.kind;
   measured_kind : Tsim.outcome Engine.kind;
   query_kind : Detect.report Engine.kind;
-  variants : variant cell table;
-  products : product table;
-  queries : Detect.report cell table;
-  extras_mu : Mutex.t;
-  mutable extra_suite : Pipeline.analysis list cell option;
+  variants : (string, variant Engine.cell) Engine.table;
+  products : (string, product) Engine.table;
+  queries : (string, Detect.report Engine.cell) Engine.table;
+  extra_suite : (unit, Pipeline.analysis list Engine.cell) Engine.table;
 }
-
-let table () = { mu = Mutex.create (); cells = Hashtbl.create 64 }
 
 (* The extra mix, analysed on the store's engine.  With [on_skip] a
    failed benchmark is left out and reported; without it the first
@@ -83,26 +71,11 @@ let create ?on_skip engine =
     design_kind = Engine.kind engine "product";
     measured_kind = Engine.kind engine "product";
     query_kind = Engine.kind engine "query";
-    variants = table ();
-    products = table ();
-    queries = table ();
-    extras_mu = Mutex.create ();
-    extra_suite = None;
+    variants = Engine.table ();
+    products = Engine.table ();
+    queries = Engine.table ();
+    extra_suite = Engine.table ();
   }
-
-(* The first result settled under a key is the one every consumer
-   sees; computing happens outside the lock. *)
-let settled tbl ~key compute =
-  match Mutex.protect tbl.mu (fun () -> Hashtbl.find_opt tbl.cells key) with
-  | Some c -> c
-  | None ->
-      let c = compute () in
-      Mutex.protect tbl.mu (fun () ->
-          match Hashtbl.find_opt tbl.cells key with
-          | Some first -> first
-          | None ->
-              Hashtbl.replace tbl.cells key c;
-              c)
 
 (* A structural digest: equal values give equal keys. *)
 let identity v =
@@ -126,23 +99,23 @@ let query_key t a level config =
 
 let variant_cell t transform (a : Pipeline.analysis) =
   let key = variant_key t transform a in
-  settled t.variants ~key (fun () ->
+  Engine.settled t.variants ~key (fun () ->
       Metrics.timed Metrics.global "variant" (fun () ->
           Engine.run_task t.engine t.variant_kind ~key
             ~name:
               (Printf.sprintf "variant:%s@%s" a.benchmark.name
                  (transform_name transform))
-            (fun () -> compute_variant transform a)))
+            (fun _ -> compute_variant transform a)))
 
 let product t uarch (a : Pipeline.analysis) =
   let key = product_key t uarch a in
-  settled t.products ~key (fun () ->
+  Engine.settled t.products ~key (fun () ->
       Metrics.timed Metrics.global "product" (fun () ->
           let name =
             Printf.sprintf "product:%s@%s" a.benchmark.name (Uarch.key uarch)
           in
           let design =
-            Engine.run_task t.engine t.design_kind ~key ~name (fun () ->
+            Engine.run_task t.engine t.design_kind ~key ~name (fun _ ->
                 Timing.design ~uarch a Opt_level.O1)
           in
           let measured =
@@ -150,36 +123,30 @@ let product t uarch (a : Pipeline.analysis) =
                 Engine.run_task t.engine t.measured_kind
                   ~key:(Engine.content_key [ key; "measured" ])
                   ~name:(name ^ ":measured")
-                  (fun () -> Timing.measure a d))
+                  (fun _ -> Timing.measure a d))
           in
           { design; measured }))
 
 let query_cell t (a : Pipeline.analysis) level config =
   let key = query_key t a level config in
-  settled t.queries ~key (fun () ->
+  Engine.settled t.queries ~key (fun () ->
       Metrics.timed Metrics.global "query" (fun () ->
           Engine.run_task t.engine t.query_kind ~key
             ~name:
               (Printf.sprintf "query:%s@%s/%d#%s" a.benchmark.name
                  (Opt_level.to_string level) config.Detect.length
                  (String.sub key 0 8))
-            (fun () -> Pipeline.run_detect a level config)))
+            (fun _ -> Pipeline.run_detect a level config)))
 
-let variant t transform a = value (variant_cell t transform a)
-let design t uarch a = value (product t uarch a).design
-let measured t uarch a = value (product t uarch a).measured
-let query t a level config = value (query_cell t a level config)
-(* Analysed once, under the lock, so each skipped benchmark is reported
-   once. *)
+let variant t transform a = Engine.value (variant_cell t transform a)
+let design t uarch a = Engine.value (product t uarch a).design
+let measured t uarch a = Engine.value (product t uarch a).measured
+let query t a level config = Engine.value (query_cell t a level config)
+(* Analysed once, so each skipped benchmark is reported once. *)
 let extras t =
-  value
-    (Mutex.protect t.extras_mu (fun () ->
-         match t.extra_suite with
-         | Some c -> c
-         | None ->
-             let c = analyse_extras t.engine t.on_skip in
-             t.extra_suite <- Some c;
-             c))
+  Engine.value
+    (Engine.settled t.extra_suite ~key:() (fun () ->
+         analyse_extras t.engine t.on_skip))
 
 (* --- needs --------------------------------------------------------------- *)
 

@@ -17,18 +17,26 @@ type analysis = {
 
 type verify_mode = Asipfb_verify.Verify.mode
 
-(* The cached unit of the base phase.  The benchmark itself is excluded
+(* The cached unit of a base task.  The benchmark itself is excluded
    (its input generator is a closure, which Marshal rejects); it is
    reattached from the caller's handle when the analysis is assembled. *)
 type base = { prog : Asipfb_ir.Prog.t; outcome : Asipfb_sim.Interp.outcome }
+
+type 'a cell = ('a, exn * Printexc.raw_backtrace) result
+
+(* One result kind: its payload cache and its single-flight table. *)
+type 'a kind = { cache : 'a Cache.t; flight : 'a cell Inflight.t }
 
 type t = {
   jobs : int;
   uarch : string;
   sup : Supervise.t;
-  base_cache : base Cache.t;
-  sched_cache : Schedule.t Cache.t;
-  verify_cache : Diag.t list Cache.t;
+  base : base kind;
+  faulted : base kind;
+      (* Fault-injected base runs: uncached, since their outcome depends
+         on the injection config, and never in a clean run's flight. *)
+  sched : Schedule.t kind;
+  verify : Diag.t list kind;
   new_cache : 'a. string -> 'a Cache.t;
       (* A further payload cache under the engine's settings (directory,
          chaos, corruption events), labelled for its diagnostics. *)
@@ -96,6 +104,8 @@ let cache_diag label = function
            "cache %s failed (%s); disk persistence disabled for this run" op
            message)
 
+let of_cache cache = { cache; flight = Inflight.create () }
+
 let create ?jobs ?cache_dir ?(cache = true) ?policy ?chaos
     ?(uarch = "flat") () =
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
@@ -109,9 +119,10 @@ let create ?jobs ?cache_dir ?(cache = true) ?policy ?chaos
     jobs;
     uarch;
     sup;
-    base_cache = mk "base";
-    sched_cache = mk "sched";
-    verify_cache = mk "verify";
+    base = of_cache (mk "base");
+    faulted = of_cache (Cache.create ~enabled:false ());
+    sched = of_cache (mk "sched");
+    verify = of_cache (mk "verify");
     new_cache = mk;
   }
 
@@ -121,76 +132,125 @@ let sequential () =
 let jobs t = t.jobs
 let uarch t = t.uarch
 let supervisor t = t.sup
+let joined (t : t) =
+  let n k = (Inflight.stats k.flight).joined in
+  n t.base + n t.faulted + n t.sched + n t.verify
 
-let stats t =
+let stats (t : t) =
   {
-    base = Cache.stats t.base_cache;
-    sched = Cache.stats t.sched_cache;
-    verify = Cache.stats t.verify_cache;
+    base = Cache.stats t.base.cache;
+    sched = Cache.stats t.sched.cache;
+    verify = Cache.stats t.verify.cache;
     supervise = Supervise.stats t.sup;
   }
 
-let reset_stats t =
-  Cache.reset_stats t.base_cache;
-  Cache.reset_stats t.sched_cache;
-  Cache.reset_stats t.verify_cache
+let reset_stats (t : t) =
+  Cache.reset_stats t.base.cache;
+  Cache.reset_stats t.sched.cache;
+  Cache.reset_stats t.verify.cache
 
-(* --- keyed task kinds ------------------------------------------------------
+(* --- keyed tasks ------------------------------------------------------------
 
-   Results derived from an analysis (a transformed program, an ASIP
-   product, a detection query) are keyed tasks of their own: cached under
-   their content key, computed once across overlapping callers, and run
-   under the supervisor like base and sched tasks. *)
+   Every computation of the engine is a keyed task: cached under its
+   content key, computed once across overlapping callers, and run under
+   the supervisor.  Base, sched and verify tasks run in their
+   benchmark's supervision group; results derived from an analysis (a
+   transformed program, an ASIP product, a detection query) run alone. *)
 
-type 'a kind = {
-  cache : 'a Cache.t;
-  flight : ('a, exn * Printexc.raw_backtrace) result Inflight.t;
-}
+let kind t label = of_cache (t.new_cache label)
 
-let kind t label = { cache = t.new_cache label; flight = Inflight.create () }
-
-(* A keyed task runs without a supervision group: one failing result
-   never takes its benchmark's other results with it, and [--retries N]
-   gives it N+1 attempts. *)
-let run_task t k ~key ~name f =
+let run_task t k ?group ~key ~name f =
   fst
     (Inflight.run k.flight ~key (fun () ->
-         let trace = ref (Printexc.get_callstack 0) in
-         let body _ctx =
-           try Cache.find_or_compute k.cache ~key f
-           with exn ->
-             trace := Printexc.get_raw_backtrace ();
-             raise exn
-         in
-         match Supervise.run t.sup ~name body with
-         | Ok v -> Ok v
-         | Error exn -> Error (exn, !trace)))
+        let trace = ref None in
+        let body ctx =
+          try Cache.find_or_compute k.cache ~key (fun () -> f ctx)
+          with exn ->
+            trace := Some (Printexc.get_raw_backtrace ());
+            raise exn
+        in
+        match Supervise.run t.sup ?group ~name body with
+        | Ok v -> Ok v
+        | Error exn ->
+            let bt = Option.value !trace ~default:(Printexc.get_callstack 0) in
+            Error (exn, bt)))
+
+(* --- the per-call store -----------------------------------------------------
+
+   A caller's settled results by key.  The first asker of a key computes
+   it outside the lock; overlapping askers wait for that value and later
+   ones read it, so each key is computed once per store.  A task waits
+   only on keys it depends on, and dependencies never form a cycle, so
+   the waits cannot deadlock. *)
+
+type 'a slot = Settling | Settled of 'a
+
+type ('k, 'a) table = {
+  mu : Mutex.t;
+  changed : Condition.t;
+  slots : ('k, 'a slot) Hashtbl.t;
+}
+
+let table () =
+  { mu = Mutex.create (); changed = Condition.create ();
+    slots = Hashtbl.create 16 }
+
+let settled tbl ~key compute =
+  let rec claim () =
+    match Hashtbl.find_opt tbl.slots key with
+    | Some (Settled v) -> Some v
+    | Some Settling ->
+        Condition.wait tbl.changed tbl.mu;
+        claim ()
+    | None ->
+        Hashtbl.replace tbl.slots key Settling;
+        None
+  in
+  match Mutex.protect tbl.mu claim with
+  | Some v -> v
+  | None ->
+      let publish slot =
+        Mutex.protect tbl.mu (fun () ->
+            (match slot with
+            | Some v -> Hashtbl.replace tbl.slots key (Settled v)
+            | None -> Hashtbl.remove tbl.slots key);
+            Condition.broadcast tbl.changed)
+      in
+      (match compute () with
+      | v ->
+          publish (Some v);
+          v
+      | exception exn ->
+          let bt = Printexc.get_raw_backtrace () in
+          publish None;
+          Printexc.raise_with_backtrace exn bt)
+
+let value = function
+  | Ok v -> v
+  | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
 
 let derive_faults (config : Fault.config) (b : Benchmark.t) =
   Fault.create { config with seed = config.seed lxor Hashtbl.hash b.name }
 
-let compute_base t ?faults ?(ctx : Supervise.ctx option) (b : Benchmark.t) =
+let compute_base t ?faults (ctx : Supervise.ctx) (b : Benchmark.t) =
   let prog =
     Metrics.timed Metrics.global "frontend" (fun () -> Benchmark.compile b)
   in
   let injector = Option.map (fun c -> derive_faults c b) faults in
-  let watchdog = Option.bind ctx (fun c -> c.Supervise.watchdog) in
-  let attempt = match ctx with Some c -> c.Supervise.attempt | None -> 1 in
   (* The chaos "exec-core" seam: a simulated core crash exercises the
      degradation ladder onto the reference semantics; keyed per attempt so
      a retry can succeed. *)
   let inject_core_crash =
     match Supervise.chaos t.sup with
     | Some c ->
-        Chaos.core_crash c ~key:(Printf.sprintf "%s#%d" b.name attempt)
+        Chaos.core_crash c ~key:(Printf.sprintf "%s#%d" b.name ctx.attempt)
     | None -> false
   in
-  let cross_check = (Supervise.policy t.sup).Supervise.Policy.cross_check in
   let outcome, degrade_diags =
     Metrics.timed Metrics.global "sim" (fun () ->
         Fallback.run prog ~inputs:(b.inputs ()) ?faults:injector
           ?fresh_faults:(Option.map (fun c () -> derive_faults c b) faults)
-          ?watchdog ~inject_core_crash ~cross_check ~benchmark:b.name)
+          ?watchdog:ctx.watchdog ~inject_core_crash ~benchmark:b.name)
   in
   List.iter (Supervise.note_degraded t.sup) degrade_diags;
   (* The self-check turns silent corruption into a diagnostic before the
@@ -207,203 +267,148 @@ let compute_base t ?faults ?(ctx : Supervise.ctx option) (b : Benchmark.t) =
   | _ -> ());
   { prog; outcome }
 
-(* Fault-injected outcomes depend on the injection config, which is not
-   part of the content key — never cache them. *)
-let base t ?faults ?ctx b =
-  match faults with
-  | Some _ -> compute_base t ?faults ?ctx b
-  | None ->
-      Cache.find_or_compute t.base_cache ~key:(source_key ~uarch:t.uarch b)
-        (fun () ->
-          compute_base t ?ctx b)
+(* The schedule checks of a verify mode: (metrics stage, also the task
+   and key label; content key; checker). *)
+let schedule_families verify =
+  let sched =
+    ("verify-sched", verify_sched_key, Asipfb_verify.Verify.check_schedule)
+  and tv =
+    ("verify-tv", verify_tv_key, Asipfb_verify.Verify.check_refinement)
+  in
+  match verify with `Off | `Ir -> [] | `Full -> [ sched ] | `Tv -> [ sched; tv ]
 
-let sched_for t (b : Benchmark.t) prog level =
-  Cache.find_or_compute t.sched_cache ~key:(sched_key ~uarch:t.uarch b level)
-    (fun () ->
-      Metrics.timed Metrics.global "sched" (fun () ->
-          Schedule.optimize ~level prog))
+let ( let* ) = Result.bind
 
-(* Verify tasks are cached like sched tasks: findings depend only on the
-   source (IR checks) or on (source, level) (schedule checks), both
-   covered by the content key.  Each checker family has its own metrics
-   stage ("verify-ir", "verify-sched", "verify-tv"), named like its cache
-   key family, so --timings shows where verification time goes. *)
-let verify_ir_for t (b : Benchmark.t) prog =
-  Cache.find_or_compute t.verify_cache ~key:(verify_ir_key ~uarch:t.uarch b)
-    (fun () ->
-      Metrics.timed Metrics.global "verify-ir" (fun () ->
-          Asipfb_verify.Verify.lint_source b.source
-          @ Asipfb_verify.Verify.check_ir prog))
+(* The first failure of a list of cells, in list order. *)
+let all cells =
+  List.fold_right
+    (fun c acc ->
+      let* v = c in
+      let* vs = acc in
+      Ok (v :: vs))
+    cells (Ok [])
 
-let verify_sched_for t (b : Benchmark.t) prog level sched =
-  Cache.find_or_compute t.verify_cache
-    ~key:(verify_sched_key ~uarch:t.uarch b level)
-    (fun () ->
-      Metrics.timed Metrics.global "verify-sched" (fun () ->
-          Asipfb_verify.Verify.check_schedule ~original:prog sched))
-
-let verify_tv_for t (b : Benchmark.t) prog level sched =
-  Cache.find_or_compute t.verify_cache
-    ~key:(verify_tv_key ~uarch:t.uarch b level)
-    (fun () ->
-      Metrics.timed Metrics.global "verify-tv" (fun () ->
-          Asipfb_verify.Verify.check_refinement ~original:prog sched))
-
+(* One store per call: a task pulls its inputs through it before its own
+   supervised body runs (sched pulls base; every verify task pulls its
+   sched), and a failed input is the task's result without running it.
+   A node's store key is its benchmark's position in the list (and its
+   level and check), so each entry is its own node and its content key,
+   a digest of the source, is computed only by the task that runs it. *)
 let analyze_all t ?(verify = `Off) ?faults benchmarks =
   let bs = Array.of_list benchmarks in
-  (* Every task body runs under the supervisor: retry/backoff for
-     transient failures, quarantine gating per benchmark, chaos
-     injection.  Supervise.run returns the (value, exn) result the
-     isolation logic below already expects. *)
-  let supervised ~group ~name f = Supervise.run t.sup ~group ~name f in
-  let pool_run tasks =
-    Pool.run ~jobs:t.jobs
-      ~on_spawn_failure:(fun exn ->
-        Supervise.note_degraded t.sup
-          (Diag.make ~severity:Diag.Warning ~stage:Diag.Driver
-             ~context:[ ("kind", "pool-degraded") ]
-             ("domain spawn failed; continuing with fewer workers: "
-             ^ Printexc.to_string exn)))
-      tasks
+  let bases = table () and scheds = table () in
+  let irs = table () and checks = table () in
+  let uarch = t.uarch in
+  let level_name (b : Benchmark.t) label level =
+    Printf.sprintf "%s:%s@%s" label b.name (Opt_level.to_string level)
   in
-  (* Phase 1: one base task per benchmark, failures isolated. *)
-  let bases =
-    pool_run
-      (Array.map
-         (fun (b : Benchmark.t) () ->
-           supervised ~group:b.name ~name:("base:" ^ b.name) (fun ctx ->
-               base t ?faults ~ctx b))
-         bs)
+  let base_of i =
+    let b = bs.(i) in
+    settled bases ~key:i (fun () ->
+        let key = source_key ~uarch b and name = "base:" ^ b.name in
+        match faults with
+        | None ->
+            run_task t t.base ~group:b.name ~key ~name (fun ctx ->
+                compute_base t ctx b)
+        | Some config ->
+            run_task t t.faulted ~group:b.name
+              ~key:(content_key [ key; Marshal.to_string config [] ])
+              ~name
+              (fun ctx -> compute_base t ~faults:config ctx b))
   in
-  (* Phase 2: one sched task per (benchmark, level); a benchmark whose
-     base failed contributes no-op tasks. *)
-  let levels = Array.of_list Opt_level.all in
-  let nl = Array.length levels in
-  let sched_results =
-    pool_run
-      (Array.init
-         (Array.length bs * nl)
-         (fun idx () ->
-           let bi = idx / nl and li = idx mod nl in
-           match bases.(bi) with
-           | Error _ -> Error Exit (* placeholder; base error is reported *)
-           | Ok base ->
-               let b = bs.(bi) in
-               supervised ~group:b.name
-                 ~name:
-                   (Printf.sprintf "sched:%s@%s" b.name
-                      (Opt_level.to_string levels.(li)))
-                 (fun _ctx -> sched_for t b base.prog levels.(li))))
+  let sched_of i level =
+    let b = bs.(i) in
+    settled scheds ~key:(i, level) (fun () ->
+        let* base = base_of i in
+        run_task t t.sched ~group:b.name ~key:(sched_key ~uarch b level)
+          ~name:(level_name b "sched" level)
+          (fun _ ->
+            Metrics.timed Metrics.global "sched" (fun () ->
+                Schedule.optimize ~level base.prog)))
   in
-  (* Phase 3 (optional): verify tasks — per benchmark for the IR checks,
-     plus per (benchmark, level) for the schedule IR checks under [`Full],
-     plus per (benchmark, level) for translation validation under [`Tv].
-     Laid out as [nb] IR slots, then [nb × nl] schedule slots, then
-     [nb × nl] refinement slots. *)
-  let nb = Array.length bs in
-  let verify_results =
-    match verify with
-    | `Off -> [||]
-    | (`Ir | `Full | `Tv) as mode ->
-        let ir_task bi () =
-          match bases.(bi) with
-          | Error _ -> Error Exit
-          | Ok base ->
-              let b = bs.(bi) in
-              supervised ~group:b.name ~name:("verify-ir:" ^ b.name)
-                (fun _ctx -> verify_ir_for t b base.prog)
+  (* Findings depend only on the source (IR checks) or on (source,
+     level) (schedule checks); each family has its own metrics stage,
+     named like its cache key family, so --timings shows where
+     verification time goes. *)
+  let ir_of i =
+    let b = bs.(i) in
+    settled irs ~key:i (fun () ->
+        let* base = base_of i in
+        run_task t t.verify ~group:b.name ~key:(verify_ir_key ~uarch b)
+          ~name:("verify-ir:" ^ b.name)
+          (fun _ ->
+            Metrics.timed Metrics.global "verify-ir" (fun () ->
+                Asipfb_verify.Verify.lint_source b.source
+                @ Asipfb_verify.Verify.check_ir base.prog)))
+  in
+  let checked_of (stage, key_of, check) i level =
+    let b = bs.(i) in
+    settled checks ~key:(stage, i, level) (fun () ->
+        let* base = base_of i in
+        let* sched = sched_of i level in
+        run_task t t.verify ~group:b.name
+          ~key:(key_of ?uarch:(Some uarch) b level)
+          ~name:(level_name b stage level)
+          (fun _ ->
+            Metrics.timed Metrics.global stage (fun () ->
+                check ~original:base.prog sched)))
+  in
+  let levels = Opt_level.all in
+  let families = schedule_families verify in
+  let n = Array.length bs in
+  let each f = List.init n (fun i () -> ignore (f i)) in
+  let per_level f =
+    List.concat
+      (List.init n (fun i -> List.map (fun l () -> ignore (f i l)) levels))
+  in
+  let tasks =
+    [ each base_of; per_level sched_of ]
+    @ (if verify = `Off then [] else [ each ir_of ])
+    @ List.map (fun f -> per_level (checked_of f)) families
+  in
+  (* Every node hangs off its benchmark's base, so a call starts with
+     [n] runnable tasks: a domain beyond [n] would start by waiting, and
+     a one-benchmark call (each daemon request) spawns none. *)
+  ignore
+    (Pool.run ~jobs:(min t.jobs n)
+       ~on_spawn_failure:(fun exn ->
+         Supervise.note_degraded t.sup
+           (Diag.make ~severity:Diag.Warning ~stage:Diag.Driver
+              ~context:[ ("kind", "pool-degraded") ]
+              ("domain spawn failed; continuing with fewer workers: "
+              ^ Printexc.to_string exn)))
+       (Array.of_list (List.concat tasks)));
+  (* Every cell is settled; assemble each benchmark with the failure
+     precedence base, scheds, IR findings, then each schedule family,
+     each in level order. *)
+  List.mapi
+    (fun i (b : Benchmark.t) ->
+      let analysis =
+        let* { prog; outcome } = base_of i in
+        let* scheds =
+          all
+            (List.map
+               (fun l -> Result.map (fun s -> (l, s)) (sched_of i l))
+               levels)
         in
-        let per_level_task label run idx () =
-          let bi = idx / nl and li = idx mod nl in
-          match (bases.(bi), sched_results.((bi * nl) + li)) with
-          | Ok base, Ok s ->
-              let b = bs.(bi) in
-              supervised ~group:b.name
-                ~name:
-                  (Printf.sprintf "%s:%s@%s" label b.name
-                     (Opt_level.to_string levels.(li)))
-                (fun _ctx -> run b base.prog levels.(li) s)
-          | _ -> Error Exit
-        in
-        let sched_task = per_level_task "verify-sched" (verify_sched_for t) in
-        let tv_task = per_level_task "verify-tv" (verify_tv_for t) in
-        let tasks =
-          match mode with
-          | `Ir -> Array.init nb ir_task
-          | `Full ->
-              Array.append (Array.init nb ir_task)
-                (Array.init (nb * nl) sched_task)
-          | `Tv ->
-              Array.concat
-                [ Array.init nb ir_task;
-                  Array.init (nb * nl) sched_task;
-                  Array.init (nb * nl) tv_task ]
-        in
-        pool_run tasks
-  in
-  let verify_for bi =
-    if verify = `Off then Ok []
-    else
-      match verify_results.(bi) with
-      | Error exn -> Error exn
-      | Ok ir ->
-          (* Per-level findings of one segment (schedule checks at offset
-             [nb], refinement at [nb + nb·nl]), concatenated in level
-             order. *)
-          let segment off =
-            let rec go li acc =
-              if li = nl then Ok (List.concat (List.rev acc))
-              else
-                match verify_results.(off + (bi * nl) + li) with
-                | Ok ds -> go (li + 1) (ds :: acc)
-                | Error exn -> Error exn
+        let* verify =
+          if verify = `Off then Ok []
+          else
+            let* ir = ir_of i in
+            let* checked =
+              all
+                (List.concat_map
+                   (fun f -> List.map (checked_of f i) levels)
+                   families)
             in
-            go 0 []
-          in
-          let offsets =
-            match verify with
-            | `Off | `Ir -> []
-            | `Full -> [ nb ]
-            | `Tv -> [ nb; nb + (nb * nl) ]
-          in
-          let rec across = function
-            | [] -> Ok []
-            | off :: rest ->
-                Result.bind (segment off) (fun ds ->
-                    Result.map (fun more -> ds @ more) (across rest))
-          in
-          Result.map (fun rest -> ir @ rest) (across offsets)
-  in
-  Array.to_list
-    (Array.mapi
-       (fun bi b ->
-         match bases.(bi) with
-         | Error exn -> (b, Error exn)
-         | Ok { prog; outcome } -> (
-             let rec collect li acc =
-               if li = nl then Ok (List.rev acc)
-               else
-                 match sched_results.((bi * nl) + li) with
-                 | Ok s -> collect (li + 1) ((levels.(li), s) :: acc)
-                 | Error exn -> Error exn
-             in
-             match collect 0 [] with
-             | Ok scheds -> (
-                 match verify_for bi with
-                 | Ok verify ->
-                     ( b,
-                       Ok
-                         {
-                           benchmark = b;
-                           prog;
-                           profile = outcome.profile;
-                           outcome;
-                           scheds;
-                           verify;
-                         } )
-                 | Error exn -> (b, Error exn))
-             | Error exn -> (b, Error exn)))
-       bs)
+            Ok (List.concat (ir :: checked))
+        in
+        Ok
+          { benchmark = b; prog; profile = outcome.profile; outcome; scheds;
+            verify }
+      in
+      (b, Result.map_error fst analysis))
+    benchmarks
 
 let analyze t ?(verify = `Off) b =
   match analyze_all t ~verify [ b ] with

@@ -6,12 +6,18 @@
     {2 Task graph}
 
     Analyzing a suite of [n] benchmarks is [n] {e base} tasks (frontend
-    compile + profiling simulation) followed by [n × 3] {e sched} tasks
-    (one [Schedule.optimize] per optimization level, depending only on
-    the base task's program).  Each phase is an independent task array on
-    the pool; results are assembled in suite order, so the output is
-    byte-identical to the sequential path regardless of how domains
-    interleave.
+    compile + profiling simulation), [n × 3] {e sched} tasks (one
+    [Schedule.optimize] per optimization level, on the base task's
+    program) and, with a verify mode, the verify tasks below.  Every
+    task is a keyed task ({!run_task}) that pulls its inputs through
+    one per-call store before its own supervised body runs: sched pulls
+    base, every verify task pulls its sched.  {!analyze_all} submits
+    them all as one {!Pool.run} on at most [min jobs n] domains (a call
+    starts with [n] runnable bases); whoever asks for an input first
+    computes it, overlapping askers wait for that value, so no task
+    waits at a barrier.  Results are assembled in input order, so the
+    output is byte-identical to the sequential path regardless of how
+    domains interleave.
 
     {2 Cache keys}
 
@@ -31,8 +37,8 @@
 
     {2 Verify checkpoint}
 
-    With [~verify:`Ir], a third task phase runs the static checkers of
-    {!Asipfb_verify} over each benchmark: the mini-C lint on the source
+    With [~verify:`Ir], one task per benchmark runs the static checkers
+    of {!Asipfb_verify}: the mini-C lint on the source
     and the IR dataflow/structural checks on the compiled program.
     [`Full] adds one task per (benchmark, level) running the IR dataflow
     checks on the optimized program.  [`Tv] adds, on top of [`Full], one
@@ -145,12 +151,13 @@ val verify_tv_key :
 (** Content key of one (benchmark, level) translation-validation
     result. *)
 
-(** {2 Keyed task kinds}
+(** {2 Keyed tasks}
 
-    Results derived from an analysis — a transformed program variant, an
-    ASIP product, a detection query — are task kinds of their own, keyed
-    like base and sched payloads.  Their counters are not part of
-    {!stats}; callers charge them to {!Metrics} stages. *)
+    Every computation of the engine is a keyed task: base, sched and
+    verify payloads, and the results derived from an analysis — a
+    transformed program variant, an ASIP product, a detection query.
+    The derived kinds' counters are not part of {!stats}; callers charge
+    them to {!Metrics} stages. *)
 
 type 'a kind
 (** One result kind: a payload cache under the engine's settings
@@ -163,27 +170,46 @@ val content_key : string list -> string
 (** Digest of the engine schema revision and [parts], the key scheme of
     every payload ({!source_key}, {!sched_key}, …). *)
 
+type 'a cell = ('a, exn * Printexc.raw_backtrace) result
+(** A settled result; a failure keeps the backtrace of its last
+    attempt. *)
+
 val run_task :
-  t -> 'a kind -> key:string -> name:string -> (unit -> 'a) ->
-  ('a, exn * Printexc.raw_backtrace) result
+  t -> 'a kind -> ?group:string -> key:string -> name:string ->
+  (Asipfb_supervise.Supervise.ctx -> 'a) -> 'a cell
 (** Memory, then disk, then compute — under the supervisor and
     single-flight on [key], so overlapping callers compute once.  [name]
     labels the task's supervision events and is its chaos key, so each
-    key needs its own name.  The task belongs to no supervision group:
-    it is never quarantined and gets the policy's [1 + retries]
-    attempts.  A failure is returned with the backtrace of its last
-    attempt and is not cached. *)
+    key needs its own name.  [group] (default [name]) is the task's
+    supervision group, whose quarantine it shares; the body gets the
+    attempt's {!Asipfb_supervise.Supervise.ctx}.  A failure is not
+    cached. *)
 
-val derive_faults :
-  Asipfb_exec.Fault.config -> Asipfb_bench_suite.Benchmark.t ->
-  Asipfb_exec.Fault.t
-(** Per-benchmark fault stream: one PRNG per benchmark, derived from the
-    suite seed and the benchmark name, so results are order-independent
-    and reproducible from a single seed. *)
+val joined : t -> int
+(** Base, sched and verify asks so far that waited on an overlapping
+    caller's computation of the same key instead of computing. *)
+
+(** {2 The per-call store} *)
+
+type ('k, 'a) table
+(** Settled results by key (compared structurally), for one caller (one
+    {!analyze_all} call, one report). *)
+
+val table : unit -> ('k, 'a) table
+
+val settled : ('k, 'a) table -> key:'k -> (unit -> 'a) -> 'a
+(** [settled tbl ~key compute]: the first asker of [key] runs [compute]
+    outside the table's lock; overlapping askers wait for its value and
+    later askers read it, so [compute] runs once per key.  If [compute]
+    raises, nothing is settled and the exception propagates. *)
+
+val value : 'a cell -> 'a
+(** The result, or its failure re-raised with its backtrace. *)
 
 val analyze :
   t -> ?verify:verify_mode -> Asipfb_bench_suite.Benchmark.t -> analysis
-(** Steps 1–3 for one benchmark (cached, parallel across levels).
+(** Steps 1–3 for one benchmark, cached, in the calling domain (one
+    benchmark gives {!analyze_all} one runnable task to start from).
     @raise exn whatever the failing pipeline stage raised. *)
 
 val analyze_all :
@@ -195,6 +221,8 @@ val analyze_all :
 (** The full task graph over a benchmark list, input order preserved.
     Failures are isolated per benchmark: a broken kernel yields [Error]
     while every other benchmark still completes.  With [faults], each
-    simulation runs under {!derive_faults} and the benchmark's
+    simulation runs under its own fault stream, seeded from the
+    config's seed and the benchmark name (so results are independent of
+    order and reproducible from one seed), and the benchmark's
     expected-output self-check turns silent corruption into an [Error]
     carrying a {!Asipfb_diag.Diag.Diag_error} with injection counters. *)

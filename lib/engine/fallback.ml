@@ -50,16 +50,8 @@ let degraded_diag ~benchmark ~reason =
        "execution core failed non-semantically (%s); result recomputed on \
         the reference semantics" reason)
 
-let mismatch_diag ~benchmark =
-  Diag.make ~severity:Diag.Error ~stage:Diag.Simulation
-    ~context:
-      [ ("phase", "exec-core"); ("kind", "mismatch");
-        ("fallback", "semantics"); ("benchmark", benchmark) ]
-    "execution core disagrees with the reference semantics; reference \
-     result used"
-
 let run ?fuel ?inputs ?faults ?fresh_faults ?watchdog
-    ?(inject_core_crash = false) ?(cross_check = false) ?(benchmark = "?")
+    ?(inject_core_crash = false) ?(benchmark = "?")
     (p : Asipfb_ir.Prog.t) : Interp.outcome * Diag.t list =
   (* A fault injector's corruption stream is stateful: after a crashed or
      completed primary run has consumed draws, the oracle must start from
@@ -92,9 +84,4 @@ let run ?fuel ?inputs ?faults ?fresh_faults ?watchdog
           (* The oracle agrees something is wrong; surface the original
              core failure rather than the secondary one. *)
           raise exn)
-  | Ok out ->
-      if not cross_check then (out, [])
-      else
-        let expected = run_reference () in
-        if outcomes_agree out expected then (out, [])
-        else (expected, [ mismatch_diag ~benchmark ])
+  | Ok out -> (out, [])

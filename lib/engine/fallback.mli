@@ -6,9 +6,7 @@
     or {!Asipfb_sim.Interp.Watchdog_timeout} — the result is recomputed on
     the reference semantics ({!Asipfb_verify.Semantics}), which shares no
     code with the core, and a [kind=degraded] warning diagnostic is
-    attached.  With [cross_check] the reference runs even on success and
-    any disagreement yields the reference result plus a [kind=mismatch]
-    error diagnostic.  It lives in the engine, its one production caller,
+    attached.  It lives in the engine, its one production caller,
     because the verify library already depends on the simulator. *)
 
 val outcomes_agree :
@@ -37,7 +35,6 @@ val run :
   ?fresh_faults:(unit -> Asipfb_exec.Fault.t) ->
   ?watchdog:(unit -> bool) ->
   ?inject_core_crash:bool ->
-  ?cross_check:bool ->
   ?benchmark:string ->
   Asipfb_ir.Prog.t ->
   Asipfb_sim.Interp.outcome * Asipfb_diag.Diag.t list

@@ -20,7 +20,6 @@ module Policy = struct
     jitter : float;
     task_timeout_s : float option;
     quarantine_threshold : int;
-    cross_check : bool;
     sleep : float -> unit;
     now : unit -> float;
   }
@@ -34,7 +33,6 @@ module Policy = struct
       jitter = 0.5;
       task_timeout_s = None;
       quarantine_threshold = 3;
-      cross_check = false;
       sleep = Unix.sleepf;
       now = Unix.gettimeofday;
     }
@@ -74,6 +72,7 @@ type attempt_record = {
 
 type group_state = {
   mutable failed_attempts : int;
+  mutable gave_up : int; (* tasks that failed for good *)
   mutable history : attempt_record list; (* newest first *)
   mutable is_quarantined : bool;
 }
@@ -153,7 +152,10 @@ let group_state_unlocked t group =
   match Hashtbl.find_opt t.groups group with
   | Some g -> g
   | None ->
-      let g = { failed_attempts = 0; history = []; is_quarantined = false } in
+      let g =
+        { failed_attempts = 0; gave_up = 0; history = [];
+          is_quarantined = false }
+      in
       Hashtbl.add t.groups group g;
       g
 
@@ -177,11 +179,11 @@ let quarantine_diag ~group ~failed_attempts ~history =
         tasks will be skipped"
        group failed_attempts)
 
-(* A task without a group stands alone, under its own name.  Quarantine
-   spares a group's other tasks from a benchmark that keeps failing; a
-   lone task has none, so only the retry policy bounds its attempts. *)
+(* A task without a group is its own group.  Only a task that gives up
+   (a permanent failure, or its retries used up) counts toward its
+   group's quarantine, so the retry policy alone bounds a task's
+   attempts. *)
 let run t ?group ~name f =
-  let lone = group = None in
   let group = Option.value group ~default:name in
   let p = t.policy in
   let gate =
@@ -246,6 +248,7 @@ let run t ?group ~name f =
         | Error exn ->
             let cls = classify exn in
             let msg = exn_message exn in
+            let retry = retryable cls && attempt < max_attempts in
             let quarantined_now =
               with_lock t (fun () ->
                   t.failures <- t.failures + 1;
@@ -256,9 +259,10 @@ let run t ?group ~name f =
                     { task = name; attempt; classification = cls;
                       message = msg }
                     :: g.history;
+                  if not retry then g.gave_up <- g.gave_up + 1;
                   if
-                    p.quarantine_threshold > 0 && not lone
-                    && g.failed_attempts >= p.quarantine_threshold
+                    p.quarantine_threshold > 0
+                    && g.gave_up >= p.quarantine_threshold
                     && not g.is_quarantined
                   then begin
                     g.is_quarantined <- true;
@@ -270,11 +274,7 @@ let run t ?group ~name f =
             | Some (failed_attempts, history) ->
                 note t (quarantine_diag ~group ~failed_attempts ~history)
             | None -> ());
-            if
-              quarantined_now = None
-              && retryable cls
-              && attempt < max_attempts
-            then begin
+            if retry then begin
               let delay = backoff_delay p ~group ~name ~attempt in
               with_lock t (fun () -> t.retries <- t.retries + 1);
               note t

@@ -27,19 +27,17 @@ module Policy : sig
             cooperatively via [ctx.watchdog] and abort; other tasks get
             a completion-time overrun diagnostic. *)
     quarantine_threshold : int;
-        (** Failed attempts (across all of a group's tasks) after which
-            the group is quarantined; [0] disables quarantine.  Tasks
-            run without a group are exempt. *)
-    cross_check : bool;
-        (** Re-run every non-faulted simulation on the reference
-            interpreter and diagnose disagreements. *)
+        (** Tasks of a group that gave up — failed permanently, or
+            used up their retries — after which the group is
+            quarantined; [0] disables quarantine.  A retried attempt
+            is kept in the group's history but does not count. *)
     sleep : float -> unit;  (** Injectable for tests. *)
     now : unit -> float;  (** Injectable for tests. *)
   }
 
   val default : t
   (** 2 retries, 50ms base backoff doubling to a 1s cap, 50% jitter, no
-      watchdog, quarantine after 3 failed attempts. *)
+      watchdog, quarantine once 3 of a group's tasks gave up. *)
 
   val off : t
   (** No retries, no quarantine, no watchdog: fail-fast semantics
@@ -97,9 +95,9 @@ val run : t -> ?group:string -> name:string -> (ctx -> 'a) -> ('a, exn) result
     returns the last failure if attempts are exhausted.  Chaos task
     faults and delays, when configured, are injected here.
 
-    A task run without a [group] stands alone and is never quarantined:
-    it gets the policy's [1 + retries] attempts whatever
-    [quarantine_threshold] says. *)
+    [group] defaults to [name].  The task counts toward its group's
+    quarantine only if it gives up, so a task that is not quarantined
+    before it starts gets the policy's [1 + retries] attempts. *)
 
 val note : t -> Asipfb_diag.Diag.t -> unit
 (** Record an observability event. *)

@@ -7,6 +7,9 @@
 # checksum self-healing end-to-end.  The chaos passes run at -j 2 so the
 # parallel analysis and artifact-render phases run even on a 1-core host
 # (where the default -j is 1); the clean pass stays at the default -j.
+# A corpus stage then compares a 100-program `--verify tv` corpus run
+# clean and under chaos (seed 1, rate 0.05, 3 retries) at -j 2: every
+# program's base, sched and verify tasks must survive their faults.
 # Usage: sh scripts/chaos_smoke.sh [SEED] [RATE]   (default 42, 0.05)
 set -eu
 
@@ -48,4 +51,22 @@ if ! cmp -s "$workdir/clean.out" "$workdir/chaos_warm.out"; then
   exit 1
 fi
 
-echo "chaos smoke: seed $seed rate $rate — artifacts byte-identical across clean, chaos, and warm-chaos runs"
+corpus="$run corpus --seed 1 --count 100 --verify tv -j 2"
+
+$corpus > "$workdir/corpus_clean.out"
+
+if ! $corpus --chaos-seed 1 --chaos-rate 0.05 --retries 3 \
+  --retry-backoff 0.01 \
+  > "$workdir/corpus_chaos.out" 2> "$workdir/corpus_chaos.err"; then
+  echo "chaos smoke: corpus run failed under chaos" >&2
+  grep -v '^asipfb: warning' "$workdir/corpus_chaos.err" | head -20 >&2
+  exit 1
+fi
+
+if ! cmp -s "$workdir/corpus_clean.out" "$workdir/corpus_chaos.out"; then
+  echo "chaos smoke: corpus output differs between clean and chaos runs" >&2
+  diff "$workdir/corpus_clean.out" "$workdir/corpus_chaos.out" | head -40 >&2
+  exit 1
+fi
+
+echo "chaos smoke: seed $seed rate $rate — artifacts byte-identical across clean, chaos, and warm-chaos runs; corpus identical under chaos"

@@ -535,6 +535,117 @@ let test_engine_charges_stages () =
       Alcotest.(check bool) (st ^ " recorded") true (List.mem st stages))
     [ "frontend"; "sim"; "sched" ]
 
+(* --- one task path ------------------------------------------------------ *)
+
+let analyses_equal (a : Pipeline.analysis) (b : Pipeline.analysis) =
+  a.benchmark.name = b.benchmark.name
+  && a.prog = b.prog
+  && Asipfb_exec.Profile.to_alist a.profile
+     = Asipfb_exec.Profile.to_alist b.profile
+  && Asipfb_engine.Fallback.outcomes_agree a.outcome b.outcome
+  && a.scheds = b.scheds && a.verify = b.verify
+
+(* Every task of an uncached call runs once, whichever domain pulls it
+   first, and the results do not depend on [jobs]. *)
+let test_each_stage_once_per_call () =
+  let bs = List.map Registry.find [ "fir"; "iir"; "sewha" ] in
+  let n = List.length bs in
+  let stages =
+    [ "frontend"; "sim"; "sched"; "verify-ir"; "verify-sched"; "verify-tv" ]
+  in
+  let runs =
+    List.map
+      (fun jobs ->
+        let engine = Engine.create ~jobs ~cache:false () in
+        let results, counts =
+          counted stages (fun () -> Engine.analyze_all engine ~verify:`Tv bs)
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "stage counts at jobs:%d" jobs)
+          [ n; n; 3 * n; n; 3 * n; 3 * n ]
+          counts;
+        List.map
+          (function
+            | _, Ok a -> a
+            | b, Error exn ->
+                Alcotest.failf "%s failed: %s" b.Benchmark.name
+                  (Printexc.to_string exn))
+          results)
+      [ 1; 2; 4 ]
+  in
+  let first = List.hd runs in
+  List.iteri
+    (fun i run ->
+      Alcotest.(check bool)
+        (Printf.sprintf "run %d equals the jobs:1 run" i)
+        true
+        (List.for_all2 analyses_equal first run))
+    runs
+
+(* Two callers that ask for the same fresh benchmark at once share one
+   base computation: the second waits on the first's flight.  The first
+   parks inside its simulation (the benchmark's input generator) until
+   the second has provably joined, so the overlap is forced, not timed. *)
+let test_overlapping_analyses_share_base () =
+  let entered = Atomic.make 0 and gate = Atomic.make false in
+  let fir = fir () in
+  let b =
+    { fir with
+      Benchmark.name = "fir-overlap";
+      inputs =
+        (fun () ->
+          Atomic.incr entered;
+          while not (Atomic.get gate) do Domain.cpu_relax () done;
+          fir.inputs ()) }
+  in
+  let engine = Engine.create ~jobs:1 ~cache:true () in
+  let first = Domain.spawn (fun () -> Engine.analyze engine b) in
+  while Atomic.get entered < 1 do Domain.cpu_relax () done;
+  let second = Domain.spawn (fun () -> Engine.analyze engine b) in
+  (* Without coalescing the second caller would enter the generator
+     itself; open the gate either way so the test cannot hang. *)
+  while Engine.joined engine < 1 && Atomic.get entered < 2 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set gate true;
+  let a1 = Domain.join first and a2 = Domain.join second in
+  Alcotest.(check int) "one base computation" 1 (Atomic.get entered);
+  Alcotest.(check int) "one base cache miss" 1
+    (Engine.stats engine).base.misses;
+  Alcotest.(check bool) "both callers get the analysis" true
+    (analyses_equal a1 a2)
+
+(* A task whose input failed returns that failure without running. *)
+let test_failed_base_stops_its_tasks () =
+  let broken : Benchmark.t =
+    {
+      name = "broken-div0";
+      description = "deliberately broken";
+      data_input = "none";
+      source = "int out[1]; void main() { int z = 0; out[0] = 1 / z; }";
+      inputs = (fun () -> []);
+      output_regions = [ "out" ];
+    }
+  in
+  let engine =
+    Engine.create ~jobs:2 ~cache:false
+      ~policy:Asipfb_supervise.Supervise.Policy.off ()
+  in
+  let results, counts =
+    counted [ "sched"; "verify-ir"; "verify-sched"; "verify-tv" ] (fun () ->
+        Engine.analyze_all engine ~verify:`Tv [ broken; fir () ])
+  in
+  (match results with
+  | [ (_, Error (Asipfb_sim.Interp.Runtime_error _)); (_, Ok _) ] -> ()
+  | [ (_, Error exn); _ ] ->
+      Alcotest.failf "expected the base's trap, got %s"
+        (Printexc.to_string exn)
+  | _ -> Alcotest.fail "expected the broken base to fail and fir to pass");
+  Alcotest.(check (list int)) "only fir's sched and verify bodies ran"
+    [ 3; 1; 3; 3 ] counts;
+  Alcotest.(check int) "supervised tasks: two bases and fir's ten" 12
+    (Engine.stats engine).supervise.tasks
+
 (* --- in-flight coalescing ----------------------------------------------- *)
 
 let test_inflight_single_caller () =
@@ -639,6 +750,12 @@ let suite =
           test_metrics_accumulation;
         Alcotest.test_case "engine charges stages" `Quick
           test_engine_charges_stages;
+        Alcotest.test_case "each stage once per call" `Quick
+          test_each_stage_once_per_call;
+        Alcotest.test_case "overlapping analyses share base" `Quick
+          test_overlapping_analyses_share_base;
+        Alcotest.test_case "failed base stops its tasks" `Quick
+          test_failed_base_stops_its_tasks;
         Alcotest.test_case "inflight single caller" `Quick
           test_inflight_single_caller;
         Alcotest.test_case "inflight exception" `Quick
