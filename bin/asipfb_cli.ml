@@ -461,7 +461,7 @@ let timings_arg =
 
 let print_timings engine =
   let stats = Asipfb_engine.Engine.stats engine in
-  let cache_line label (s : Asipfb_engine.Cache.stats) =
+  let cache_line label (s : Asipfb_engine.Engine.cache_stats) =
     Printf.eprintf
       "%-12s %d hit(s), %d disk hit(s), %d miss(es), %d corrupt, %d io \
        error(s)\n"
@@ -514,44 +514,51 @@ let report_failure verb (f : Asipfb.Pipeline.failure) =
        (Asipfb_diag.Diag.to_string f.diag))
 
 (* Full-suite analysis for report/export.  With [--keep-going] a broken
-   benchmark is isolated: its diagnostic goes to stderr (and the JSON
-   report), and the remaining benchmarks still produce artifacts.  Verify
-   findings (when [--verify] is on) are warnings, not failures: they go
-   to stderr and into the JSON report alongside any failure diagnostics.
-   Returns the analyses and the diagnostics written. *)
-let run_suite ?(verify = `Off) ~engine ~keep_going ~diag_json () =
-  let finish (r : Asipfb.Pipeline.suite_report) failure_diags =
-    let verify_diags =
-      List.concat_map
-        (fun (a : Asipfb.Pipeline.analysis) -> a.verify)
-        r.analyses
-    in
-    (* The supervisor's event log (retries, recoveries, quarantines,
-       cache healing, degradations) rides along in the diagnostic report
-       so the run's robustness story is machine-readable. *)
+   benchmark is isolated: its diagnostic goes to stderr, and the
+   remaining benchmarks still produce artifacts.  Verify findings (when
+   [--verify] is on) are warnings, not failures: they go to stderr.
+   Returns the analyses and the diagnostics for the JSON report. *)
+let run_suite ?(verify = `Off) ~engine ~keep_going () =
+  let on_error = if keep_going then `Isolate else `Raise in
+  let r = Asipfb.Pipeline.run_suite ~engine ~verify ~on_error () in
+  List.iter (report_failure "skipped") r.failures;
+  let verify_diags =
+    List.concat_map (fun (a : Asipfb.Pipeline.analysis) -> a.verify) r.analyses
+  in
+  List.iter
+    (fun d -> prerr_endline ("asipfb: " ^ Asipfb_diag.Diag.to_string d))
+    verify_diags;
+  ( r.analyses,
+    List.map (fun (f : Asipfb.Pipeline.failure) -> f.diag) r.failures
+    @ verify_diags )
+
+(* Run [body], which notes the run's diagnostics as they arise, then
+   print the supervisor's event log (retries, recoveries, quarantines,
+   cache healing, degradations) and write the JSON report once, after
+   the last task has settled — also when [body] raises, whose diagnostic
+   joins the report. *)
+let with_diag_report ~engine ~diag_json body =
+  let noted = ref [] in
+  let note diags = noted := List.rev_append diags !noted in
+  let finish () =
     let supervise_diags =
       Asipfb_supervise.Supervise.report
         (Asipfb_engine.Engine.supervisor engine)
     in
     List.iter
       (fun d -> prerr_endline ("asipfb: " ^ Asipfb_diag.Diag.to_string d))
-      (verify_diags @ supervise_diags);
-    let diags = failure_diags @ verify_diags @ supervise_diags in
-    write_diag_json diag_json diags;
-    (r.analyses, diags)
+      supervise_diags;
+    write_diag_json diag_json (List.rev !noted @ supervise_diags)
   in
-  if keep_going then begin
-    let r = Asipfb.Pipeline.run_suite ~engine ~verify ~on_error:`Isolate () in
-    List.iter (report_failure "skipped") r.failures;
-    finish r
-      (List.map (fun (f : Asipfb.Pipeline.failure) -> f.diag) r.failures)
-  end
-  else
-    match Asipfb.Pipeline.run_suite ~engine ~verify ~on_error:`Raise () with
-    | r -> finish r []
-    | exception exn ->
-        write_diag_json diag_json [ Asipfb.Pipeline.diag_of_exn exn ];
-        raise exn
+  match body note with
+  | r ->
+      finish ();
+      r
+  | exception exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      note [ Asipfb.Pipeline.diag_of_exn exn ];
+      finish ();
+      Printexc.raise_with_backtrace exn bt
 
 let keep_going_arg =
   let doc =
@@ -572,21 +579,20 @@ let cmd_report artifact keep_going diag_json verify opts timings =
       let* verify = find_verify_mode verify in
       let* uarch = resolve_uarch opts in
       let* engine = make_engine opts in
-      let suite, diags = run_suite ~verify ~engine ~keep_going ~diag_json () in
       let finish r = if timings then print_timings engine; r in
       finish
-      @@
+      @@ with_diag_report ~engine ~diag_json
+      @@ fun note ->
+      let suite, diags = run_suite ~verify ~engine ~keep_going () in
+      note diags;
       (* The extra mix keeps going like the suite: a failed mix benchmark
          is reported, added to the JSON report and left out. *)
       let on_skip =
-        if keep_going then begin
-          let skipped = ref [] in
+        if keep_going then
           Some
             (fun (f : Asipfb.Pipeline.failure) ->
               report_failure "skipped" f;
-              skipped := f.diag :: !skipped;
-              write_diag_json diag_json (diags @ List.rev !skipped))
-        end
+              note [ f.diag ])
         else None
       in
       let table = Asipfb.Experiments.artifacts ~uarch ~engine ?on_skip suite in
@@ -1302,9 +1308,10 @@ let cmd_export dir keep_going diag_json verify opts timings =
   wrap (fun () ->
       let* verify = find_verify_mode verify in
       let* engine = make_engine opts in
-      let suite, _ = run_suite ~verify ~engine ~keep_going ~diag_json () in
-      let written = Asipfb.Experiments.export_csv suite ~dir in
-      List.iter print_endline written;
+      with_diag_report ~engine ~diag_json (fun note ->
+          let suite, diags = run_suite ~verify ~engine ~keep_going () in
+          note diags;
+          List.iter print_endline (Asipfb.Experiments.export_csv suite ~dir));
       if timings then print_timings engine;
       Ok ())
 

@@ -99,17 +99,6 @@ let critical_delay ?(uarch = Uarch.flat) t =
     (fun n -> Uarch.unit_delay uarch n.unit_class)
     t.nodes
 
-(* Cumulative arrival time at each node's output as the data ripples down
-   the forwarding chain — the per-instruction critical path. *)
-let critical_path ?(uarch = Uarch.flat) t =
-  List.rev
-    (snd
-       (List.fold_left
-          (fun (arrival, acc) (n : node) ->
-            let arrival = arrival +. Uarch.unit_delay uarch n.unit_class in
-            (arrival, (n.node_name, n.unit_class, arrival) :: acc))
-          (0.0, []) t.nodes))
-
 let to_dot nets =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "digraph asip_extension {\n  rankdir=LR;\n";

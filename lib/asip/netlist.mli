@@ -46,11 +46,6 @@ val critical_delay : ?uarch:Uarch.t -> t -> float
 (** Combinational critical path through the cascade under [uarch]
     (default {!Uarch.flat}). *)
 
-val critical_path : ?uarch:Uarch.t -> t -> (string * string * float) list
-(** Per-node cumulative arrival times down the forwarding chain:
-    [(node_name, unit_class, arrival)] in datapath order — the last
-    entry's arrival is {!critical_delay}. *)
-
 val to_dot : t list -> string
 (** All chained units as one Graphviz digraph, one cluster per unit. *)
 

@@ -54,8 +54,6 @@ val timing : t -> string -> op_timing
     @raise Asipfb_diag.Diag.Diag_error for an unknown class (kind
     ["unknown-chain-class"]). *)
 
-val timing_opt : t -> string -> op_timing option
-
 val unit_delay : t -> string -> float
 val latency : t -> string -> int
 val ii : t -> string -> int

@@ -14,39 +14,19 @@ let run_with_faults t ~faults =
   Asipfb_sim.Interp.run (compile t) ~inputs:(t.inputs ()) ~faults
 
 (* Expected-output self-check: the clean run is deterministic (LCG inputs),
-   so its output regions are the golden reference. Memoized per benchmark;
-   the first self-check pays for one extra clean run.  The memo is shared
-   mutable state reached from the engine's parallel fault-injected tasks,
-   so reads and writes go through a mutex; the golden value itself is
-   deterministic, so racing computers would agree anyway — the lock only
-   protects the table structure. *)
-let golden : (string, (string * Asipfb_exec.Value.t array) list) Hashtbl.t =
-  Hashtbl.create 16
-
-let golden_mutex = Mutex.create ()
+   so its output regions are the golden reference.  Kept per benchmark
+   name; the first self-check pays for one extra clean run, which racing
+   self-checks (the engine's parallel fault-injected tasks) share. *)
+let golden :
+    (string, (string * Asipfb_exec.Value.t array) list) Asipfb_util.Memo.t =
+  Asipfb_util.Memo.create ()
 
 let expected_outputs t =
-  let memoized =
-    Mutex.lock golden_mutex;
-    let v = Hashtbl.find_opt golden t.name in
-    Mutex.unlock golden_mutex;
-    v
-  in
-  match memoized with
-  | Some v -> v
-  | None ->
-      (* Compute outside the lock: a clean run is slow, and nothing here
-         re-enters this module. *)
+  Asipfb_util.Memo.get golden ~key:t.name (fun () ->
       let o = run t in
-      let v =
-        List.map
-          (fun region -> (region, Asipfb_exec.Memory.dump o.memory region))
-          t.output_regions
-      in
-      Mutex.lock golden_mutex;
-      Hashtbl.replace golden t.name v;
-      Mutex.unlock golden_mutex;
-      v
+      List.map
+        (fun region -> (region, Asipfb_exec.Memory.dump o.memory region))
+        t.output_regions)
 
 let self_check t (outcome : Asipfb_sim.Interp.outcome) : (unit, string) result =
   let mismatch =

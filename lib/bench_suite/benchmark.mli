@@ -26,13 +26,10 @@ val run : t -> Asipfb_sim.Interp.outcome
 val run_with_faults : t -> faults:Asipfb_exec.Fault.t -> Asipfb_sim.Interp.outcome
 (** {!run} under a fault injector (see {!Asipfb_exec.Fault}). *)
 
-val expected_outputs : t -> (string * Asipfb_exec.Value.t array) list
-(** Golden output-region contents from a clean run.  Deterministic
-    (LCG-generated inputs), memoized per benchmark name. *)
-
 val self_check : t -> Asipfb_sim.Interp.outcome -> (unit, string) result
-(** Compare [outcome]'s output regions against {!expected_outputs} with
-    {!Asipfb_exec.Value.close}.  [Error] names the first mismatching cell —
+(** Compare [outcome]'s output regions against the golden contents of a
+    clean run (deterministic, LCG-generated inputs; computed once per
+    benchmark name) with {!Asipfb_exec.Value.close}.  [Error] names the first mismatching cell —
     the hook that turns silently corrupted (fault-injected) runs into
     diagnostics instead of wrong profiles. *)
 

@@ -14,6 +14,3 @@ val dominates : t -> int -> int -> bool
 val idom : t -> int -> int option
 (** Immediate dominator; [None] for the entry block and unreachable
     blocks. *)
-
-val dominators_of : t -> int -> int list
-(** All dominators of a block, ascending. *)

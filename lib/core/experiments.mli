@@ -21,10 +21,6 @@ val figure_combined : suite -> length:int -> string
 val table2 : suite -> string
 (** Table 2: the paper's five example sequences at the three levels. *)
 
-val table2_rows : suite -> (string * float * float * float) list
-(** (sequence, freq at O0, O1, O2) for multiply-add, add-multiply,
-    add-add, add-multiply-add, multiply-add-add. *)
-
 val per_benchmark :
   suite -> level:Asipfb_sched.Opt_level.t -> length:int -> min_freq:float ->
   (string * Asipfb_chain.Detect.detected list) list

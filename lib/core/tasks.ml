@@ -5,6 +5,7 @@ module Schedule = Asipfb_sched.Schedule
 module Detect = Asipfb_chain.Detect
 module Tsim = Asipfb_asip.Tsim
 module Uarch = Asipfb_asip.Uarch
+module Memo = Asipfb_util.Memo
 
 type transform = Cleanup | Unroll
 
@@ -41,10 +42,10 @@ type t = {
   design_kind : Timing.design Engine.kind;
   measured_kind : Tsim.outcome Engine.kind;
   query_kind : Detect.report Engine.kind;
-  variants : (string, variant Engine.cell) Engine.table;
-  products : (string, product) Engine.table;
-  queries : (string, Detect.report Engine.cell) Engine.table;
-  extra_suite : (unit, Pipeline.analysis list Engine.cell) Engine.table;
+  variants : (string, variant Engine.cell) Memo.t;
+  products : (string, product) Memo.t;
+  queries : (string, Detect.report Engine.cell) Memo.t;
+  extra_suite : (unit, Pipeline.analysis list Engine.cell) Memo.t;
 }
 
 (* The extra mix, analysed on the store's engine.  With [on_skip] a
@@ -71,10 +72,10 @@ let create ?on_skip engine =
     design_kind = Engine.kind engine "product";
     measured_kind = Engine.kind engine "product";
     query_kind = Engine.kind engine "query";
-    variants = Engine.table ();
-    products = Engine.table ();
-    queries = Engine.table ();
-    extra_suite = Engine.table ();
+    variants = Memo.create ();
+    products = Memo.create ();
+    queries = Memo.create ();
+    extra_suite = Memo.create ();
   }
 
 (* A structural digest: equal values give equal keys. *)
@@ -99,7 +100,7 @@ let query_key t a level config =
 
 let variant_cell t transform (a : Pipeline.analysis) =
   let key = variant_key t transform a in
-  Engine.settled t.variants ~key (fun () ->
+  Memo.get t.variants ~key (fun () ->
       Metrics.timed Metrics.global "variant" (fun () ->
           Engine.run_task t.engine t.variant_kind ~key
             ~name:
@@ -109,7 +110,7 @@ let variant_cell t transform (a : Pipeline.analysis) =
 
 let product t uarch (a : Pipeline.analysis) =
   let key = product_key t uarch a in
-  Engine.settled t.products ~key (fun () ->
+  Memo.get t.products ~key (fun () ->
       Metrics.timed Metrics.global "product" (fun () ->
           let name =
             Printf.sprintf "product:%s@%s" a.benchmark.name (Uarch.key uarch)
@@ -129,7 +130,7 @@ let product t uarch (a : Pipeline.analysis) =
 
 let query_cell t (a : Pipeline.analysis) level config =
   let key = query_key t a level config in
-  Engine.settled t.queries ~key (fun () ->
+  Memo.get t.queries ~key (fun () ->
       Metrics.timed Metrics.global "query" (fun () ->
           Engine.run_task t.engine t.query_kind ~key
             ~name:
@@ -145,7 +146,7 @@ let query t a level config = Engine.value (query_cell t a level config)
 (* Analysed once, so each skipped benchmark is reported once. *)
 let extras t =
   Engine.value
-    (Engine.settled t.extra_suite ~key:() (fun () ->
+    (Memo.get t.extra_suite ~key:() (fun () ->
          analyse_extras t.engine t.on_skip))
 
 (* --- needs --------------------------------------------------------------- *)

@@ -50,9 +50,6 @@ type summary = {
           This is the multi-application ISA-selection signal. *)
 }
 
-val default_query : Asipfb.Pipeline.Query.t
-(** Length-2 detection at O1 — the paper's headline configuration. *)
-
 val run :
   engine:Asipfb_engine.Engine.t ->
   ?verify:Asipfb_engine.Engine.verify_mode ->

@@ -1,7 +1,6 @@
 module Chaos = Asipfb_supervise.Chaos
 
 type stats = {
-  hits : int;
   disk_hits : int;
   misses : int;
   stores : int;
@@ -13,35 +12,14 @@ type event =
   | Corrupt_entry of { key : string; reason : string }
   | Io_error of { op : string; message : string }
 
-(* ---- Sharding -------------------------------------------------------
-
-   The cache sits on every engine task's hot path (48 lookups per suite
-   run, thousands per corpus run), and a single table mutex serialized
-   all of them.  The table and its counters are split into [shard_count]
-   independently locked shards selected by key hash, so concurrent
-   lookups of different keys proceed without contention.  Disk entries
-   are likewise fanned out into two-hex-character subdirectories of the
-   cache dir (keyed on the digest prefix) so a corpus-scale run does not
-   pile thousands of files into one directory. *)
-
-let shard_count = 16
-
-type 'a shard = {
+type 'a t = {
   mutex : Mutex.t;
-  table : (string, 'a) Hashtbl.t;
-  mutable hits : int;
+  (* [dir] is cleared (persistence disabled) on the first I/O error. *)
+  mutable dir : string option;
   mutable disk_hits : int;
   mutable misses : int;
   mutable stores : int;
   mutable corrupt : int;
-}
-
-type 'a t = {
-  shards : 'a shard array;
-  (* [dir] is cleared (persistence disabled) on the first I/O error;
-     guarded by [dir_mutex] together with the io_errors counter. *)
-  dir_mutex : Mutex.t;
-  mutable dir : string option;
   mutable io_errors : int;
   enabled : bool;
   chaos : Chaos.t option;
@@ -50,36 +28,26 @@ type 'a t = {
 
 let create ?dir ?(enabled = true) ?chaos ?on_event () =
   {
-    shards =
-      Array.init shard_count (fun _ ->
-          {
-            mutex = Mutex.create ();
-            table = Hashtbl.create 16;
-            hits = 0;
-            disk_hits = 0;
-            misses = 0;
-            stores = 0;
-            corrupt = 0;
-          });
-    dir_mutex = Mutex.create ();
+    mutex = Mutex.create ();
     dir;
+    disk_hits = 0;
+    misses = 0;
+    stores = 0;
+    corrupt = 0;
     io_errors = 0;
     enabled;
     chaos;
     on_event;
   }
 
-let shard_of t ~key = t.shards.(Hashtbl.hash key land (shard_count - 1))
-
-let with_lock mutex f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 let emit t ev = match t.on_event with Some f -> f ev | None -> ()
 
 (* Disk layout: DIR/<first two key chars>/<key>.cache — the engine's
    keys are hex digests, so the prefix spreads entries uniformly over at
-   most 256 subdirectories. *)
+   most 256 subdirectories, and a corpus-scale run does not pile
+   thousands of files into one directory. *)
 let subdir ~key dir =
   let prefix = if String.length key >= 2 then String.sub key 0 2 else key in
   Filename.concat dir prefix
@@ -125,19 +93,18 @@ let mangle t ~site ~key data =
   | None -> data
 
 let note_corrupt t ~key reason =
-  let shard = shard_of t ~key in
-  with_lock shard.mutex (fun () -> shard.corrupt <- shard.corrupt + 1);
+  locked t (fun () -> t.corrupt <- t.corrupt + 1);
   emit t (Corrupt_entry { key; reason })
 
 (* An I/O error on the cache directory disables persistence for the rest
    of the run — the pipeline must degrade to compute-only, not crash. *)
 let note_io_error t ~op message =
-  with_lock t.dir_mutex (fun () ->
+  locked t (fun () ->
       t.io_errors <- t.io_errors + 1;
       t.dir <- None);
   emit t (Io_error { op; message })
 
-let current_dir t = with_lock t.dir_mutex (fun () -> t.dir)
+let current_dir t = locked t (fun () -> t.dir)
 
 (* A verified-corrupt entry is deleted so it cannot poison later runs;
    the caller recomputes and rewrites it (self-healing). *)
@@ -195,67 +162,34 @@ let store_disk t ~key v =
 let find_or_compute t ~key f =
   if not t.enabled then f ()
   else
-    let shard = shard_of t ~key in
-    let cached =
-      with_lock shard.mutex (fun () ->
-          match Hashtbl.find_opt shard.table key with
-          | Some v ->
-              shard.hits <- shard.hits + 1;
-              Some v
-          | None -> None)
-    in
-    match cached with
-    | Some v -> v
-    | None -> (
-        match load_disk t ~key with
-        | Some v ->
-            with_lock shard.mutex (fun () ->
-                shard.disk_hits <- shard.disk_hits + 1;
-                Hashtbl.replace shard.table key v);
-            v
-        | None ->
-            let v = f () in
-            let stored = store_disk t ~key v in
-            with_lock shard.mutex (fun () ->
-                shard.misses <- shard.misses + 1;
-                if stored then shard.stores <- shard.stores + 1;
-                Hashtbl.replace shard.table key v);
-            v)
+    match load_disk t ~key with
+    | Some v ->
+        locked t (fun () -> t.disk_hits <- t.disk_hits + 1);
+        v
+    | None ->
+        let v = f () in
+        let stored = store_disk t ~key v in
+        locked t (fun () ->
+            t.misses <- t.misses + 1;
+            if stored then t.stores <- t.stores + 1);
+        v
 
 let persistent t = current_dir t <> None
 
 let stats t =
-  let acc =
-    Array.fold_left
-      (fun (acc : stats) shard ->
-        with_lock shard.mutex (fun () ->
-            {
-              acc with
-              hits = acc.hits + shard.hits;
-              disk_hits = acc.disk_hits + shard.disk_hits;
-              misses = acc.misses + shard.misses;
-              stores = acc.stores + shard.stores;
-              corrupt = acc.corrupt + shard.corrupt;
-            }))
-      { hits = 0; disk_hits = 0; misses = 0; stores = 0; corrupt = 0;
-        io_errors = 0 }
-      t.shards
-  in
-  { acc with io_errors = with_lock t.dir_mutex (fun () -> t.io_errors) }
+  locked t (fun () ->
+      {
+        disk_hits = t.disk_hits;
+        misses = t.misses;
+        stores = t.stores;
+        corrupt = t.corrupt;
+        io_errors = t.io_errors;
+      })
 
 let reset_stats t =
-  Array.iter
-    (fun shard ->
-      with_lock shard.mutex (fun () ->
-          shard.hits <- 0;
-          shard.disk_hits <- 0;
-          shard.misses <- 0;
-          shard.stores <- 0;
-          shard.corrupt <- 0))
-    t.shards;
-  with_lock t.dir_mutex (fun () -> t.io_errors <- 0)
-
-let clear t =
-  Array.iter
-    (fun shard -> with_lock shard.mutex (fun () -> Hashtbl.reset shard.table))
-    t.shards
+  locked t (fun () ->
+      t.disk_hits <- 0;
+      t.misses <- 0;
+      t.stores <- 0;
+      t.corrupt <- 0;
+      t.io_errors <- 0)

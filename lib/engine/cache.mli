@@ -1,13 +1,12 @@
-(** Content-keyed memo cache for analysis results.
+(** Content-keyed disk persistence for analysis results.
 
     Keys are caller-computed digests of everything the cached value
     depends on (benchmark source, optimization level, config revision —
     see {!Engine}), so a stale hit is impossible by construction: any
-    input edit changes the key.  Values are held in an in-memory table
-    split into independently locked shards selected by key hash, so
-    concurrent engine tasks looking up different keys never contend;
-    with a directory attached, they are also persisted via [Marshal] so
-    later processes (repeated CLI invocations) reuse them.  Disk entries
+    input edit changes the key.  With a directory attached, values are
+    persisted via [Marshal] so later processes (repeated CLI
+    invocations) reuse them; values are not kept in memory here — an
+    engine kind keeps them in its {!Asipfb_util.Memo}.  Disk entries
     fan out into two-hex-character subdirectories keyed on the digest
     prefix ([DIR/ab/abcd….cache]), keeping corpus-scale runs (thousands
     of entries) out of a single flat directory.
@@ -26,7 +25,6 @@
 type 'a t
 
 type stats = {
-  hits : int;  (** Served from the in-memory table. *)
   disk_hits : int;  (** Loaded from the cache directory. *)
   misses : int;  (** Computed fresh. *)
   stores : int;  (** Written to disk. *)
@@ -50,16 +48,17 @@ val create :
   unit ->
   'a t
 (** [enabled] defaults to [true]; a disabled cache computes every lookup
-    and records nothing.  [dir] is created on first store.  [chaos]
+    and records nothing.  Without [dir] an enabled cache computes every
+    lookup and counts it a miss.  [dir] is created on first store.  [chaos]
     mangles entry bytes on the ["cache-read"]/["cache-write"] seams (the
     chaos harness proving checksum detection); [on_event] observes
     corruption and I/O degradation. *)
 
 val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
-(** Memory, then disk, then compute-and-store.  [key] must be filename-
-    safe (the engine uses [Digest.to_hex]).  Concurrent callers with the
-    same fresh key may both compute; the value is deterministic, so
-    either result is correct and one wins the table. *)
+(** Disk, then compute-and-store.  [key] must be filename-safe (the
+    engine uses [Digest.to_hex]).  Concurrent callers with the same
+    fresh key may both compute; the value is deterministic, so either
+    result is correct and one wins the rename. *)
 
 val persistent : 'a t -> bool
 (** Whether disk persistence is still active (a directory was given and
@@ -67,6 +66,3 @@ val persistent : 'a t -> bool
 
 val stats : 'a t -> stats
 val reset_stats : 'a t -> unit
-
-val clear : 'a t -> unit
-(** Drop the in-memory table (disk entries are kept). *)

@@ -5,6 +5,7 @@ module Diag = Asipfb_diag.Diag
 module Fault = Asipfb_exec.Fault
 module Supervise = Asipfb_supervise.Supervise
 module Chaos = Asipfb_supervise.Chaos
+module Memo = Asipfb_util.Memo
 
 type analysis = {
   benchmark : Benchmark.t;
@@ -24,8 +25,9 @@ type base = { prog : Asipfb_ir.Prog.t; outcome : Asipfb_sim.Interp.outcome }
 
 type 'a cell = ('a, exn * Printexc.raw_backtrace) result
 
-(* One result kind: its payload cache and its single-flight table. *)
-type 'a kind = { cache : 'a Cache.t; flight : 'a cell Inflight.t }
+(* One result kind: its values in memory, over its payload cache on
+   disk. *)
+type 'a kind = { memo : (string, 'a) Memo.t; cache : 'a Cache.t }
 
 type t = {
   jobs : int;
@@ -37,15 +39,25 @@ type t = {
          on the injection config, and never in a clean run's flight. *)
   sched : Schedule.t kind;
   verify : Diag.t list kind;
-  new_cache : 'a. string -> 'a Cache.t;
-      (* A further payload cache under the engine's settings (directory,
-         chaos, corruption events), labelled for its diagnostics. *)
+  new_kind : 'a. string -> 'a kind;
+      (* A further kind under the engine's settings (retention,
+         directory, chaos, corruption events), labelled for its
+         diagnostics. *)
+}
+
+type cache_stats = {
+  hits : int;
+  disk_hits : int;
+  misses : int;
+  stores : int;
+  corrupt : int;
+  io_errors : int;
 }
 
 type stats = {
-  base : Cache.stats;
-  sched : Cache.stats;
-  verify : Cache.stats;
+  base : cache_stats;
+  sched : cache_stats;
+  verify : cache_stats;
   supervise : Supervise.stats;
 }
 
@@ -104,26 +116,35 @@ let cache_diag label = function
            "cache %s failed (%s); disk persistence disabled for this run" op
            message)
 
-let of_cache cache = { cache; flight = Inflight.create () }
-
+(* With the cache on, a kind keeps every value it computes; without it
+   (and for fault-injected runs) only overlapping asks share one. *)
 let create ?jobs ?cache_dir ?(cache = true) ?policy ?chaos
     ?(uarch = "flat") () =
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   let sup = Supervise.create ?policy ?chaos () in
   let mk label =
-    Cache.create ?dir:cache_dir ~enabled:cache ?chaos:(Supervise.chaos sup)
-      ~on_event:(fun ev -> Supervise.note_degraded sup (cache_diag label ev))
-      ()
+    {
+      memo = Memo.create ?capacity:(if cache then None else Some 0) ();
+      cache =
+        Cache.create ?dir:cache_dir ~enabled:cache ?chaos:(Supervise.chaos sup)
+          ~on_event:(fun ev ->
+            Supervise.note_degraded sup (cache_diag label ev))
+          ();
+    }
   in
   {
     jobs;
     uarch;
     sup;
-    base = of_cache (mk "base");
-    faulted = of_cache (Cache.create ~enabled:false ());
-    sched = of_cache (mk "sched");
-    verify = of_cache (mk "verify");
-    new_cache = mk;
+    base = mk "base";
+    faulted =
+      {
+        memo = Memo.create ~capacity:0 ();
+        cache = Cache.create ~enabled:false ();
+      };
+    sched = mk "sched";
+    verify = mk "verify";
+    new_kind = mk;
   }
 
 let sequential () =
@@ -133,35 +154,53 @@ let jobs t = t.jobs
 let uarch t = t.uarch
 let supervisor t = t.sup
 let joined (t : t) =
-  let n k = (Inflight.stats k.flight).joined in
+  let n k = (Memo.stats k.memo).joined in
   n t.base + n t.faulted + n t.sched + n t.verify
+
+let kind_stats k =
+  let c = Cache.stats k.cache in
+  {
+    hits = (Memo.stats k.memo).hits;
+    disk_hits = c.disk_hits;
+    misses = c.misses;
+    stores = c.stores;
+    corrupt = c.corrupt;
+    io_errors = c.io_errors;
+  }
 
 let stats (t : t) =
   {
-    base = Cache.stats t.base.cache;
-    sched = Cache.stats t.sched.cache;
-    verify = Cache.stats t.verify.cache;
+    base = kind_stats t.base;
+    sched = kind_stats t.sched;
+    verify = kind_stats t.verify;
     supervise = Supervise.stats t.sup;
   }
 
+let reset_kind k =
+  Memo.reset_stats k.memo;
+  Cache.reset_stats k.cache
+
 let reset_stats (t : t) =
-  Cache.reset_stats t.base.cache;
-  Cache.reset_stats t.sched.cache;
-  Cache.reset_stats t.verify.cache
+  reset_kind t.base;
+  reset_kind t.sched;
+  reset_kind t.verify
 
 (* --- keyed tasks ------------------------------------------------------------
 
-   Every computation of the engine is a keyed task: cached under its
-   content key, computed once across overlapping callers, and run under
-   the supervisor.  Base, sched and verify tasks run in their
+   Every computation of the engine is a keyed task: kept in its kind's
+   memo and cache under its content key, computed once across
+   overlapping callers, and run under the supervisor.  Only the leader of
+   a key runs the supervised body; a hit or a join returns its value
+   before [Supervise.run].  Base, sched and verify tasks run in their
    benchmark's supervision group; results derived from an analysis (a
    transformed program, an ASIP product, a detection query) run alone. *)
 
-let kind t label = of_cache (t.new_cache label)
+let kind t label = t.new_kind label
 
+(* A failure leaves the memo as a raise, so it is never kept. *)
 let run_task t k ?group ~key ~name f =
-  fst
-    (Inflight.run k.flight ~key (fun () ->
+  match
+    Memo.find_or_run k.memo ~key (fun () ->
         let trace = ref None in
         let body ctx =
           try Cache.find_or_compute k.cache ~key (fun () -> f ctx)
@@ -170,60 +209,13 @@ let run_task t k ?group ~key ~name f =
             raise exn
         in
         match Supervise.run t.sup ?group ~name body with
-        | Ok v -> Ok v
+        | Ok v -> v
         | Error exn ->
-            let bt = Option.value !trace ~default:(Printexc.get_callstack 0) in
-            Error (exn, bt)))
-
-(* --- the per-call store -----------------------------------------------------
-
-   A caller's settled results by key.  The first asker of a key computes
-   it outside the lock; overlapping askers wait for that value and later
-   ones read it, so each key is computed once per store.  A task waits
-   only on keys it depends on, and dependencies never form a cycle, so
-   the waits cannot deadlock. *)
-
-type 'a slot = Settling | Settled of 'a
-
-type ('k, 'a) table = {
-  mu : Mutex.t;
-  changed : Condition.t;
-  slots : ('k, 'a slot) Hashtbl.t;
-}
-
-let table () =
-  { mu = Mutex.create (); changed = Condition.create ();
-    slots = Hashtbl.create 16 }
-
-let settled tbl ~key compute =
-  let rec claim () =
-    match Hashtbl.find_opt tbl.slots key with
-    | Some (Settled v) -> Some v
-    | Some Settling ->
-        Condition.wait tbl.changed tbl.mu;
-        claim ()
-    | None ->
-        Hashtbl.replace tbl.slots key Settling;
-        None
-  in
-  match Mutex.protect tbl.mu claim with
-  | Some v -> v
-  | None ->
-      let publish slot =
-        Mutex.protect tbl.mu (fun () ->
-            (match slot with
-            | Some v -> Hashtbl.replace tbl.slots key (Settled v)
-            | None -> Hashtbl.remove tbl.slots key);
-            Condition.broadcast tbl.changed)
-      in
-      (match compute () with
-      | v ->
-          publish (Some v);
-          v
-      | exception exn ->
-          let bt = Printexc.get_raw_backtrace () in
-          publish None;
-          Printexc.raise_with_backtrace exn bt)
+            Printexc.raise_with_backtrace exn
+              (Option.value !trace ~default:(Printexc.get_callstack 0)))
+  with
+  | v, _ -> Ok v
+  | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
 
 let value = function
   | Ok v -> v
@@ -296,15 +288,15 @@ let all cells =
    a digest of the source, is computed only by the task that runs it. *)
 let analyze_all t ?(verify = `Off) ?faults benchmarks =
   let bs = Array.of_list benchmarks in
-  let bases = table () and scheds = table () in
-  let irs = table () and checks = table () in
+  let bases = Memo.create () and scheds = Memo.create () in
+  let irs = Memo.create () and checks = Memo.create () in
   let uarch = t.uarch in
   let level_name (b : Benchmark.t) label level =
     Printf.sprintf "%s:%s@%s" label b.name (Opt_level.to_string level)
   in
   let base_of i =
     let b = bs.(i) in
-    settled bases ~key:i (fun () ->
+    Memo.get bases ~key:i (fun () ->
         let key = source_key ~uarch b and name = "base:" ^ b.name in
         match faults with
         | None ->
@@ -318,7 +310,7 @@ let analyze_all t ?(verify = `Off) ?faults benchmarks =
   in
   let sched_of i level =
     let b = bs.(i) in
-    settled scheds ~key:(i, level) (fun () ->
+    Memo.get scheds ~key:(i, level) (fun () ->
         let* base = base_of i in
         run_task t t.sched ~group:b.name ~key:(sched_key ~uarch b level)
           ~name:(level_name b "sched" level)
@@ -332,7 +324,7 @@ let analyze_all t ?(verify = `Off) ?faults benchmarks =
      verification time goes. *)
   let ir_of i =
     let b = bs.(i) in
-    settled irs ~key:i (fun () ->
+    Memo.get irs ~key:i (fun () ->
         let* base = base_of i in
         run_task t t.verify ~group:b.name ~key:(verify_ir_key ~uarch b)
           ~name:("verify-ir:" ^ b.name)
@@ -343,7 +335,7 @@ let analyze_all t ?(verify = `Off) ?faults benchmarks =
   in
   let checked_of (stage, key_of, check) i level =
     let b = bs.(i) in
-    settled checks ~key:(stage, i, level) (fun () ->
+    Memo.get checks ~key:(stage, i, level) (fun () ->
         let* base = base_of i in
         let* sched = sched_of i level in
         run_task t t.verify ~group:b.name

@@ -1,7 +1,8 @@
 (** The parallel analysis engine: per-benchmark / per-opt-level pipeline
-    analysis as independent tasks on a {!Pool} of domains, backed by a
-    content-keyed {!Cache} so repeated artifacts and repeated CLI
-    invocations reuse results instead of recomputing.
+    analysis as independent tasks on a {!Pool} of domains.  Each result
+    kind keeps its values in an {!Asipfb_util.Memo} and persists them
+    through a content-keyed {!Cache}, so repeated artifacts and repeated
+    CLI invocations reuse results instead of recomputing.
 
     {2 Task graph}
 
@@ -10,7 +11,7 @@
     [Schedule.optimize] per optimization level, on the base task's
     program) and, with a verify mode, the verify tasks below.  Every
     task is a keyed task ({!run_task}) that pulls its inputs through
-    one per-call store before its own supervised body runs: sched pulls
+    one per-call {!Asipfb_util.Memo} before its own supervised body runs: sched pulls
     base, every verify task pulls its sched.  {!analyze_all} submits
     them all as one {!Pool.run} on at most [min jobs n] domains (a call
     starts with [n] runnable bases); whoever asks for an input first
@@ -76,9 +77,9 @@ val create :
   unit ->
   t
 (** [jobs] defaults to {!Pool.default_jobs}[ ()]; [1] is the sequential
-    reference path.  [cache] (default [true]) enables the in-memory
-    memo; [cache_dir] additionally persists entries on disk for reuse
-    across processes.  [cache:false] disables both.
+    reference path.  [cache] (default [true]) keeps every computed value
+    in memory; [cache_dir] additionally persists entries on disk for
+    reuse across processes.  [cache:false] disables both.
 
     [policy] (default {!Asipfb_supervise.Supervise.Policy.default})
     governs retry/backoff, the per-task watchdog, and quarantine; every
@@ -100,7 +101,7 @@ val uarch : t -> string
 (** Name of the machine description this engine keys its caches under. *)
 
 val schema_revision : string
-(** The engine payload schema revision (e.g. ["asipfb-engine-4"]) — a
+(** The engine payload schema revision (e.g. ["asipfb-engine-5"]) — a
     component of every content key, exported so external surfaces (the
     service daemon's [stats] response, the bench baseline) can report
     which analysis schema produced their numbers. *)
@@ -109,10 +110,21 @@ val supervisor : t -> Asipfb_supervise.Supervise.t
 (** The engine's supervisor — source of the retry/quarantine/degradation
     event report and counters. *)
 
+type cache_stats = {
+  hits : int;  (** Served from the kind's memo. *)
+  disk_hits : int;  (** Loaded from the cache directory. *)
+  misses : int;  (** Computed fresh. *)
+  stores : int;  (** Written to disk. *)
+  corrupt : int;  (** Disk entries that failed verification (healed). *)
+  io_errors : int;  (** [Sys_error]s that disabled persistence. *)
+}
+(** One kind's counters: its memo's hits and its {!Cache}'s disk
+    counters.  With [cache:false] every counter stays 0. *)
+
 type stats = {
-  base : Cache.stats;  (** Compile+profile payloads (12 per suite run). *)
-  sched : Cache.stats;  (** Per-level schedules (36 per suite run). *)
-  verify : Cache.stats;
+  base : cache_stats;  (** Compile+profile payloads (12 per suite run). *)
+  sched : cache_stats;  (** Per-level schedules (36 per suite run). *)
+  verify : cache_stats;
       (** Verify findings (12 IR + 36 schedule IR checks per [`Full]
           suite run; [`Tv] adds 36 refinement payloads). *)
   supervise : Asipfb_supervise.Supervise.stats;
@@ -140,11 +152,6 @@ val verify_ir_key :
   ?uarch:string -> Asipfb_bench_suite.Benchmark.t -> string
 (** Content key of a benchmark's lint + IR-check findings. *)
 
-val verify_sched_key :
-  ?uarch:string ->
-  Asipfb_bench_suite.Benchmark.t -> Asipfb_sched.Opt_level.t -> string
-(** Content key of one (benchmark, level) schedule IR-check result. *)
-
 val verify_tv_key :
   ?uarch:string ->
   Asipfb_bench_suite.Benchmark.t -> Asipfb_sched.Opt_level.t -> string
@@ -160,8 +167,10 @@ val verify_tv_key :
     them to {!Metrics} stages. *)
 
 type 'a kind
-(** One result kind: a payload cache under the engine's settings
-    (directory, chaos, corruption events) and a single-flight table. *)
+(** One result kind: an {!Asipfb_util.Memo} over a payload {!Cache},
+    under the engine's settings.  With the cache on the memo keeps every
+    value; with [cache:false] it keeps none, so only overlapping asks
+    share a computation. *)
 
 val kind : t -> string -> 'a kind
 (** [kind t label] — a fresh kind whose cache events name [label]. *)
@@ -177,31 +186,20 @@ type 'a cell = ('a, exn * Printexc.raw_backtrace) result
 val run_task :
   t -> 'a kind -> ?group:string -> key:string -> name:string ->
   (Asipfb_supervise.Supervise.ctx -> 'a) -> 'a cell
-(** Memory, then disk, then compute — under the supervisor and
-    single-flight on [key], so overlapping callers compute once.  [name]
+(** The kind's memo, then disk, then compute.  Only the asker that
+    leads [key] in the memo runs the task, under the supervisor; a memo
+    hit or a join with an overlapping leader returns before supervision
+    (no task is counted, no chaos decision is drawn, and a value
+    computed before its group's quarantine is still served).  [name]
     labels the task's supervision events and is its chaos key, so each
     key needs its own name.  [group] (default [name]) is the task's
     supervision group, whose quarantine it shares; the body gets the
     attempt's {!Asipfb_supervise.Supervise.ctx}.  A failure is not
-    cached. *)
+    kept. *)
 
 val joined : t -> int
 (** Base, sched and verify asks so far that waited on an overlapping
     caller's computation of the same key instead of computing. *)
-
-(** {2 The per-call store} *)
-
-type ('k, 'a) table
-(** Settled results by key (compared structurally), for one caller (one
-    {!analyze_all} call, one report). *)
-
-val table : unit -> ('k, 'a) table
-
-val settled : ('k, 'a) table -> key:'k -> (unit -> 'a) -> 'a
-(** [settled tbl ~key compute]: the first asker of [key] runs [compute]
-    outside the table's lock; overlapping askers wait for its value and
-    later askers read it, so [compute] runs once per key.  If [compute]
-    raises, nothing is settled and the exception propagates. *)
 
 val value : 'a cell -> 'a
 (** The result, or its failure re-raised with its backtrace. *)

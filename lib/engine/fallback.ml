@@ -4,29 +4,8 @@
    which is slow but shares no code with the core. *)
 
 module Diag = Asipfb_diag.Diag
-module Memory = Asipfb_exec.Memory
-module Profile = Asipfb_exec.Profile
 module Interp = Asipfb_sim.Interp
 module Semantics = Asipfb_verify.Semantics
-
-(* Structural hashtables underlie Profile.t and Memory.t, so agreement is
-   checked on their canonical projections (sorted alist, per-region dump),
-   never with [=].  Stdlib.compare keeps NaN = NaN. *)
-let outcomes_agree (a : Interp.outcome) (b : Interp.outcome) =
-  Stdlib.compare a.Interp.return_value b.Interp.return_value = 0
-  && a.Interp.instrs_executed = b.Interp.instrs_executed
-  && Profile.to_alist a.Interp.profile = Profile.to_alist b.Interp.profile
-  &&
-  let ra = Memory.regions a.Interp.memory
-  and rb = Memory.regions b.Interp.memory in
-  ra = rb
-  && List.for_all
-       (fun r ->
-         Stdlib.compare
-           (Memory.dump a.Interp.memory r)
-           (Memory.dump b.Interp.memory r)
-         = 0)
-       ra
 
 let reference ?fuel ?inputs ?faults p : Interp.outcome =
   let o = Semantics.run ?fuel ?inputs ?faults p in

@@ -9,12 +9,6 @@
     attached.  It lives in the engine, its one production caller,
     because the verify library already depends on the simulator. *)
 
-val outcomes_agree :
-  Asipfb_sim.Interp.outcome -> Asipfb_sim.Interp.outcome -> bool
-(** Agreement on return value, instruction count, profile (as a sorted
-    alist), and every memory region's dump — never structural [=] on the
-    underlying hashtables. *)
-
 val reference :
   ?fuel:int ->
   ?inputs:(string * Asipfb_exec.Value.t array) list ->

@@ -16,10 +16,6 @@ val constant_fold : Asipfb_ir.Func.t -> Asipfb_ir.Func.t
 (** Replace operations whose operands are all literals by moves of the
     folded value. *)
 
-val propagate_copies : Asipfb_ir.Func.t -> Asipfb_ir.Func.t
-(** Within each block, forward the sources of [mov] instructions into
-    later uses (stopping at redefinitions of either side). *)
-
 val eliminate_dead : Asipfb_ir.Func.t -> Asipfb_ir.Func.t
 (** Remove side-effect-free instructions whose results are never used
     (liveness-based, whole function). *)

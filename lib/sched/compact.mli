@@ -18,8 +18,5 @@ val ops_per_cycle : t -> float
 (** Instruction-level parallelism of the compacted block: ops / cycles
     (0 for an empty block). *)
 
-val alap : t -> int array
-(** Latest-start cycles within the ASAP schedule length. *)
-
 val slack : t -> int array
 (** Per-op ALAP − ASAP. *)

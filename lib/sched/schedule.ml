@@ -117,9 +117,6 @@ let optimize ~level (p : Prog.t) : t =
   in
   { prog = transformed; level; funcs }
 
-let block_kernel fs b =
-  List.find_opt (fun k -> List.mem b k.kernel_blocks) fs.kernels
-
 let func_sched t name =
   match List.assoc_opt name t.funcs with
   | Some fs -> fs

@@ -46,9 +46,6 @@ val optimize_custom :
 val find_kernels : Asipfb_cfg.Cfg.t -> kernel list
 (** Pipelinable innermost loops of a CFG (exposed for tests). *)
 
-val block_kernel : func_sched -> int -> kernel option
-(** The kernel containing a block, if any. *)
-
 val func_sched : t -> string -> func_sched
 (** @raise Not_found for an unknown function. *)
 

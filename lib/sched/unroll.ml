@@ -153,11 +153,3 @@ let loop_once (p : Prog.t) : Prog.t =
   let p' = Prog.map_funcs (unroll_func b) p in
   Asipfb_ir.Validate.check_exn p';
   p'
-
-let unrolled_loop_count original unrolled =
-  (* Each unrolled loop contributes one extra copy of its body+guard; count
-     functions' growth sites by comparing per-function instruction counts. *)
-  List.fold_left2
-    (fun acc (a : Func.t) (c : Func.t) ->
-      if Func.instr_count c > Func.instr_count a then acc + 1 else acc)
-    0 original.Prog.funcs unrolled.Prog.funcs

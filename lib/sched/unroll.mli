@@ -17,8 +17,3 @@ val loop_once : Asipfb_ir.Prog.t -> Asipfb_ir.Prog.t
     {!Schedule.find_kernels}) by a factor of two.  The result validates
     and is observationally equivalent; programs without such loops are
     returned unchanged (new ids may still be allocated). *)
-
-val unrolled_loop_count : Asipfb_ir.Prog.t -> Asipfb_ir.Prog.t -> int
-(** Number of loops that were unrolled between an original program and
-    its [loop_once] result, measured by instruction-count growth sites
-    (for reporting). *)

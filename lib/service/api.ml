@@ -11,7 +11,6 @@ module Detect = Asipfb_chain.Detect
 module Coverage = Asipfb_chain.Coverage
 module Diag = Asipfb_diag.Diag
 module Engine = Asipfb_engine.Engine
-module Cache = Asipfb_engine.Cache
 module Supervise = Asipfb_supervise.Supervise
 module Corpus = Asipfb_corpus.Corpus
 
@@ -424,13 +423,13 @@ let timing_report =
 
 let cache_stats =
   obj (fun hits disk_hits misses stores corrupt io_errors ->
-      { Cache.hits; disk_hits; misses; stores; corrupt; io_errors })
-  |> field "hits" int (fun s -> s.Cache.hits)
-  |> field "disk_hits" int (fun s -> s.Cache.disk_hits)
-  |> field "misses" int (fun s -> s.Cache.misses)
-  |> field "stores" int (fun s -> s.Cache.stores)
-  |> field "corrupt" int (fun s -> s.Cache.corrupt)
-  |> field "io_errors" int (fun s -> s.Cache.io_errors)
+      { Engine.hits; disk_hits; misses; stores; corrupt; io_errors })
+  |> field "hits" int (fun s -> s.Engine.hits)
+  |> field "disk_hits" int (fun s -> s.Engine.disk_hits)
+  |> field "misses" int (fun s -> s.Engine.misses)
+  |> field "stores" int (fun s -> s.Engine.stores)
+  |> field "corrupt" int (fun s -> s.Engine.corrupt)
+  |> field "io_errors" int (fun s -> s.Engine.io_errors)
   |> seal
 
 let supervise_stats =

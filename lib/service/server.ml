@@ -1,6 +1,7 @@
-(* The analysis daemon.  One warm engine, a completed-response memo, and
-   in-flight coalescing; newline-delimited JSON frames over a Unix-domain
-   stream socket, served by accept loops on Pool domains. *)
+(* The analysis daemon.  One warm engine and a response memo that both
+   keeps completed responses and coalesces overlapping questions;
+   newline-delimited JSON frames over a Unix-domain stream socket, served
+   by accept loops on Pool domains. *)
 
 module Pipeline = Asipfb.Pipeline
 module Timing = Asipfb.Timing
@@ -8,24 +9,19 @@ module Registry = Asipfb_bench_suite.Registry
 module Diag = Asipfb_diag.Diag
 module Engine = Asipfb_engine.Engine
 module Pool = Asipfb_engine.Pool
-module Inflight = Asipfb_engine.Inflight
+module Memo = Asipfb_util.Memo
 
-(* The completed-response memo is a least-recently-used table of at most
-   [memo_capacity] responses, so a stream of fresh questions cannot grow
-   the daemon without bound.  The bound sits well above the few hundred
-   keys a session re-asking the suite's questions touches, so repeated
+(* The response memo keeps the [memo_capacity] most recently used
+   responses, so a stream of fresh questions cannot grow the daemon
+   without bound.  The bound sits well above the few hundred keys a
+   session re-asking the suite's questions touches, so repeated
    questions keep hitting. *)
 let memo_capacity = 1024
-
-type memo_entry = { payload : Api.payload; mutable used : int }
 
 type t = {
   engine : Engine.t;
   log : string -> unit;
-  inflight : Api.payload Inflight.t;
-  memo : (string, memo_entry) Hashtbl.t;
-  memo_mu : Mutex.t;
-  mutable memo_tick : int;  (* recency clock, guarded by [memo_mu] *)
+  memo : (string, Api.payload) Memo.t;
   stop : bool Atomic.t;
   requests : int Atomic.t;
   errors : int Atomic.t;
@@ -38,10 +34,7 @@ let create ~engine ?(log = fun _ -> ()) () =
   {
     engine;
     log;
-    inflight = Inflight.create ();
-    memo = Hashtbl.create 64;
-    memo_mu = Mutex.create ();
-    memo_tick = 0;
+    memo = Memo.create ~capacity:memo_capacity ();
     stop = Atomic.make false;
     requests = Atomic.make 0;
     errors = Atomic.make 0;
@@ -62,47 +55,7 @@ let service_stats t =
     uptime_s = Unix.gettimeofday () -. t.started;
   }
 
-(* --- the response memo --------------------------------------------------- *)
-
-let memo_size t =
-  Mutex.lock t.memo_mu;
-  let n = Hashtbl.length t.memo in
-  Mutex.unlock t.memo_mu;
-  n
-
-let tick t =
-  t.memo_tick <- t.memo_tick + 1;
-  t.memo_tick
-
-let memo_find t key =
-  Mutex.lock t.memo_mu;
-  let v =
-    Option.map
-      (fun e ->
-        e.used <- tick t;
-        e.payload)
-      (Hashtbl.find_opt t.memo key)
-  in
-  Mutex.unlock t.memo_mu;
-  v
-
-(* Inserting past the capacity evicts the least recently used entry: a
-   linear scan, paid once per computed response, never on a hit. *)
-let memo_add t key payload =
-  Mutex.lock t.memo_mu;
-  Hashtbl.replace t.memo key { payload; used = tick t };
-  if Hashtbl.length t.memo > memo_capacity then begin
-    let oldest =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, used) when used <= e.used -> acc
-          | _ -> Some (k, e.used))
-        t.memo None
-    in
-    Option.iter (fun (k, _) -> Hashtbl.remove t.memo k) oldest
-  end;
-  Mutex.unlock t.memo_mu
+let memo_size t = Memo.size t.memo
 
 (* --- answers ------------------------------------------------------------- *)
 
@@ -244,38 +197,18 @@ let request_key req =
       Some (timing_key benchmark level uarch clock (Some area))
   | Api.Corpus_sample _ | Api.Ping | Api.Stats | Api.Shutdown -> None
 
-(* Memo first, then single-flight: the closure re-checks the memo so a
-   caller that raced past the first check but became a leader after the
-   previous flight completed still serves the stored response instead of
-   recomputing.  [computed] distinguishes a leader that really ran the
-   analysis (Miss) from one that won the race to a finished entry (Hit). *)
+(* A raise is not kept in the memo, so a failed question is asked
+   afresh next time. *)
 let serve_cached t ~key compute =
-  match memo_find t key with
-  | Some payload ->
+  match Memo.find_or_run t.memo ~key compute with
+  | payload, Memo.Hit ->
       Atomic.incr t.memo_hits;
       (Api.Hit, Ok payload)
-  | None -> (
-      let computed = ref false in
-      match
-        Inflight.run t.inflight ~key (fun () ->
-            match memo_find t key with
-            | Some payload -> payload
-            | None ->
-                computed := true;
-                let payload = compute () in
-                memo_add t key payload;
-                payload)
-      with
-      | payload, Inflight.Led ->
-          if !computed then (Api.Miss, Ok payload)
-          else begin
-            Atomic.incr t.memo_hits;
-            (Api.Hit, Ok payload)
-          end
-      | payload, Inflight.Joined ->
-          Atomic.incr t.coalesced;
-          (Api.Join, Ok payload)
-      | exception exn -> (Api.Uncached, Error (Pipeline.diag_of_exn exn)))
+  | payload, Memo.Joined ->
+      Atomic.incr t.coalesced;
+      (Api.Join, Ok payload)
+  | payload, Memo.Led -> (Api.Miss, Ok payload)
+  | exception exn -> (Api.Uncached, Error (Pipeline.diag_of_exn exn))
 
 (* The daemon answers ping, stats and shutdown from its own state and
    every other op with {!answer}, keyed ones through the memo.  A

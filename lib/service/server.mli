@@ -7,17 +7,19 @@
     domains via the engine's own {!Asipfb_engine.Pool}; each connection
     is owned by one worker for its lifetime.
 
-    Two layers keep repeated questions cheap on top of the engine's
-    content-keyed analysis cache:
+    One response memo ({!Asipfb_util.Memo}) on top of the engine's
+    keyed results keeps repeated questions cheap.  An analysis request
+    is keyed by its content; the memo keeps the {!memo_capacity} most
+    recently used responses and runs each key once across overlapping
+    askers:
 
-    - a {e completed-response memo}: an analysis request whose content
-      key was answered before is served without touching the engine and
-      reported [cache:"hit"].  It keeps the {!memo_capacity} most
-      recently used responses;
-    - {e in-flight coalescing} ({!Asipfb_engine.Inflight}): N clients
-      asking an identical question while it is being computed share one
-      computation — the leader reports [cache:"miss"], the others
-      [cache:"join"].
+    - a question answered before is served without touching the engine
+      and reported [cache:"hit"];
+    - N clients asking an identical question while it is being computed
+      share one computation — the asker that ran it reports
+      [cache:"miss"], the others [cache:"join"];
+    - a failed answer is not kept: its askers get the error
+      ([cache:"uncached"]) and the next ask computes afresh.
 
     Content keys follow the engine's digest scheme
     ({!Asipfb_engine.Engine.source_key} / [sched_key]), so "identical

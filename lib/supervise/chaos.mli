@@ -48,11 +48,6 @@ val task_delay : t -> key:string -> float option
 (** An artificial sub-5ms delay to sleep before the task body, or
     [None]. *)
 
-type bytes_fault = Flip_byte | Truncate
-
-val bytes_fault : t -> site:string -> key:string -> bytes_fault option
-(** The raw decision behind {!mangle}, exposed for tests. *)
-
 val mangle : t -> site:string -> key:string -> string -> string
 (** Possibly corrupt a serialized payload: flip one byte or truncate at
     a deterministic position.  Applied by the cache to the encoded entry

@@ -5,7 +5,8 @@
 # response must be byte-identical to the offline CLI's --json output
 # (both sides compute it with Server.answer), and a warm second round
 # must be answered entirely from the daemon's response memo (cache=hit),
-# and a question kept warm survives a flood that overflows the memo.  Also
+# 8 concurrent askers of one new question share one computation, and a
+# question kept warm survives a flood that overflows the memo.  Also
 # covers the socket lifecycle: a second daemon refuses a live socket, a
 # SIGKILLed daemon's stale socket is taken over by a fresh one, and a
 # clean shutdown removes the socket file.
@@ -132,7 +133,42 @@ for b in $benches; do
   done
 done
 
-# Round 3 (bounded memo): memo capacity + 50 fresh-budget questions
+# Round 3 (coalescing): 8 concurrent askers of one question nobody has
+# asked, on a benchmark nobody has analysed.  Exactly one of them runs
+# it (cache=miss); the others wait for its answer (join) or, arriving
+# after it, read it from the memo (hit).  The engine analyses the
+# benchmark once: its base misses rise by exactly 1.
+base_misses() {
+  "$bin" client stats --socket "$sock" \
+    | sed -n 's/.*"base":{"hits":[0-9]*,"disk_hits":[0-9]*,"misses":\([0-9]*\).*/\1/p'
+}
+misses_before=$(base_misses)
+pids=""
+for i in 1 2 3 4 5 6 7 8; do
+  "$bin" client detect dft -O 2 --budget 777 --socket "$sock" --meta \
+    > /dev/null 2> "$workdir/meta_coalesce_$i" &
+  pids="$pids $!"
+done
+for pid in $pids; do
+  wait "$pid" || {
+    echo "serve smoke: a coalescing-round client failed" >&2
+    exit 1
+  }
+done
+led=$(cat "$workdir"/meta_coalesce_* | grep -c "cache=miss" || true)
+shared=$(cat "$workdir"/meta_coalesce_* | grep -c "cache=hit\|cache=join" || true)
+if [ "$led" -ne 1 ] || [ "$shared" -ne 7 ]; then
+  echo "serve smoke: 8 concurrent askers gave $led miss(es) and $shared hit/join(s), expected 1 and 7:" >&2
+  cat "$workdir"/meta_coalesce_* >&2
+  exit 1
+fi
+misses_after=$(base_misses)
+if [ "$misses_after" -ne $((misses_before + 1)) ]; then
+  echo "serve smoke: base misses went $misses_before -> $misses_after, expected one more" >&2
+  exit 1
+fi
+
+# Round 4 (bounded memo): memo capacity + 50 fresh-budget questions
 # overflow the daemon's response memo (Server.memo_capacity, 1024
 # entries), which evicts the least recently used answers.  A question
 # re-asked throughout the flood must stay a memo hit and keep its bytes.
@@ -203,4 +239,4 @@ if [ -e "$sock" ]; then
   exit 1
 fi
 
-echo "serve smoke: $workers worker(s) — 13 concurrent clients byte-identical to offline CLI, warm round 100% memo hits, warm answer kept through a memo overflow, live-socket refusal, stale takeover, and clean shutdown all verified"
+echo "serve smoke: $workers worker(s) — 13 concurrent clients byte-identical to offline CLI, warm round 100% memo hits, 8 concurrent askers coalesced onto one analysis, warm answer kept through a memo overflow, live-socket refusal, stale takeover, and clean shutdown all verified"

@@ -11,7 +11,7 @@ module Engine = Asipfb_engine.Engine
 module Cache = Asipfb_engine.Cache
 module Pool = Asipfb_engine.Pool
 module Metrics = Asipfb_engine.Metrics
-module Inflight = Asipfb_engine.Inflight
+module Memo = Asipfb_util.Memo
 
 let fir () = Registry.find "fir"
 
@@ -55,27 +55,31 @@ let test_pool_exception () =
 
 (* --- cache unit tests --------------------------------------------------- *)
 
+(* An engine kind keeps what it computed: a repeat is a memo hit that
+   runs no supervised task. *)
 let test_cache_hit_miss () =
-  let c : int Cache.t = Cache.create () in
+  let engine = Engine.create ~jobs:1 () in
+  let k : int Engine.kind = Engine.kind engine "test" in
   let calls = ref 0 in
-  let compute () = incr calls; 42 in
-  Alcotest.(check int) "miss computes" 42
-    (Cache.find_or_compute c ~key:"k1" compute);
-  Alcotest.(check int) "hit reuses" 42
-    (Cache.find_or_compute c ~key:"k1" compute);
+  let compute _ = incr calls; 42 in
+  let ask key =
+    Engine.value (Engine.run_task engine k ~key ~name:key compute)
+  in
+  Alcotest.(check int) "miss computes" 42 (ask "k1");
+  Alcotest.(check int) "hit reuses" 42 (ask "k1");
   Alcotest.(check int) "computed once" 1 !calls;
-  Alcotest.(check int) "different key recomputes" 42
-    (Cache.find_or_compute c ~key:"k2" compute);
-  let s = Cache.stats c in
-  Alcotest.(check int) "hits" 1 s.hits;
-  Alcotest.(check int) "misses" 2 s.misses
+  Alcotest.(check int) "different key recomputes" 42 (ask "k2");
+  Alcotest.(check int) "only the two misses were supervised" 2
+    (Engine.stats engine).supervise.tasks
 
 let test_cache_disabled () =
-  let c : int Cache.t = Cache.create ~enabled:false () in
+  let engine = Engine.create ~jobs:1 ~cache:false () in
+  let k : int Engine.kind = Engine.kind engine "test" in
   let calls = ref 0 in
-  let compute () = incr calls; 0 in
-  ignore (Cache.find_or_compute c ~key:"k" compute);
-  ignore (Cache.find_or_compute c ~key:"k" compute);
+  let compute _ = incr calls; 0 in
+  let ask () = ignore (Engine.run_task engine k ~key:"k" ~name:"k" compute) in
+  ask ();
+  ask ();
   Alcotest.(check int) "disabled cache always computes" 2 !calls
 
 let test_cache_disk_roundtrip () =
@@ -542,7 +546,7 @@ let analyses_equal (a : Pipeline.analysis) (b : Pipeline.analysis) =
   && a.prog = b.prog
   && Asipfb_exec.Profile.to_alist a.profile
      = Asipfb_exec.Profile.to_alist b.profile
-  && Asipfb_engine.Fallback.outcomes_agree a.outcome b.outcome
+  && Outcomes.agree a.outcome b.outcome
   && a.scheds = b.scheds && a.verify = b.verify
 
 (* Every task of an uncached call runs once, whichever domain pulls it
@@ -646,67 +650,133 @@ let test_failed_base_stops_its_tasks () =
   Alcotest.(check int) "supervised tasks: two bases and fir's ten" 12
     (Engine.stats engine).supervise.tasks
 
-(* --- in-flight coalescing ----------------------------------------------- *)
+(* A repeated analysis on a cached engine is served before supervision;
+   without the cache it runs again. *)
+let test_repeat_analysis_served_from_memo () =
+  let engine = Engine.create ~jobs:1 () in
+  ignore (Engine.analyze engine (fir ()));
+  let tasks = (Engine.stats engine).supervise.tasks in
+  ignore (Engine.analyze engine (fir ()));
+  let s = Engine.stats engine in
+  Alcotest.(check int) "one base hit" 1 s.base.hits;
+  Alcotest.(check int) "no further supervised task" tasks s.supervise.tasks;
+  let uncached = Engine.create ~jobs:1 ~cache:false () in
+  let _, counts =
+    counted [ "sim" ] (fun () ->
+        ignore (Engine.analyze uncached (fir ()));
+        ignore (Engine.analyze uncached (fir ())))
+  in
+  Alcotest.(check (list int)) "uncached engine simulates twice" [ 2 ] counts
 
+(* --- the memo ------------------------------------------------------------ *)
+
+let status =
+  Alcotest.testable
+    (fun ppf (st : Memo.status) ->
+      Format.pp_print_string ppf
+        (match st with Hit -> "hit" | Joined -> "joined" | Led -> "led"))
+    ( = )
+
+(* At capacity 0 a memo keeps nothing: a second ask recomputes. *)
 let test_inflight_single_caller () =
-  let fl = Inflight.create () in
-  let v, outcome = Inflight.run fl ~key:"k" (fun () -> 42) in
+  let m = Memo.create ~capacity:0 () in
+  let v, st = Memo.find_or_run m ~key:"k" (fun () -> 42) in
   Alcotest.(check int) "value" 42 v;
-  Alcotest.(check bool) "led" true (outcome = Inflight.Led);
-  (* entry is removed on completion: a second call recomputes *)
-  let v2, outcome2 = Inflight.run fl ~key:"k" (fun () -> 43) in
+  Alcotest.check status "led" Memo.Led st;
+  let v2, st2 = Memo.find_or_run m ~key:"k" (fun () -> 43) in
   Alcotest.(check int) "recomputed" 43 v2;
-  Alcotest.(check bool) "led again" true (outcome2 = Inflight.Led)
+  Alcotest.check status "led again" Memo.Led st2;
+  Alcotest.(check int) "nothing kept" 0 (Memo.size m)
 
 let test_inflight_exception_propagates () =
-  let fl = Inflight.create () in
-  (match Inflight.run fl ~key:"boom" (fun () -> failwith "boom") with
+  let m = Memo.create () in
+  (match Memo.find_or_run m ~key:"boom" (fun () -> failwith "boom") with
   | _ -> Alcotest.fail "expected exception"
-  | exception Failure m -> Alcotest.(check string) "message" "boom" m);
-  (* a failed flight leaves no wedged entry behind *)
-  let v, _ = Inflight.run fl ~key:"boom" (fun () -> 7) in
-  Alcotest.(check int) "key reusable after failure" 7 v
+  | exception Failure msg -> Alcotest.(check string) "message" "boom" msg);
+  (* a raise is not kept: the key is computed afresh *)
+  let v, st = Memo.find_or_run m ~key:"boom" (fun () -> 7) in
+  Alcotest.(check int) "key reusable after failure" 7 v;
+  Alcotest.check status "led after failure" Memo.Led st
 
-let test_inflight_coalesces_across_domains () =
-  let fl = Inflight.create () in
+(* [joiners] askers enter only while the leader is provably inside its
+   computation, which waits until all of them are registered, so the
+   overlap is real, not a timing accident.  Returns every ask's result
+   and how many computations ran. *)
+let overlapping_asks m ~joiners body =
   let computations = Atomic.make 0 in
   let gate = Atomic.make false in
-  let body () =
-    (* the leader parks here until every joiner has registered on the
-       entry, so the overlap is real, not a timing accident *)
+  let compute () =
     Atomic.incr computations;
     while not (Atomic.get gate) do Domain.cpu_relax () done;
-    99
+    body ()
   in
   let task i () =
     if i > 0 then
-      (* joiners enter only while the leader is provably inside [body],
-         so the in-flight entry is guaranteed to exist when they arrive *)
-      while Atomic.get computations < 1 do
-        Domain.cpu_relax ()
-      done;
-    Inflight.run fl ~key:"shared" body
+      while Atomic.get computations < 1 do Domain.cpu_relax () done;
+    match Memo.find_or_run m ~key:"shared" compute with
+    | r -> Ok r
+    | exception exn -> Error exn
   in
   let opener =
     Domain.spawn (fun () ->
-        while (Inflight.stats fl).Inflight.joined < 3 do
-          Domain.cpu_relax ()
-        done;
+        while (Memo.stats m).joined < joiners do Domain.cpu_relax () done;
         Atomic.set gate true)
   in
-  let results = Pool.run ~jobs:4 (Array.init 4 task) in
+  let results = Pool.run ~jobs:(joiners + 1) (Array.init (joiners + 1) task) in
   Domain.join opener;
-  Array.iter (fun (v, _) -> Alcotest.(check int) "shared value" 99 v) results;
-  let led =
-    Array.to_list results
-    |> List.filter (fun (_, o) -> o = Inflight.Led)
-    |> List.length
+  (results, Atomic.get computations)
+
+let test_inflight_coalesces_across_domains () =
+  let m = Memo.create ~capacity:0 () in
+  let results, computations = overlapping_asks m ~joiners:3 (fun () -> 99) in
+  let values = Array.to_list results |> List.map Result.get_ok in
+  List.iter (fun (v, _) -> Alcotest.(check int) "shared value" 99 v) values;
+  Alcotest.(check int) "exactly one leader" 1
+    (List.length (List.filter (fun (_, st) -> st = Memo.Led) values));
+  Alcotest.(check int) "exactly one computation" 1 computations;
+  let st = Memo.stats m in
+  Alcotest.(check int) "stats led" 1 st.led;
+  Alcotest.(check int) "stats joined" 3 st.joined
+
+let test_memo_keeps_values () =
+  let m = Memo.create () in
+  ignore (Memo.find_or_run m ~key:"k" (fun () -> 1));
+  let v, st = Memo.find_or_run m ~key:"k" (fun () -> 2) in
+  Alcotest.(check int) "kept value" 1 v;
+  Alcotest.check status "hit" Memo.Hit st;
+  Alcotest.(check int) "one hit" 1 (Memo.stats m).hits;
+  Alcotest.(check int) "one value held" 1 (Memo.size m)
+
+(* At capacity [n] the least recently used value is the one evicted. *)
+let test_memo_lru_eviction () =
+  let m = Memo.create ~capacity:2 () in
+  let ask key = snd (Memo.find_or_run m ~key (fun () -> key)) in
+  ignore (ask "a");
+  ignore (ask "b");
+  Alcotest.check status "a held" Memo.Hit (ask "a");
+  ignore (ask "c");
+  Alcotest.(check int) "capacity respected" 2 (Memo.size m);
+  Alcotest.check status "a, used last, survives" Memo.Hit (ask "a");
+  Alcotest.check status "c survives" Memo.Hit (ask "c");
+  Alcotest.check status "b, least recently used, was evicted" Memo.Led
+    (ask "b")
+
+let test_memo_raise_shared_not_kept () =
+  let m = Memo.create () in
+  let results, computations =
+    overlapping_asks m ~joiners:2 (fun () -> failwith "leader failed")
   in
-  Alcotest.(check int) "exactly one leader" 1 led;
-  Alcotest.(check int) "exactly one computation" 1 (Atomic.get computations);
-  let st = Inflight.stats fl in
-  Alcotest.(check int) "stats led" 1 st.Inflight.led;
-  Alcotest.(check int) "stats joined" 3 st.Inflight.joined
+  Alcotest.(check int) "one computation" 1 computations;
+  Array.iter
+    (function
+      | Error (Failure msg) ->
+          Alcotest.(check string) "every asker gets the leader's raise"
+            "leader failed" msg
+      | _ -> Alcotest.fail "expected the leader's exception")
+    results;
+  Alcotest.(check int) "nothing kept" 0 (Memo.size m);
+  Alcotest.check status "next ask computes afresh" Memo.Led
+    (snd (Memo.find_or_run m ~key:"shared" (fun () -> 0)))
 
 let suite =
   [
@@ -762,5 +832,11 @@ let suite =
           test_inflight_exception_propagates;
         Alcotest.test_case "inflight coalesces" `Quick
           test_inflight_coalesces_across_domains;
+        Alcotest.test_case "memo keeps values" `Quick test_memo_keeps_values;
+        Alcotest.test_case "memo LRU eviction" `Quick test_memo_lru_eviction;
+        Alcotest.test_case "memo raise shared, not kept" `Quick
+          test_memo_raise_shared_not_kept;
+        Alcotest.test_case "repeat analysis served from memo" `Quick
+          test_repeat_analysis_served_from_memo;
       ] );
   ]

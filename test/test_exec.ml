@@ -114,7 +114,7 @@ let prop_core_matches_reference =
       List.for_all
         (fun level ->
           let prog = (Schedule.optimize ~level p).prog in
-          Fallback.outcomes_agree (Interp.run prog) (Fallback.reference prog))
+          Outcomes.agree (Interp.run prog) (Fallback.reference prog))
         Opt_level.all)
 
 (* --- trap messages ------------------------------------------------------ *)

@@ -15,7 +15,6 @@ module Coverage = Asipfb_chain.Coverage
 module Diag = Asipfb_diag.Diag
 module Timing = Asipfb.Timing
 module Engine = Asipfb_engine.Engine
-module Cache = Asipfb_engine.Cache
 module Supervise = Asipfb_supervise.Supervise
 module Pool = Asipfb_engine.Pool
 
@@ -110,7 +109,7 @@ let cache_stats_gen =
   let open QCheck.Gen in
   map2
     (fun (hits, disk_hits, misses) (stores, corrupt, io_errors) ->
-      { Cache.hits; disk_hits; misses; stores; corrupt; io_errors })
+      { Engine.hits; disk_hits; misses; stores; corrupt; io_errors })
     (triple small_nat small_nat small_nat)
     (triple small_nat small_nat small_nat)
 
@@ -457,7 +456,7 @@ let golden_diag =
 let golden_bare_diag = Diag.make ~stage:Diag.Verification "refinement failed"
 
 let golden_cache n =
-  { Cache.hits = n; disk_hits = n + 1; misses = n + 2; stores = n + 3;
+  { Engine.hits = n; disk_hits = n + 1; misses = n + 2; stores = n + 3;
     corrupt = 0; io_errors = 1 }
 
 let golden_stats =
