@@ -21,12 +21,38 @@ type variant = {
   v_sched : Schedule.t;
 }
 
+(* [profile] restricted to the opids of [prog]'s ops, in program order. *)
+let restrict profile (prog : Asipfb_ir.Prog.t) =
+  let module Profile = Asipfb_exec.Profile in
+  let kept = Profile.create () in
+  List.iter
+    (fun (f : Asipfb_ir.Func.t) ->
+      List.iter
+        (fun i ->
+          let opid = Asipfb_ir.Instr.opid i in
+          let n = Profile.count profile ~opid in
+          if n > 0 && Profile.count kept ~opid = 0 then
+            Profile.add kept ~opid ~count:n)
+        f.body)
+    prog.funcs;
+  kept
+
+(* Cleanup keeps the opid of every op it keeps and removes only ops
+   without side effects, so on the same inputs each op it keeps runs as
+   often as in the base run: its profile is the base profile restricted
+   to the cleaned program, with no run of its own.  Unroll duplicates
+   ops, so its program is run. *)
 let compute_variant transform (a : Pipeline.analysis) =
   let prog = apply transform a.prog in
-  let outcome = Asipfb_sim.Interp.run prog ~inputs:(a.benchmark.inputs ()) in
+  let profile =
+    match transform with
+    | Cleanup -> restrict a.profile prog
+    | Unroll ->
+        (Asipfb_sim.Interp.run prog ~inputs:(a.benchmark.inputs ())).profile
+  in
   {
     v_prog = prog;
-    v_profile = outcome.profile;
+    v_profile = profile;
     v_sched = Schedule.optimize ~level:Opt_level.O1 prog;
   }
 

@@ -4,9 +4,10 @@
     run through {!Asipfb_engine.Engine.run_task} (supervised,
     single-flight, cached):
 
-    - a {e variant}: a transformed program, its profile from one core run
-      on the benchmark's inputs and its O1 schedule; key = (source key,
-      transform name);
+    - a {e variant}: a transformed program, its profile and its O1
+      schedule; key = (source key, transform name).  An unrolled program
+      is profiled by one core run on the benchmark's inputs; a cleaned
+      one takes the base profile restricted to the ops it kept;
     - a {e product}: the ASIP designed at O1 ({!Timing.design}) and its
       measured target run ({!Timing.measure}), kept apart so a failed
       measurement leaves the design usable; key = (O1 sched key, the
@@ -30,7 +31,7 @@ val transform_name : transform -> string
 type variant = {
   v_prog : Asipfb_ir.Prog.t;  (** The transformed program. *)
   v_profile : Asipfb_exec.Profile.t;
-      (** From one run on the benchmark's inputs. *)
+      (** Its profile on the benchmark's inputs. *)
   v_sched : Asipfb_sched.Schedule.t;  (** Its O1 schedule. *)
 }
 

@@ -45,15 +45,19 @@ let tfloat = '\002'
 
 (* Register slots come from [Code.compile], which sizes the frame to
    cover every one of them; each fast path below indexes [ints]/[floats]
-   with a bounds check before trusting an unchecked tag access. *)
-let is_int fr s = Bytes.unsafe_get fr.tags s = tint
-let is_float fr s = Bytes.unsafe_get fr.tags s = tfloat
+   with a bounds check before trusting an unchecked tag access.
 
-let set_int fr d n =
+   Every helper a fast closure calls is [@inline].  The library is built
+   without flambda, where a float passed to or returned from a call that
+   is not inlined gets boxed — a minor-heap allocation on every step. *)
+let[@inline] is_int fr s = Bytes.unsafe_get fr.tags s = tint
+let[@inline] is_float fr s = Bytes.unsafe_get fr.tags s = tfloat
+
+let[@inline] set_int fr d n =
   fr.ints.(d) <- n;
   Bytes.unsafe_set fr.tags d tint
 
-let set_float fr d x =
+let[@inline] set_float fr d x =
   fr.floats.(d) <- x;
   Bytes.unsafe_set fr.tags d tfloat
 
@@ -68,7 +72,7 @@ let read (f : cfunc) fr s =
   | _ -> Ops.err "read of uninitialized register %s" f.reg_names.(s)
 
 let value f fr = function Oreg s -> read f fr s | Oconst v -> v
-let bump counts p = counts.(p) <- counts.(p) + 1
+let[@inline] bump counts p = counts.(p) <- counts.(p) + 1
 
 (* A slot run ends at a slot that may leave the straight line: a jump, a
    branch, a return, or a call — the callee spends fuel of its own, so a
@@ -91,18 +95,20 @@ let run_ends code =
   done;
   e
 
-(* The arithmetic of the fast paths, as plain functions over unboxed
-   operands.  [int_ok]/[float_ok] hold when the boxed form would not trap
-   on that right operand; a zero divisor or a shift out of range is left
-   to it, so it raises its own message. *)
-let int_ok op y =
+(* The arithmetic of the fast paths, over unboxed operands.
+   [int_ok]/[float_ok] hold when the boxed form would not trap on that
+   right operand; a zero divisor or a shift out of range is left to it,
+   so it raises its own message.  Each is [@inline], like the helpers
+   above: the step's [match op] then runs inside the closure, on
+   unboxed values. *)
+let[@inline] int_ok op y =
   match op with
   | Types.Add | Types.Sub | Types.Mul | Types.And | Types.Or | Types.Xor -> true
   | Types.Div | Types.Rem -> y <> 0
   | Types.Shl | Types.Shr -> y >= 0 && y <= 62
   | Types.Fadd | Types.Fsub | Types.Fmul | Types.Fdiv -> false
 
-let int_binop op x y =
+let[@inline] int_binop op x y =
   match op with
   | Types.Add -> x + y
   | Types.Sub -> x - y
@@ -116,13 +122,13 @@ let int_binop op x y =
   | Types.Shr -> x asr y
   | Types.Fadd | Types.Fsub | Types.Fmul | Types.Fdiv -> assert false
 
-let float_ok op y =
+let[@inline] float_ok op y =
   match op with
   | Types.Fadd | Types.Fsub | Types.Fmul -> true
   | Types.Fdiv -> y <> 0.0
   | _ -> false
 
-let float_binop op x y =
+let[@inline] float_binop op x y =
   match op with
   | Types.Fadd -> x +. y
   | Types.Fsub -> x -. y
@@ -134,7 +140,7 @@ let is_float_op = function
   | Types.Fadd | Types.Fsub | Types.Fmul | Types.Fdiv -> true
   | _ -> false
 
-let float_unop op x =
+let[@inline] float_unop op x =
   match op with
   | Types.Fneg -> -.x
   | Types.Sin -> sin x
@@ -142,11 +148,29 @@ let float_unop op x =
   | Types.Fabs -> Float.abs x
   | _ -> assert false
 
+let[@inline] float_holds rel (x : float) y =
+  match rel with
+  | Types.Eq -> x = y
+  | Types.Ne -> x <> y
+  | Types.Lt -> x < y
+  | Types.Le -> x <= y
+  | Types.Gt -> x > y
+  | Types.Ge -> x >= y
+
+(* The cell a store through index register [i] writes into [arr], or -1
+   when [i] does not hold an int in bounds. *)
+let[@inline] store_index fr arr i =
+  if is_int fr i then
+    let n = fr.ints.(i) in
+    if n >= 0 && n < Array.length arr then n else -1
+  else -1
+
 (* The fast closure of an op on the unfaulted path, when its shape has
    one.  Each checks its operands' tags (and the guards above) and
    otherwise runs [slow] — the boxed form, whose checks then raise
-   exactly what they always did. *)
-let fast ~counts ~cells (o : op)
+   exactly what they always did.  No step allocates, except that a store
+   writes a fresh [Value.t] cell. *)
+let fast ~counts ~cells ~(regions : region_info array) (o : op)
     (slow : frame -> unit) : (frame -> unit) option =
   let p = o.pidx in
   match o.body with
@@ -218,6 +242,13 @@ let fast ~counts ~cells (o : op)
           if is_int fr a then
             set_int fr d (if Types.eval_relop_int rel fr.ints.(a) y then 1 else 0)
           else slow fr)
+  | Ocmp_float (rel, d, Oreg a, Oconst (Value.Vfloat y)) ->
+      Some
+        (fun fr ->
+          bump counts p;
+          if is_float fr a then
+            set_int fr d (if float_holds rel fr.floats.(a) y then 1 else 0)
+          else slow fr)
   | Omov (d, Oreg a) ->
       Some
         (fun fr ->
@@ -250,6 +281,35 @@ let fast ~counts ~cells (o : op)
             else slow fr
           end
           else slow fr)
+  (* A store checks its index, then that the value's tag is the region's
+     type, before it writes anything; an immediate of the wrong type is
+     left to the boxed form. *)
+  | Ostore (rid, Oreg i, v) -> (
+      let arr = cells.(rid) in
+      match (regions.(rid).rty, v) with
+      | Types.Int, Oreg v ->
+          Some
+            (fun fr ->
+              bump counts p;
+              let n = store_index fr arr i in
+              if n >= 0 && is_int fr v then
+                Array.unsafe_set arr n (Value.Vint fr.ints.(v))
+              else slow fr)
+      | Types.Float, Oreg v ->
+          Some
+            (fun fr ->
+              bump counts p;
+              let n = store_index fr arr i in
+              if n >= 0 && is_float fr v then
+                Array.unsafe_set arr n (Value.Vfloat fr.floats.(v))
+              else slow fr)
+      | rty, Oconst c when Value.ty c = rty ->
+          Some
+            (fun fr ->
+              bump counts p;
+              let n = store_index fr arr i in
+              if n >= 0 then Array.unsafe_set arr n c else slow fr)
+      | _ -> None)
   | Ojump target ->
       Some
         (fun fr ->
@@ -382,7 +442,7 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?faults ?watchdog (c : Code.t) :
     let slow = boxed f o.body in
     let fast =
       match faults with
-      | None -> fast ~counts ~cells o slow
+      | None -> fast ~counts ~cells ~regions:c.regions o slow
       | Some _ -> None
     in
     match fast with
@@ -406,22 +466,22 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?faults ?watchdog (c : Code.t) :
         fun fr ->
           let holds =
             Types.eval_relop_int rel
-              (Value.as_int (value fr a))
-              (Value.as_int (value fr b))
+              (Ops.as_int (value fr a))
+              (Ops.as_int (value fr b))
           in
           write fr d (Value.Vint (if holds then 1 else 0))
     | Ocmp_float (rel, d, a, b) ->
         fun fr ->
           let holds =
             Types.eval_relop_float rel
-              (Value.as_float (value fr a))
-              (Value.as_float (value fr b))
+              (Ops.as_float (value fr a))
+              (Ops.as_float (value fr b))
           in
           write fr d (Value.Vint (if holds then 1 else 0))
     | Omov (d, a) -> fun fr -> write fr d (value fr a)
     | Oload (d, rid, index) -> (
         let load fr =
-          let i = Value.as_int (value fr index) in
+          let i = Ops.as_int (value fr index) in
           let arr = cells.(rid) in
           if i < 0 || i >= Array.length arr then
             Ops.err "load out of bounds: %s[%d]" c.regions.(rid).rname i;
@@ -432,13 +492,13 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?faults ?watchdog (c : Code.t) :
         | Some fl -> fun fr -> write fr d (Fault.on_mem_load fl (load fr)))
     | Ostore (rid, index, value_op) ->
         fun fr ->
-          let i = Value.as_int (value fr index) in
+          let i = Ops.as_int (value fr index) in
           let v = value fr value_op in
           let arr = cells.(rid) in
           if i < 0 || i >= Array.length arr then
             Ops.err "store out of bounds: %s[%d]" c.regions.(rid).rname i;
           if Value.ty v <> c.regions.(rid).rty then
-            invalid_arg ("Memory.store: type mismatch in " ^ c.regions.(rid).rname);
+            Ops.err "Memory.store: type mismatch in %s" c.regions.(rid).rname;
           arr.(i) <- v
     | Ocall (dst, fi, args) ->
         fun fr ->
@@ -456,7 +516,7 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?faults ?watchdog (c : Code.t) :
           | _, None -> Ops.err "void call result used (%s)" c.funcs.(fi).fname)
     | Ojump target -> fun fr -> fr.next <- target
     | Ocond_jump (a, target) ->
-        fun fr -> if Value.as_int (value fr a) <> 0 then fr.next <- target
+        fun fr -> if Ops.as_int (value fr a) <> 0 then fr.next <- target
     | Oret v ->
         fun fr ->
           fr.ret <- Some (value fr v);
@@ -465,7 +525,7 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?faults ?watchdog (c : Code.t) :
     | Onop -> fun _ -> ()
     | Otrap msg -> fun _ -> raise (Ops.Trap msg)
     | Ocond_trap (a, msg) ->
-        fun fr -> if Value.as_int (value fr a) <> 0 then raise (Ops.Trap msg)
+        fun fr -> if Ops.as_int (value fr a) <> 0 then raise (Ops.Trap msg)
     | Obad_region region -> fun _ -> invalid_arg ("Memory: unknown region " ^ region)
   in
   let return_value = call c.entry [] in

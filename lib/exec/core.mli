@@ -9,9 +9,12 @@
       and a tag (undefined / int / float) per register, so an arithmetic
       result is written without allocating.
     - Each slot is compiled once per run into a closure.  Common shapes
-      (int and float arithmetic, int compares, moves, loads, jumps)
-      take fast paths; any other operand shape falls back to the boxed
-      {!Value.t} form, so trap messages never depend on the path taken.
+      (int and float arithmetic, compares, the common unops, moves,
+      loads, stores through a register index, jumps) take fast paths;
+      a fast step allocates nothing (a store, only the cell it writes).
+      A failed tag check or guard, and any other operand shape, falls
+      back to the boxed {!Value.t} form, so trap messages never depend
+      on the path taken.
     - Fuel and the watchdog are charged once per straight run of slots
       (up to and including the next jump, branch, return or call) when
       no slot of it can exhaust the fuel or reach a poll, and per slot

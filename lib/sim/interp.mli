@@ -16,7 +16,7 @@
 
 exception Runtime_error of string
 (** Division by zero, out-of-bounds access, shift out of range, or an
-    unbound register (an IR bug). *)
+    operand of the wrong type or an unbound register (IR bugs). *)
 
 exception Fuel_exhausted of { instrs_executed : int; fuel : int }
 (** The fuel budget ran out before the program returned.  Structurally

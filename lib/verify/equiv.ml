@@ -93,14 +93,12 @@ let sbin op a b =
         match Ops.eval_binop op (Value.Vint x) (Value.Vint y) with
         | Value.Vint v -> Some (Sint v)
         | Value.Vfloat v -> Some (Sfloat v)
-        | exception Ops.Trap _ -> None
-        | exception Invalid_argument _ -> None)
+        | exception Ops.Trap _ -> None)
     | Sfloat x, Sfloat y when is_float_binop op -> (
         match Ops.eval_binop op (Value.Vfloat x) (Value.Vfloat y) with
         | Value.Vint v -> Some (Sint v)
         | Value.Vfloat v -> Some (Sfloat v)
-        | exception Ops.Trap _ -> None
-        | exception Invalid_argument _ -> None)
+        | exception Ops.Trap _ -> None)
     | _ -> None
   in
   match fold () with
@@ -126,8 +124,7 @@ let sun op a =
       match Ops.eval_unop op v with
       | Value.Vint r -> Sint r
       | Value.Vfloat r -> Sfloat r
-      | exception Ops.Trap _ -> Sun (op, a)
-      | exception Invalid_argument _ -> Sun (op, a))
+      | exception Ops.Trap _ -> Sun (op, a))
   | _ -> Sun (op, a)
 
 let scmp ty rel a b =

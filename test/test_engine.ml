@@ -412,6 +412,27 @@ let test_report_work_counted () =
         (detects < 260)
   | _ -> assert false
 
+(* A cleaned variant takes the base profile restricted to the ops it
+   kept instead of a run of its own; a run of the cleaned program stays
+   the oracle, on every kernel of the suite and the extra mix and on a
+   sample of generated programs. *)
+let test_cleanup_profile_derived () =
+  let module Tasks = Asipfb.Tasks in
+  let module Profile = Asipfb_exec.Profile in
+  let corpus =
+    List.init 24 (fun index -> Asipfb_corpus.Gen.benchmark ~seed:5 ~index ())
+  in
+  List.iter
+    (fun (b : Benchmark.t) ->
+      let a = Pipeline.analyze b in
+      let v = Tasks.compute_variant Tasks.Cleanup a in
+      let run = Asipfb_sim.Interp.run v.v_prog ~inputs:(b.inputs ()) in
+      Alcotest.(check (list (pair int int)))
+        (b.name ^ ": derived profile equals a run of the cleaned program")
+        (Profile.to_alist run.profile)
+        (Profile.to_alist v.v_profile))
+    (Registry.all @ Asipfb_bench_suite.Extra.all @ corpus)
+
 (* The extra mix keeps going like the suite under [--keep-going]: a
    chaos fault that fails one mix benchmark leaves it out of [extra],
    reports it once, and the report still reaches [validation_unroll]. *)
@@ -838,5 +859,7 @@ let suite =
           test_memo_raise_shared_not_kept;
         Alcotest.test_case "repeat analysis served from memo" `Quick
           test_repeat_analysis_served_from_memo;
+        Alcotest.test_case "cleanup profile derived from base" `Quick
+          test_cleanup_profile_derived;
       ] );
   ]

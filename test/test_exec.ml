@@ -154,6 +154,54 @@ let trap_cases =
        binop T.Fadd T.Float (I.Reg (float "u")) (I.Imm_float 1.));
     ]
   in
+  (* The core's fast paths guard divisors, shift amounts, indices and
+     operand tags themselves and leave a failed guard to the boxed form;
+     every operand here sits in an initialised register, so each case
+     reaches one fast path's guard. *)
+  let held ty v =
+    let r = (if ty = T.Int then int else float) "h" in
+    (B.mov b r v, I.Reg r)
+  in
+  let held_int n = held T.Int (I.Imm_int n)
+  and held_float x = held T.Float (I.Imm_float x) in
+  let fast_cases =
+    [
+      ("division by a register holding 0",
+       let ia, a = held_int 1 and iz, z = held_int 0 in
+       ia :: iz :: binop T.Div T.Int a z);
+      ("remainder by a register holding 0",
+       let ia, a = held_int 1 and iz, z = held_int 0 in
+       ia :: iz :: binop T.Rem T.Int a z);
+      ("immediate divided by a register holding 0",
+       let iz, z = held_int 0 in
+       iz :: binop T.Div T.Int (I.Imm_int 1) z);
+      ("shift by a register holding 63",
+       let ia, a = held_int 1 and is, s = held_int 63 in
+       ia :: is :: binop T.Shl T.Int a s);
+      ("immediate shifted by a register holding -1",
+       let is, s = held_int (-1) in
+       is :: binop T.Shr T.Int (I.Imm_int 1) s);
+      ("float division by a register holding 0.0",
+       let ia, a = held_float 1. and iz, z = held_float 0. in
+       ia :: iz :: binop T.Fdiv T.Float a z);
+      ("load out of bounds through a register",
+       let ii, i = held_int 4 in
+       [ ii; B.load b T.Int (int "x") "m" i ]);
+      ("store out of bounds through a register",
+       let ii, i = held_int (-1) and iv, v = held_int 1 in
+       [ ii; iv; B.store b T.Int "m" i v ]);
+      ("float register stored to an int region",
+       let ii, i = held_int 0 and iv, v = held_float 1. in
+       [ ii; iv; B.store b T.Int "m" i v ]);
+      ("float register fed to an int op",
+       let ia, a = held_int 1 and if_, f = held_float 1. in
+       ia :: if_ :: binop T.Add T.Int a f);
+      ("float register fed to an int compare",
+       let if_, f = held_float 1. in
+       [ if_; B.cmp b T.Int T.Lt (int "x") f (I.Imm_int 2) ]);
+    ]
+  in
+  let cases = cases @ fast_cases in
   let prog ?(ret = true) body =
     Asipfb_ir.Prog.make ~entry:"main"
       ~regions:[ { region_name = "m"; elt_ty = T.Int; size = 4 } ]
@@ -270,6 +318,25 @@ let test_chained_target_counts () =
         [ (Uarch.flat, flat); (Uarch.risc5, risc5) ])
     chained_pins
 
+(* --- the core allocates nothing per step --------------------------------- *)
+
+(* Every fast path writes its result unboxed.  A helper that stops being
+   inlined boxes a float on every step — about 3 minor words per op on
+   these two kernels — and fails this. *)
+let test_core_allocation () =
+  List.iter
+    (fun name ->
+      let b = Registry.find name in
+      let code = Code.of_prog (Benchmark.compile b) in
+      let inputs = b.inputs () in
+      let before = Gc.minor_words () in
+      let o = Core.run ~inputs code in
+      let per_op = (Gc.minor_words () -. before) /. float_of_int o.ops in
+      if per_op > 0.05 then
+        Alcotest.failf "%s: %.3f minor words per op (at most 0.05)" name
+          per_op)
+    [ "compress"; "dft" ]
+
 (* --- sorted region listing (deterministic reports) ----------------------- *)
 
 let test_regions_sorted () =
@@ -341,6 +408,8 @@ let suite =
         Alcotest.test_case "watchdog poll is exact" `Quick test_watchdog_exact;
         Alcotest.test_case "chained target op counts" `Quick
           test_chained_target_counts;
+        Alcotest.test_case "core allocates nothing per op" `Quick
+          test_core_allocation;
         Alcotest.test_case "regions sorted" `Quick test_regions_sorted;
         Alcotest.test_case "timeout classification" `Quick
           test_timeout_classification;
