@@ -212,9 +212,7 @@ let check_benchmark = function
       Result.map ignore (find_benchmark benchmark)
   | _ -> Ok ()
 
-let print_json payload =
-  print_endline
-    (Service.Json.to_string (Service.Api.payload_to_json payload))
+let print_json payload = print_endline (Service.Api.encode_payload payload)
 
 let print_detect (r : Asipfb_chain.Detect.report) =
   let module Table = Asipfb_report.Table in

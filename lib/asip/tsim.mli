@@ -9,6 +9,13 @@
     stage's *estimated* speedup into a *measured* one, with output
     equality against the base program checked by the test suite.
 
+    A simulation is two steps, [run = weigh ∘ execute]: {!execute} is the
+    uarch-free part — compile the target and run it on the core — and
+    {!weigh} prices that execution's counters under a machine
+    description.  One execution therefore serves every uarch and clock
+    whose selection yields the same target program
+    ([Asipfb.Timing.measure] keeps them in a bounded store).
+
     The cycle model charges the machine description's latencies: a base
     op costs its class latency, a chained instruction its critical-path
     cycles, and [baseline_cycles] prices the same execution with every op
@@ -26,6 +33,8 @@ exception Runtime_error of string
 type outcome = {
   return_value : Asipfb_exec.Value.t option;
   memory : Asipfb_exec.Memory.t;
+      (** Final memory, shared by every outcome weighed from the same
+          {!execution}: read-only for callers. *)
   cycles : int;
       (** Executed cycles under the cycle model (labels free); equals
           executed target slots under {!Uarch.flat} on selected code. *)
@@ -38,13 +47,31 @@ type outcome = {
           base simulator's dynamic count on equivalent code. *)
 }
 
+type execution
+(** One run of a target program on the core, before any cycle model:
+    its result, final memory and the per-instruction counters {!weigh}
+    reads.  Immutable once made, except for its memory (see {!outcome}). *)
+
+val execute :
+  ?fuel:int ->
+  ?inputs:(string * Asipfb_exec.Value.t array) list ->
+  Target.tprog ->
+  execution
+(** Compile the target and run it on the core.
+    @raise Runtime_error on traps, unknown labels, or fuel exhaustion. *)
+
+val weigh : ?uarch:Uarch.t -> execution -> outcome
+(** Price an execution under [uarch] (default {!Uarch.flat}).  Every
+    outcome weighed from one execution shares its [memory]: read it
+    ({!Asipfb_exec.Memory.dump} copies), never write it. *)
+
 val run :
   ?fuel:int ->
   ?inputs:(string * Asipfb_exec.Value.t array) list ->
   ?uarch:Uarch.t ->
   Target.tprog ->
   outcome
-(** [uarch] defaults to {!Uarch.flat}.
+(** [weigh ?uarch (execute ?fuel ?inputs tp)].
     @raise Runtime_error on traps, unknown labels, or fuel exhaustion. *)
 
 val measured_speedup : outcome -> float

@@ -8,6 +8,8 @@ module Isa = Asipfb_asip.Isa
 module Diag = Asipfb_diag.Diag
 module Memory = Asipfb_exec.Memory
 module Value = Asipfb_exec.Value
+module Engine = Asipfb_engine.Engine
+module Memo = Asipfb_util.Memo
 
 type chain_report = {
   cr_mnemonic : string;
@@ -82,9 +84,28 @@ let output_mismatch (a : Pipeline.analysis) region =
        (Printf.sprintf "ASIP target output differs from the base program: %s/%s"
           a.benchmark.name region))
 
+(* The core runs behind the measurements, one per target program and
+   benchmark inputs, process-wide and bounded: a report measures 16
+   targets, a daemon sweeping clocks keeps meeting the same few. *)
+let run_capacity = 64
+let runs : (string, Tsim.execution) Memo.t =
+  Memo.create ~capacity:run_capacity ()
+
+(* The benchmark's source key names its inputs (and carries
+   [Code.version]); the target is digested structurally. *)
+let run_key (a : Pipeline.analysis) (target : Asipfb_asip.Target.tprog) =
+  Engine.content_key
+    [ "tsim-run"; Engine.source_key a.benchmark;
+      Digest.to_hex
+        (Digest.string (Marshal.to_string target [ Marshal.No_sharing ])) ]
+
 let measure (a : Pipeline.analysis) d =
   let target = Codegen.generate_for_choices ~choices:d.choices a.prog in
-  let out = Tsim.run ~uarch:d.uarch target ~inputs:(a.benchmark.inputs ()) in
+  let run =
+    Memo.get runs ~key:(run_key a target) (fun () ->
+        Tsim.execute target ~inputs:(a.benchmark.inputs ()))
+  in
+  let out = Tsim.weigh ~uarch:d.uarch run in
   List.iter
     (fun region ->
       let want = Memory.dump a.outcome.memory region in

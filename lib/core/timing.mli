@@ -4,7 +4,10 @@
     measured speedup of one benchmark under one machine description.
 
     {!design} and {!measure} are the only code that runs select →
-    codegen → target simulation.  {!of_analysis} is the daemon's
+    codegen → target simulation.  The target simulation is split
+    ({!Asipfb_asip.Tsim.execute}, then {!Asipfb_asip.Tsim.weigh}) so
+    every design whose selection yields the same target program — at
+    another clock, say — reuses one core run from {!runs}.  {!of_analysis} is the daemon's
     [timing] answer ([Service.Server.answer]), which the CLI's
     [design --json] prints too.
 
@@ -75,12 +78,27 @@ val design :
     {!Asipfb_asip.Select.default_config}'s), and estimate their speedup. *)
 
 val measure : Pipeline.analysis -> design -> Asipfb_asip.Tsim.outcome
-(** Generate the target code for the design's choices, run it on the
-    benchmark's inputs under the design's uarch, and check every output
-    region against the base program's run ({!Asipfb_exec.Value.close}).
+(** Generate the target code for the design's choices, take its
+    execution on the benchmark's inputs from {!runs} (running it on the
+    core when absent), weigh it under the design's uarch, and check every
+    output region against the base program's run
+    ({!Asipfb_exec.Value.close}).  Designs whose selections yield the same
+    target share one core run; the outcome's [memory] is that run's, so
+    it is read-only.
     @raise Asipfb_diag.Diag.Diag_error (stage [Verification], context
       [kind=asip-output-mismatch], [benchmark], [region]) on a mismatch.
     @raise Asipfb_asip.Tsim.Runtime_error if the target program traps. *)
+
+val run_capacity : int
+(** Most executions {!runs} keeps (64): above the 16 targets a report
+    measures. *)
+
+val runs : (string, Asipfb_asip.Tsim.execution) Asipfb_util.Memo.t
+(** The process-wide store of target executions behind {!measure},
+    keyed by the benchmark's {!Asipfb_engine.Engine.source_key} (its
+    content and [Code.version]) and a structural digest of the target
+    program; it keeps the {!run_capacity} most recently used.  Exposed
+    for its {!Asipfb_util.Memo.stats}. *)
 
 val report :
   Pipeline.analysis -> Asipfb_sched.Opt_level.t -> design ->

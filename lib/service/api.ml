@@ -679,6 +679,17 @@ let response =
 
 let encode_response r = Json.to_string (response.enc r)
 
+let encode_payload p = Json.to_string (payload.enc p)
+
+(* The fields [response] writes before a successful result, in its
+   order; the splice must stay byte-equal to [encode_response]. *)
+let frame_head = Printf.sprintf "{\"api\":%d,\"id\":\"" api_version
+
+let splice_response ~id ~cache result =
+  String.concat ""
+    [ frame_head; Json.escape id; "\",\"ok\":true,\"cache\":\"";
+      cache_status_to_string cache; "\",\"result\":"; result; "}" ]
+
 let decode_response line =
   let* j =
     Result.map_error (fun e -> "malformed frame: " ^ e) (Json.of_string line)

@@ -143,6 +143,17 @@ val decode_request : string -> string * (request, Asipfb_diag.Diag.t) result
 
 val encode_response : response -> string
 
+val encode_payload : payload -> string
+(** A payload's result object as bytes: the [result] member of its
+    response frame and the offline [--json] output. *)
+
+val splice_response : id:string -> cache:cache_status -> string -> string
+(** [splice_response ~id ~cache bytes] is the frame of a successful
+    response whose result member is [bytes], built around them without
+    re-encoding: equal to [encode_response {id; cache; body = Ok p}]
+    whenever [bytes = encode_payload p].  The daemon's memo keeps these
+    bytes, so a hit is a lookup and a splice. *)
+
 val decode_response : string -> (response, string) result
 (** Client-side decode; [Error] describes the malformation. *)
 

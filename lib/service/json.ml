@@ -17,8 +17,9 @@ let max_depth = 256
 
 (* Quote, backslash, the common whitespace escapes, and every other
    control character as \u00XX. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -30,8 +31,15 @@ let escape s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+    s
+
+let escape s =
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    add_escaped buf s;
+    Buffer.contents buf
+  end
 
 (* Deterministic float form: integral values keep a ".0" marker so they
    parse back as floats (Int vs Float survives a round trip); everything
@@ -49,7 +57,7 @@ let rec write buf = function
   | Float f -> Buffer.add_string buf (float_str f)
   | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | List items ->
       Buffer.add_char buf '[';
@@ -65,7 +73,7 @@ let rec write buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf "\":";
           write buf v)
         fields;

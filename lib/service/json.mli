@@ -31,6 +31,10 @@ val to_string : t -> string
     and tab, and write every other control character as a [u00XX]
     escape. *)
 
+val escape : string -> string
+(** The body of the string literal {!to_string} writes for a string,
+    without its quotes (the string itself when nothing needs escaping). *)
+
 val of_string : string -> (t, string) result
 (** Total parse of one JSON value; trailing non-whitespace, unterminated
     constructs, bad escapes, and nesting deeper than {!max_depth} are

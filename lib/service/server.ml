@@ -1,11 +1,13 @@
 (* The analysis daemon.  One warm engine and a response memo that both
-   keeps completed responses and coalesces overlapping questions;
-   newline-delimited JSON frames over a Unix-domain stream socket, served
-   by accept loops on Pool domains. *)
+   keeps completed answers, as their encoded bytes, and coalesces
+   overlapping questions; newline-delimited JSON frames over a
+   Unix-domain stream socket, served by accept loops on Pool domains. *)
 
 module Pipeline = Asipfb.Pipeline
 module Timing = Asipfb.Timing
 module Registry = Asipfb_bench_suite.Registry
+module Benchmark = Asipfb_bench_suite.Benchmark
+module Opt_level = Asipfb_sched.Opt_level
 module Diag = Asipfb_diag.Diag
 module Engine = Asipfb_engine.Engine
 module Pool = Asipfb_engine.Pool
@@ -18,10 +20,23 @@ module Memo = Asipfb_util.Memo
    questions keep hitting. *)
 let memo_capacity = 1024
 
+(* A request is refused past this many bytes without a newline; real
+   requests are under 1 KB. *)
+let max_frame_bytes = 1 lsl 20
+
+(* The content keys of one registry benchmark, digested once per daemon
+   instead of once per request. *)
+type bench_keys = {
+  source : string;
+  verify_ir : string;
+  sched : (Opt_level.t * string) list;
+}
+
 type t = {
   engine : Engine.t;
-  log : string -> unit;
-  memo : (string, Api.payload) Memo.t;
+  log : (string -> unit) option;
+  keys : (string, bench_keys) Hashtbl.t;  (* read-only after [create] *)
+  memo : (string, string) Memo.t;  (* key -> the answer's result bytes *)
   stop : bool Atomic.t;
   requests : int Atomic.t;
   errors : int Atomic.t;
@@ -30,10 +45,24 @@ type t = {
   started : float;
 }
 
-let create ~engine ?(log = fun _ -> ()) () =
+let registry_keys () =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Benchmark.t) ->
+      Hashtbl.replace table b.name
+        {
+          source = Engine.source_key b;
+          verify_ir = Engine.verify_ir_key b;
+          sched = List.map (fun l -> (l, Engine.sched_key b l)) Opt_level.all;
+        })
+    Registry.all;
+  table
+
+let create ~engine ?log () =
   {
     engine;
     log;
+    keys = registry_keys ();
     memo = Memo.create ~capacity:memo_capacity ();
     stop = Atomic.make false;
     requests = Atomic.make 0;
@@ -65,12 +94,14 @@ let memo_size t = Memo.size t.memo
 let refuse ~stage ~context message =
   raise (Diag.Diag_error (Diag.make ~stage ~context message))
 
+let unknown_benchmark name =
+  refuse ~stage:Diag.Driver ~context:[ ("benchmark", name) ]
+    (Registry.unknown_message name)
+
 let find_benchmark name =
   match Registry.find_opt name with
   | Some b -> b
-  | None ->
-      refuse ~stage:Diag.Driver ~context:[ ("benchmark", name) ]
-        (Registry.unknown_message name)
+  | None -> unknown_benchmark name
 
 let lint_benchmarks = function
   | None -> Registry.all
@@ -161,101 +192,137 @@ let query_parts (q : Pipeline.Query.t) =
     (match q.budget with Some b -> string_of_int b | None -> "-");
   ]
 
+let bench_keys t name =
+  match Hashtbl.find_opt t.keys name with
+  | Some k -> k
+  | None -> unknown_benchmark name
+
+let sched_key t name level = List.assoc level (bench_keys t name).sched
+
 (* The area joins the key only when the request carries one, so every
    key of a request without it is unchanged. *)
-let timing_key benchmark level uarch clock area =
+let timing_key t benchmark level uarch clock area =
   ignore (find_uarch ?clock uarch);
-  let b = find_benchmark benchmark in
+  let k = bench_keys t benchmark in
   digest
-    ([ "timing"; Engine.source_key b; Engine.sched_key b level; uarch;
+    ([ "timing"; k.source; sched_key t benchmark level; uarch;
        (match clock with Some c -> Printf.sprintf "%h" c | None -> "-") ]
     @ Option.to_list (Option.map (Printf.sprintf "%h") area))
 
-let request_key req =
+let request_key t req =
   match req with
   | Api.Detect { benchmark; query = q } | Api.Coverage { benchmark; query = q }
     ->
-      let b = find_benchmark benchmark in
+      let k = bench_keys t benchmark in
       Some
         (digest
-           ([ Api.request_op req; Engine.source_key b;
-              Engine.sched_key b q.level ]
+           ([ Api.request_op req; k.source; sched_key t benchmark q.level ]
            @ query_parts q))
   | Api.Verify { benchmark; mode } ->
-      let b = find_benchmark benchmark in
+      let k = bench_keys t benchmark in
       Some
         (digest
-           [ "verify"; Engine.verify_ir_key b; Engine.source_key b;
+           [ "verify"; k.verify_ir; k.source;
              (match mode with `Ir -> "ir" | `Full -> "full" | `Tv -> "tv") ])
   | Api.Lint { benchmark } ->
       Some
         (digest
-           ("lint" :: List.map Engine.source_key (lint_benchmarks benchmark)))
+           ("lint"
+           :: List.map
+                (fun (b : Benchmark.t) -> (bench_keys t b.name).source)
+                (lint_benchmarks benchmark)))
   | Api.Timing { benchmark; level; uarch; clock } ->
-      Some (timing_key benchmark level uarch clock None)
+      Some (timing_key t benchmark level uarch clock None)
   | Api.Timing_area { benchmark; level; uarch; clock; area } ->
-      Some (timing_key benchmark level uarch clock (Some area))
+      Some (timing_key t benchmark level uarch clock (Some area))
   | Api.Corpus_sample _ | Api.Ping | Api.Stats | Api.Shutdown -> None
 
-(* A raise is not kept in the memo, so a failed question is asked
-   afresh next time. *)
+(* The memo keeps each answer's encoded result bytes, so a hit is
+   served without re-encoding.  A raise is not kept in the memo, so a
+   failed question is asked afresh next time. *)
 let serve_cached t ~key compute =
   match Memo.find_or_run t.memo ~key compute with
-  | payload, Memo.Hit ->
+  | bytes, Memo.Hit ->
       Atomic.incr t.memo_hits;
-      (Api.Hit, Ok payload)
-  | payload, Memo.Joined ->
+      (Api.Hit, Ok bytes)
+  | bytes, Memo.Joined ->
       Atomic.incr t.coalesced;
-      (Api.Join, Ok payload)
-  | payload, Memo.Led -> (Api.Miss, Ok payload)
+      (Api.Join, Ok bytes)
+  | bytes, Memo.Led -> (Api.Miss, Ok bytes)
   | exception exn -> (Api.Uncached, Error (Pipeline.diag_of_exn exn))
 
 (* The daemon answers ping, stats and shutdown from its own state and
-   every other op with {!answer}, keyed ones through the memo.  A
-   refused request and a failed unkeyed answer raise out of here into
-   {!handle_line}, which turns them into error responses. *)
-let dispatch t req : Api.cache_status * (Api.payload, Diag.t) result =
+   every other op with {!answer}, keyed ones through the memo; an
+   answer is its result bytes.  A refused request and a failed unkeyed
+   answer raise out of here into {!handle_line}, which turns them into
+   error responses. *)
+let dispatch t req : Api.cache_status * (string, Diag.t) result =
+  let uncached p = (Api.Uncached, Ok (Api.encode_payload p)) in
   match req with
-  | Api.Ping -> (Api.Uncached, Ok Api.Pong)
+  | Api.Ping -> uncached Api.Pong
   | Api.Shutdown ->
       request_stop t;
-      (Api.Uncached, Ok Api.Stopping)
+      uncached Api.Stopping
   | Api.Stats ->
-      ( Api.Uncached,
-        Ok
-          (Api.Stats_result
-             { engine = Engine.stats t.engine; service = service_stats t })
-      )
+      uncached
+        (Api.Stats_result
+           { engine = Engine.stats t.engine; service = service_stats t })
   | req -> (
-      match request_key req with
-      | Some key -> serve_cached t ~key (fun () -> answer t.engine req)
-      | None -> (Api.Uncached, Ok (answer t.engine req)))
+      match request_key t req with
+      | Some key ->
+          serve_cached t ~key (fun () ->
+              Api.encode_payload (answer t.engine req))
+      | None -> uncached (answer t.engine req))
+
+let log_line t op cache outcome =
+  Option.iter
+    (fun log ->
+      log
+        (Printf.sprintf "%s cache=%s %s" op
+           (Api.cache_status_to_string cache)
+           (match outcome with
+           | Ok _ -> "ok"
+           | Error (d : Diag.t) -> "error: " ^ d.message)))
+    t.log
+
+(* A successful answer is spliced around its result bytes; an error is
+   encoded whole. *)
+let frame ~id cache = function
+  | Ok bytes -> Api.splice_response ~id ~cache bytes
+  | Error diag -> Api.encode_response { Api.id; cache; body = Error diag }
 
 let handle_line t line =
   Atomic.incr t.requests;
   let id, decoded = Api.decode_request line in
-  let op, response =
+  let op, cache, body =
     match decoded with
-    | Error diag ->
-        ("<malformed>", { Api.id; cache = Api.Uncached; body = Error diag })
+    | Error diag -> ("<malformed>", Api.Uncached, Error diag)
     | Ok req ->
         let cache, body =
           match dispatch t req with
           | r -> r
           | exception exn -> (Api.Uncached, Error (Pipeline.diag_of_exn exn))
         in
-        (Api.request_op req, { Api.id; cache; body })
+        (Api.request_op req, cache, body)
   in
-  (match response.body with
-  | Error _ -> Atomic.incr t.errors
-  | Ok _ -> ());
-  t.log
-    (Printf.sprintf "%s cache=%s %s" op
-       (Api.cache_status_to_string response.cache)
-       (match response.body with
-       | Ok _ -> "ok"
-       | Error d -> "error: " ^ d.message));
-  Api.encode_response response
+  if Result.is_error body then Atomic.incr t.errors;
+  log_line t op cache body;
+  frame ~id cache body
+
+(* The one answer to a connection whose unterminated frame outgrew
+   [max_frame_bytes]; the connection closes after it. *)
+let oversized_frame t =
+  Atomic.incr t.requests;
+  Atomic.incr t.errors;
+  let body =
+    Error
+      (Api.protocol_error
+         ~context:[ ("limit", string_of_int max_frame_bytes) ]
+         (Printf.sprintf "frame exceeds %d bytes; closing the connection"
+            max_frame_bytes))
+  in
+  log_line t "<oversized>" Api.Uncached body;
+  frame ~id:"" Api.Uncached body
 
 (* --- transport ----------------------------------------------------------- *)
 
@@ -268,41 +335,87 @@ let rec write_all fd bytes off len =
     write_all fd bytes (off + n) (len - n)
   end
 
-let send_line fd line =
-  let bytes = Bytes.of_string (line ^ "\n") in
-  write_all fd bytes 0 (Bytes.length bytes)
+(* A reply goes out with its newline from the connection's reusable
+   output buffer: one blit, no allocation once the buffer has grown. *)
+let send_line out fd line =
+  let n = String.length line in
+  if Bytes.length !out <= n then
+    out := Bytes.create (max (n + 1) (2 * Bytes.length !out));
+  Bytes.blit_string line 0 !out 0 n;
+  Bytes.set !out n '\n';
+  write_all fd !out 0 (n + 1)
+
+(* A connection's unanswered input: bytes [start, len) of [buf], with
+   no newline in [start, scan). *)
+type inbox = {
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable len : int;
+  mutable scan : int;
+}
+
+let chunk_size = 4096
+
+(* Room for one more read at the end of [buf]: slide the unanswered
+   bytes to the front, and grow only if they still leave no room. *)
+let make_room ib =
+  if Bytes.length ib.buf - ib.len < chunk_size then begin
+    let live = ib.len - ib.start in
+    let buf =
+      if Bytes.length ib.buf - live < chunk_size then
+        Bytes.create (2 * Bytes.length ib.buf)
+      else ib.buf
+    in
+    Bytes.blit ib.buf ib.start buf 0 live;
+    ib.buf <- buf;
+    ib.scan <- ib.scan - ib.start;
+    ib.start <- 0;
+    ib.len <- live
+  end
+
+let rec newline_from ib i =
+  if i >= ib.len then None
+  else if Bytes.unsafe_get ib.buf i = '\n' then Some i
+  else newline_from ib (i + 1)
 
 (* One connection, owned by one worker: poll for input every 200ms so a
    stop request (shutdown frame on another connection, or SIGINT) is
-   honoured even while a client sits idle. *)
+   honoured even while a client sits idle.  A frame longer than
+   [max_frame_bytes] gets one protocol-error reply and the connection
+   closes; other connections are not affected. *)
 let serve_conn t fd =
-  let pending = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let drain_lines () =
-    let rec go () =
-      let s = Buffer.contents pending in
-      match String.index_opt s '\n' with
-      | None -> ()
-      | Some i ->
-          let line = String.sub s 0 i in
-          Buffer.clear pending;
-          Buffer.add_substring pending s (i + 1) (String.length s - i - 1);
-          if String.trim line <> "" then send_line fd (handle_line t line);
-          go ()
-    in
-    go ()
+  let ib = { buf = Bytes.create chunk_size; start = 0; len = 0; scan = 0 } in
+  let out = ref (Bytes.create 1024) in
+  (* Answer every complete line; [false] once a frame is oversized. *)
+  let rec drain () =
+    match newline_from ib ib.scan with
+    | Some i when i - ib.start > max_frame_bytes -> false
+    | Some i ->
+        let line = Bytes.sub_string ib.buf ib.start (i - ib.start) in
+        ib.start <- i + 1;
+        ib.scan <- i + 1;
+        if String.trim line <> "" then send_line out fd (handle_line t line);
+        drain ()
+    | None ->
+        if ib.start = ib.len then begin
+          ib.start <- 0;
+          ib.len <- 0
+        end;
+        ib.scan <- ib.len;
+        ib.len - ib.start <= max_frame_bytes
   in
   let rec loop () =
     if not (stopping t) then
       match Unix.select [ fd ] [] [] 0.2 with
       | [], _, _ -> loop ()
       | _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          make_room ib;
+          match Unix.read fd ib.buf ib.len chunk_size with
           | 0 -> () (* EOF *)
           | n ->
-              Buffer.add_subbytes pending chunk 0 n;
-              drain_lines ();
-              loop ()
+              ib.len <- ib.len + n;
+              if drain () then loop ()
+              else send_line out fd (oversized_frame t)
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
   in

@@ -10,11 +10,13 @@
     One response memo ({!Asipfb_util.Memo}) on top of the engine's
     keyed results keeps repeated questions cheap.  An analysis request
     is keyed by its content; the memo keeps the {!memo_capacity} most
-    recently used responses and runs each key once across overlapping
-    askers:
+    recently used answers, each as its encoded [result] bytes, and runs
+    each key once across overlapping askers:
 
     - a question answered before is served without touching the engine
-      and reported [cache:"hit"];
+      or the encoder — its frame is the [api]/[id]/[ok]/[cache] envelope
+      spliced around the stored bytes ({!Api.splice_response}) — and
+      reported [cache:"hit"];
     - N clients asking an identical question while it is being computed
       share one computation — the asker that ran it reports
       [cache:"miss"], the others [cache:"join"];
@@ -22,12 +24,16 @@
       ([cache:"uncached"]) and the next ask computes afresh.
 
     Content keys follow the engine's digest scheme
-    ({!Asipfb_engine.Engine.source_key} / [sched_key]), so "identical
-    request" means identical benchmark content and query parameters.
+    ({!Asipfb_engine.Engine.source_key} / [sched_key], digested once per
+    registry benchmark when the daemon starts), so "identical request"
+    means identical benchmark content and query parameters.
 
     The daemon never crashes on client input: malformed frames, unknown
     API versions, unknown benchmarks, and analysis failures all produce
-    structured error responses ({!Asipfb_diag.Diag.t} on the wire). *)
+    structured error responses ({!Asipfb_diag.Diag.t} on the wire).  A
+    frame longer than {!max_frame_bytes} gets one [protocol-error]
+    response and its connection is closed; other clients keep being
+    served. *)
 
 type t
 
@@ -50,7 +56,8 @@ val answer : Asipfb_engine.Engine.t -> Api.request -> Api.payload
 val create :
   engine:Asipfb_engine.Engine.t -> ?log:(string -> unit) -> unit -> t
 (** A serving state around a warm engine.  [log] observes one line per
-    handled frame (op, cache status, outcome) — the CLI's [--verbose]. *)
+    handled frame (op, cache status, outcome) — the CLI's [--verbose];
+    without it no line is formatted. *)
 
 val handle_line : t -> string -> string
 (** Answer one frame: decode, dispatch ({!answer}, through the memo for
@@ -67,12 +74,17 @@ val stopping : t -> bool
 val service_stats : t -> Api.service_stats
 
 val memo_capacity : int
-(** Most completed responses the memo holds (1024); inserting past it
+(** Most completed answers the memo holds (1024); inserting past it
     evicts the least recently used one, which a repeat of its question
     then recomputes. *)
 
+val max_frame_bytes : int
+(** Longest frame a connection may send (1 MiB; requests are under
+    1 KB).  Past it, with no newline yet, the connection gets one
+    [protocol-error] frame (context [limit]) and is closed. *)
+
 val memo_size : t -> int
-(** Completed responses the memo holds now. *)
+(** Completed answers the memo holds now. *)
 
 val serve :
   t ->

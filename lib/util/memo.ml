@@ -110,6 +110,13 @@ let get t ~key f = fst (find_or_run t ~key f)
 
 let size t = Mutex.protect t.mu (fun () -> t.size)
 
+let clear t =
+  Mutex.protect t.mu (fun () ->
+      Hashtbl.filter_map_inplace
+        (fun _ e -> match e with Running _ -> Some e | Done _ -> None)
+        t.table;
+      t.size <- 0)
+
 let stats t =
   Mutex.protect t.mu (fun () ->
       { hits = t.hits; joined = t.joined; led = t.led })

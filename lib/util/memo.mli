@@ -37,6 +37,9 @@ val get : ('k, 'a) t -> key:'k -> (unit -> 'a) -> 'a
 val size : ('k, 'a) t -> int
 (** Done values held now. *)
 
+val clear : ('k, 'a) t -> unit
+(** Drop every done value; running computations are left to finish. *)
+
 type stats = { hits : int; joined : int; led : int }
 
 val stats : ('k, 'a) t -> stats

@@ -6,11 +6,16 @@
 # (both sides compute it with Server.answer), and a warm second round
 # must be answered entirely from the daemon's response memo (cache=hit),
 # 8 concurrent askers of one new question share one computation, and a
-# question kept warm survives a flood that overflows the memo.  Also
+# question kept warm survives a flood that overflows the memo.  A
+# fresh-clock sweep (2 concurrent clients, 8 risc5 clocks on compress
+# and dft, which the daemon answers from shared core runs) must match
+# the offline CLI too, and an oversized frame must be refused with a
+# protocol error while another client keeps being served.  Also
 # covers the socket lifecycle: a second daemon refuses a live socket, a
 # SIGKILLed daemon's stale socket is taken over by a fresh one, and a
 # clean shutdown removes the socket file.
-# Usage: sh scripts/serve_smoke.sh [WORKERS]   (default 4)
+# Usage: sh scripts/serve_smoke.sh [WORKERS]   (default 4; the
+# oversized-frame stage needs python3)
 set -eu
 
 workers=${1:-4}
@@ -201,6 +206,92 @@ while [ "$i" -le $((memo_capacity + 50)) ]; do
 done
 ask_warm
 
+# Round 5 (fresh clocks): two concurrent clients sweep 8 risc5 clocks on
+# compress and dft, in opposite orders.  Clocks that keep the selection
+# share one core run in the daemon; every reply must still be
+# byte-identical to the offline design --json at that clock.
+clocks="1.0 1.2 1.4999 1.5000011 1.5000023 1.75 2.0 3.0"
+for b in compress dft; do
+  for c in $clocks; do
+    "$bin" design "$b" --uarch risc5 --clock="$c" --json \
+      > "$workdir/ref_clock_${b}_$c.json" 2> /dev/null
+  done
+done
+sweep() {
+  for c in $2; do
+    for b in $1; do
+      "$bin" client timing "$b" -O 1 --uarch risc5 --clock="$c" \
+        --socket "$sock" > "$workdir/got_clock_${b}_$c.json" || exit 1
+    done
+  done
+}
+sweep "compress dft" "$clocks" &
+sweep_a=$!
+sweep "dft compress" "$(echo $clocks | tr ' ' '\n' | sort -r)" &
+sweep_b=$!
+wait "$sweep_a" && wait "$sweep_b" || {
+  echo "serve smoke: a fresh-clock client failed" >&2
+  exit 1
+}
+for b in compress dft; do
+  for c in $clocks; do
+    same_as_offline "clock_${b}_$c"
+  done
+done
+
+# Round 6 (frame bound): a client sends a frame past the daemon's 1 MiB
+# limit (Server.max_frame_bytes).  Halfway through it, a second client
+# is served (with more than one worker); the oversized frame then gets
+# one protocol-error reply and its connection closes, and the second
+# client is still served afterwards.
+python3 - "$sock" "$workers" > "$workdir/oversized.out" <<'EOF' || {
+import socket, sys
+
+path, workers = sys.argv[1], int(sys.argv[2])
+limit = 1 << 20
+
+def conn():
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.settimeout(30)
+    s.connect(path)
+    return s
+
+def ask(s, frame):
+    s.sendall(frame + b"\n")
+    reply = b""
+    while not reply.endswith(b"\n"):
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        reply += chunk
+    return reply
+
+ping = b'{"api":1,"id":"p","op":"ping"}'
+big, other = conn(), (conn() if workers > 1 else None)
+big.sendall(b"x" * (limit // 2))
+if other is not None:
+    assert b'"kind":"pong"' in ask(other, ping), "ping during the big frame"
+try:
+    big.sendall(b"x" * (limit // 2 + 1))
+except OSError:
+    pass
+reply = b""
+while True:
+    chunk = big.recv(65536)
+    if not chunk:
+        break
+    reply += chunk
+lines = reply.split(b"\n")
+assert len(lines) == 2 and lines[1] == b"", reply[:200]
+assert b'"ok":false' in lines[0] and b'"kind":"protocol-error"' in lines[0], lines[0]
+other = other or conn()
+assert b'"kind":"pong"' in ask(other, ping), "ping after the big frame"
+print(lines[0].decode())
+EOF
+  echo "serve smoke: oversized-frame stage failed" >&2
+  exit 1
+}
+
 # A SIGKILLed daemon leaves a stale socket file; a fresh daemon must
 # detect it as dead, take the path over, and serve.
 kill -9 "$daemon_pid"
@@ -239,4 +330,4 @@ if [ -e "$sock" ]; then
   exit 1
 fi
 
-echo "serve smoke: $workers worker(s) — 13 concurrent clients byte-identical to offline CLI, warm round 100% memo hits, 8 concurrent askers coalesced onto one analysis, warm answer kept through a memo overflow, live-socket refusal, stale takeover, and clean shutdown all verified"
+echo "serve smoke: $workers worker(s) — 13 concurrent clients byte-identical to offline CLI, warm round 100% memo hits, 8 concurrent askers coalesced onto one analysis, warm answer kept through a memo overflow, fresh-clock sweep byte-identical to offline, oversized frame refused, live-socket refusal, stale takeover, and clean shutdown all verified"

@@ -311,6 +311,96 @@ let test_pipelined_chains_fit_clock () =
         (List.assoc_opt "kind" d.context))
     r.t_rejected
 
+(* --- the run store: one core run per target program ---------------------- *)
+
+module Memo = Asipfb_util.Memo
+
+let reset_runs () =
+  Memo.clear Timing.runs;
+  Memo.reset_stats Timing.runs
+
+let risc5_at clock = Uarch.with_clock Uarch.risc5 ~clock
+
+(* The measurement of a design through the store, against a plain
+   [Tsim.run] of the same target: the same report and output bytes. *)
+let check_plain_run (a : Asipfb.Pipeline.analysis) (d : Timing.design) out =
+  let target = Codegen.generate_for_choices ~choices:d.choices a.prog in
+  let plain =
+    Tsim.run ~uarch:d.uarch target ~inputs:(a.benchmark.inputs ())
+  in
+  let report = Timing.report a Opt_level.O1 d in
+  Alcotest.(check bool) "report equals a plain Tsim.run's" true
+    (report out = report plain);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) (r ^ " equals a plain run's") true
+        (Memory.dump out.Tsim.memory r = Memory.dump plain.memory r))
+    a.benchmark.output_regions
+
+(* risc5 clocks 1.5 and 1.5000011 select the same chains on compress:
+   one core run serves both, and only a clock that changes the selection
+   runs the core again. *)
+let test_fresh_clock_shares_run () =
+  let a = analysis_of "compress" in
+  reset_runs ();
+  let d1 = Timing.design ~uarch:(risc5_at 1.5) a Opt_level.O1 in
+  let d2 = Timing.design ~uarch:(risc5_at 1.5000011) a Opt_level.O1 in
+  Alcotest.(check bool) "both clocks select the same chains" true
+    (d1.choices = d2.choices);
+  let o1 = Timing.measure a d1 in
+  let o2 = Timing.measure a d2 in
+  let s = Memo.stats Timing.runs in
+  Alcotest.(check (pair int int)) "one core run, one reuse (led, hits)"
+    (1, 1) (s.led, s.hits);
+  check_plain_run a d1 o1;
+  check_plain_run a d2 o2;
+  let d3 = Timing.design ~uarch:(risc5_at 1.0) a Opt_level.O1 in
+  Alcotest.(check bool) "clock 1.0 changes the selection" false
+    (d3.choices = d1.choices);
+  check_plain_run a d3 (Timing.measure a d3);
+  Alcotest.(check int) "a new selection runs the core again" 2
+    (Memo.stats Timing.runs).led
+
+(* A tiny kernel per index: distinct sources give distinct run keys. *)
+let tiny_analysis i =
+  Asipfb.Pipeline.analyze
+    {
+      Asipfb_bench_suite.Benchmark.name = Printf.sprintf "tiny%d" i;
+      description = "run-store eviction";
+      data_input = "none";
+      source =
+        Printf.sprintf
+          "int out[1]; void main() { int s = 0; for (int k = 0; k < 4; k = \
+           k + 1) { s = s + k * %d; } out[0] = s; }"
+          i;
+      inputs = (fun () -> []);
+      output_regions = [ "out" ];
+    }
+
+(* At capacity the store evicts its least recently used target: the
+   first one, re-asked just before the overflow, stays; the second,
+   untouched since, goes and runs again when asked. *)
+let test_run_store_evicts_lru () =
+  let n = Timing.run_capacity in
+  let analyses = Array.init (n + 1) tiny_analysis in
+  let measure i =
+    let a = analyses.(i) in
+    ignore (Timing.measure a (Timing.design a Opt_level.O1))
+  in
+  reset_runs ();
+  for i = 0 to n - 1 do measure i done;
+  Alcotest.(check int) "store full" n (Memo.size Timing.runs);
+  measure 0;
+  measure n;
+  Alcotest.(check int) "still at capacity" n (Memo.size Timing.runs);
+  let led () = (Memo.stats Timing.runs).led in
+  let before = led () in
+  measure 0;
+  Alcotest.(check int) "recently used target kept" before (led ());
+  measure 1;
+  Alcotest.(check int) "least recently used target evicted" (before + 1)
+    (led ())
+
 let suite =
   [
     ( "asip",
@@ -337,5 +427,9 @@ let suite =
         Alcotest.test_case "pipelined chains fit clock" `Quick
           test_pipelined_chains_fit_clock;
         QCheck_alcotest.to_alcotest prop_estimate_measurement_agree;
+        Alcotest.test_case "fresh clock shares the core run" `Quick
+          test_fresh_clock_shares_run;
+        Alcotest.test_case "run store evicts lru" `Quick
+          test_run_store_evicts_lru;
       ] );
   ]

@@ -680,6 +680,39 @@ let test_json_values () =
   ok "1e2" "100.0";
   ok "1.25" "1.25"
 
+(* --- spliced frames ------------------------------------------------------- *)
+
+let cache_statuses = [ Api.Hit; Api.Join; Api.Miss; Api.Uncached ]
+
+(* Ids carrying every byte class the escaper treats apart: quotes,
+   backslashes, control characters, and non-ASCII bytes. *)
+let id_gen =
+  let open QCheck.Gen in
+  string_size (int_range 0 16)
+    ~gen:
+      (oneof
+         [ printable;
+           oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\x00'; '\x1b'; '\x7f' ];
+           map Char.chr (int_range 0x80 0xff) ])
+
+(* A memo hit's frame is spliced around the stored result bytes; it
+   must be the encoder's frame, byte for byte, for every cache status. *)
+let prop_splice_is_encoder =
+  QCheck.Test.make ~count:300 ~name:"spliced frame equals the encoder"
+    (QCheck.make
+       ~print:(fun (id, p) ->
+         Api.encode_response { Api.id; cache = Api.Hit; body = Ok p })
+       QCheck.Gen.(pair id_gen payload_gen))
+    (fun (id, p) ->
+      let bytes = Api.encode_payload p in
+      List.for_all
+        (fun cache ->
+          let want = Api.encode_response { Api.id; cache; body = Ok p } in
+          let got = Api.splice_response ~id ~cache bytes in
+          got = want
+          || QCheck.Test.fail_reportf "spliced %s\nencoder %s" got want)
+        cache_statuses)
+
 (* --- daemon error paths (handle_line is total) ---------------------------- *)
 
 let make_server () =
@@ -997,6 +1030,41 @@ let test_memo_bounded () =
     first_frame
     (Server.handle_line server first)
 
+(* A hit is served from the memo's bytes: its frame is the miss frame
+   with only the cache status changed, whatever the op and the id. *)
+let test_hit_frame_is_miss_frame () =
+  let server = make_server () in
+  let replace_first s ~sub ~by =
+    let n = String.length sub in
+    let rec find i =
+      if i + n > String.length s then Alcotest.failf "%S not in %s" sub s
+      else if String.sub s i n = sub then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  List.iter
+    (fun (id, req) ->
+      let line = Api.encode_request ~id req in
+      let miss = Server.handle_line server line in
+      let hit = Server.handle_line server line in
+      Alcotest.(check string)
+        (Api.request_op req ^ ": hit frame is the miss frame")
+        (replace_first miss ~sub:"\"cache\":\"miss\""
+           ~by:"\"cache\":\"hit\"")
+        hit)
+    [ ( "q\"uote\\back\x01ctl\xc3\xa9",
+        Api.Detect
+          { benchmark = "fir";
+            query = Pipeline.Query.make ~length:2 Opt_level.O1 } );
+      ("", Api.Coverage
+             { benchmark = "iir"; query = Pipeline.Query.make Opt_level.O2 });
+      ("t\n1", Api.Timing
+                 { benchmark = "fir"; level = Opt_level.O1; uarch = "risc5";
+                   clock = Some 1.25 });
+      ("v", Api.Verify { benchmark = "fir"; mode = `Ir }) ]
+
 (* --- socket-level end-to-end ---------------------------------------------- *)
 
 let temp_socket_path () =
@@ -1057,6 +1125,74 @@ let test_socket_end_to_end () =
   Alcotest.(check bool) "socket file removed on shutdown" false
     (Sys.file_exists socket)
 
+(* A frame past [Server.max_frame_bytes] gets one protocol-error reply
+   and its connection closes; a client on another connection is served
+   before and after. *)
+let test_frame_bound () =
+  let socket = temp_socket_path () in
+  let server = Server.create ~engine:(Engine.create ~jobs:1 ()) () in
+  let daemon =
+    Domain.spawn (fun () -> Server.serve server ~socket ~workers:2 ())
+  in
+  let rec connect n =
+    match Client.connect ~socket with
+    | Ok c -> c
+    | Error e ->
+        if n = 0 then Alcotest.fail e
+        else begin
+          Unix.sleepf 0.05;
+          connect (n - 1)
+        end
+  in
+  let other = connect 200 in
+  let ping () =
+    match Client.rpc other Api.Ping with
+    | Ok { Api.body = Ok Api.Pong; _ } -> ()
+    | Ok _ -> Alcotest.fail "unexpected ping response"
+    | Error e -> Alcotest.fail e
+  in
+  ping ();
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let big = Bytes.make (Server.max_frame_bytes + 1) 'x' in
+  let rec send off =
+    if off < Bytes.length big then
+      send (off + Unix.write fd big off (Bytes.length big - off))
+  in
+  send 0;
+  let reply = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec recv () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes reply chunk 0 n;
+        recv ()
+  in
+  recv ();
+  Unix.close fd;
+  (match String.split_on_char '\n' (Buffer.contents reply) with
+  | [ frame; "" ] -> (
+      let r = decode_frame frame in
+      Alcotest.(check string) "oversized frame -> protocol error"
+        "protocol-error" (error_kind r);
+      match r.body with
+      | Error d ->
+          Alcotest.(check (option string)) "names the limit"
+            (Some (string_of_int Server.max_frame_bytes))
+            (List.assoc_opt "limit" d.context)
+      | Ok _ -> ())
+  | _ ->
+      Alcotest.failf "expected one reply line, then EOF; got %S"
+        (Buffer.contents reply));
+  ping ();
+  (match Client.rpc other Api.Shutdown with
+  | Ok { Api.body = Ok Api.Stopping; _ } -> ()
+  | _ -> Alcotest.fail "unexpected shutdown response");
+  Client.close other;
+  match Domain.join daemon with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "daemon exited with error: %s" e
+
 let test_refuses_non_socket () =
   let path = Filename.temp_file "asipfb_service" ".regular" in
   Fun.protect
@@ -1088,6 +1224,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_stats_roundtrip;
         QCheck_alcotest.to_alcotest prop_request_roundtrip;
         QCheck_alcotest.to_alcotest prop_response_roundtrip;
+        QCheck_alcotest.to_alcotest prop_splice_is_encoder;
         QCheck_alcotest.to_alcotest prop_decode_total;
         Alcotest.test_case "payload byte goldens" `Quick test_payload_goldens;
         Alcotest.test_case "request byte goldens" `Quick test_request_goldens;
@@ -1106,7 +1243,10 @@ let suite =
           test_ping_stats_shutdown;
         Alcotest.test_case "concurrent dedup" `Quick test_concurrent_dedup;
         Alcotest.test_case "memo bounded" `Quick test_memo_bounded;
+        Alcotest.test_case "hit frame is the miss frame" `Quick
+          test_hit_frame_is_miss_frame;
         Alcotest.test_case "socket end-to-end" `Quick test_socket_end_to_end;
+        Alcotest.test_case "frame bound" `Quick test_frame_bound;
         Alcotest.test_case "refuses non-socket" `Quick
           test_refuses_non_socket;
       ] );
